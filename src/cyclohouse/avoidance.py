@@ -21,16 +21,19 @@ premise, after pulling the whole orbit back through the scaling.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cyclotomic import (
     MEMBER,
+    NONMEMBER,
     UNDECIDED,
     CycNum,
     HouseResult,
     LoxtonProfile,
     RootOfUnity,
+    conjugate,
     house,
     in_PA,
     is_algebraic_integer,
@@ -120,17 +123,9 @@ def _minimal_clearing_integer(c_inv: CycNum, pt: Poly, qt: Poly) -> int:
             if coeff:
                 values.append(c_inv * coeff)
     for v in values:
-        den = 1
         for coord in v.coords:
-            den = den * coord.denominator // _gcd(den, coord.denominator)
-        big_d = big_d * den // _gcd(big_d, den)
+            big_d = math.lcm(big_d, coord.denominator)
     return big_d
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def escape_radius(
@@ -430,7 +425,7 @@ def verify_orbit_lemma(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScanHit:
     root: RootOfUnity
     value: CycNum
@@ -472,6 +467,14 @@ def scan_roots_of_unity(
 
     Hits are exact where decidable; enclosure-straddling cases are
     listed separately as undecided.  Ordered by (order, exponent).
+
+    h is evaluated once per Galois orbit.  With c the conductor of the
+    coefficients of h, sigma_t for t = u (mod m), t = 1 (mod c) fixes h
+    and sends zeta_m^k to zeta_m^(k*u), so h(zeta_m^(k*u)) =
+    sigma_t(h(zeta_m^k)).  Poles, integrality, torsion and the house are
+    Galois-invariant, so the pole status and any decided P_A verdict of
+    the smallest exponent of an orbit hold for the whole orbit; an
+    undecided verdict is rerun on each conjugate.
     """
     if order_cap < 1:
         raise DomainError("order cap must be >= 1")
@@ -479,22 +482,49 @@ def scan_roots_of_unity(
     hits = []
     undecided = []
     poles = []
-    import math as _math
+    enclosures: dict[HouseResult, HouseResult] = {}
+    c = 1
+    for poly in (h.num, h.den):
+        for coeff in poly.coeffs:
+            c = math.lcm(c, coeff.n)
 
     for order in range(1, order_cap + 1):
-        for k in range(order):
-            if order > 1 and _math.gcd(k, order) != 1:
-                continue
+        primitive = [k for k in range(order) if math.gcd(k, order) == 1]
+        g = math.gcd(order, c)
+        inv = pow(order // g, -1, c // g)
+        # the units u = 1 (mod g), each with its lift t = u (mod order),
+        # t = 1 (mod c); t = 1 only for u = 1
+        lifts = [
+            (u, u + order * ((1 - u) // g * inv % (c // g)))
+            for u in range(1, order + 1)
+            if math.gcd(u, order) == 1 and (u - 1) % g == 0
+        ]
+        # exponent -> (value at the orbit representative, t, verdict); the
+        # representative is the smallest exponent, so it is met first
+        found: dict[int, tuple] = {}
+        for k in primitive:
+            if k not in found:
+                value = evaluate(h, CycNum.zeta(order, k))
+                verdict = None if value is None else in_PA(value, A, accuracy_bits)
+                for u, t in lifts:
+                    found[k * u % order] = (value, t, verdict)
+            value, t, verdict = found[k]
             xi = RootOfUnity.make(order, k)
-            value = evaluate(h, xi.to_cycnum())
             if value is None:
                 poles.append(xi)
                 continue
-            verdict = in_PA(value, A, accuracy_bits)
+            if verdict == NONMEMBER:
+                continue
+            value = conjugate(value, t)
+            if verdict == UNDECIDED and t != 1:
+                verdict = in_PA(value, A, accuracy_bits)
+            # conjugates often get equal enclosures; the result keeps one copy
+            hr = house(value, accuracy_bits)
+            hr = enclosures.setdefault(hr, hr)
             if verdict == MEMBER:
-                hits.append(ScanHit(xi, value, house(value, accuracy_bits)))
+                hits.append(ScanHit(xi, value, hr))
             elif verdict == UNDECIDED:
-                undecided.append(ScanHit(xi, value, house(value, accuracy_bits)))
+                undecided.append(ScanHit(xi, value, hr))
     return ScanResult(tuple(hits), tuple(undecided), tuple(poles))
 
 

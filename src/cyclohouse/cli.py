@@ -2,7 +2,8 @@
 
 Every command emits a single JSON object on stdout (or CSV for tabular
 commands under --csv).  Exit codes: 0 success, 1 domain error, 2 syntax
-error, 3 resource ceiling, 4 undecided at the precision cap.  Errors
+error, 3 resource ceiling, 4 undecided at the precision cap, 5 internal
+error (an unexpected exception).  Errors
 are reported as {"error": {"type": ..., "message": ...}} and identical
 invocations produce byte-identical output.
 """
@@ -63,6 +64,7 @@ EXIT_DOMAIN = 1
 EXIT_SYNTAX = 2
 EXIT_RESOURCE = 3
 EXIT_UNDECIDED = 4
+EXIT_INTERNAL = 5
 
 
 def _real(text: str) -> Fraction:
@@ -405,6 +407,9 @@ def main(argv: list[str] | None = None) -> int:
     except CyclohouseError as exc:
         _emit({"error": {"type": "internal", "message": str(exc)}})
         return EXIT_DOMAIN
+    except Exception as exc:  # last resort: a JSON error, never a traceback
+        _emit({"error": {"type": "internal", "message": f"{type(exc).__name__}: {exc}"}})
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -657,12 +657,23 @@ def conjugates(a: CycNum) -> list[CycNum]:
     """
     if a.n == 1:
         return [a]
-    ctx = _cyclotomy(a.n)
-    out = []
-    for t in ctx.units:
-        coords = tuple(_sigma_coords(ctx, a.coords, t))
-        out.append(CycNum._raw(a.n, coords))
-    return out
+    return [conjugate(a, t) for t in _cyclotomy(a.n).units]
+
+
+def conjugate(a: CycNum, t: int) -> CycNum:
+    """sigma_t(a) for t coprime to a.n (t is read mod a.n).
+
+    A conjugate keeps the minimal conductor, so it is canonical as built.
+    """
+    n = a.n
+    t %= n
+    if t == 1 or n == 1:
+        return a
+    # Reuse a's coordinate objects for equal values: a scan result holds
+    # many conjugates of one value, and this keeps one copy of each.
+    same = {c: c for c in a.coords}
+    coords = _sigma_coords(_cyclotomy(n), a.coords, t)
+    return CycNum._raw(n, tuple(same.get(c, c) for c in coords))
 
 
 def is_algebraic_integer(a: CycNum) -> bool:
@@ -670,7 +681,7 @@ def is_algebraic_integer(a: CycNum) -> bool:
     return all(c.denominator == 1 for c in a.coords)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HouseResult:
     """Rigorous enclosure [lower, upper] of the house of an element."""
 
@@ -775,7 +786,7 @@ def embedding_box(a: CycNum, t: int = 1, scale_bits: int = 64) -> ComplexBox:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RootOfUnity:
     """zeta_order^exponent in lowest terms (minimal order)."""
 

@@ -27,6 +27,7 @@ unity leave the search indecisive and the verdict reports "unknown".
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -105,13 +106,18 @@ def exact_nth_root_fraction(s: Fraction, r: int) -> Fraction | None:
 
 
 def _int_nth_root(v: int, r: int) -> int | None:
-    if v == 1:
-        return 1
-    root = round(v ** (1.0 / r))
-    for cand in (root - 1, root, root + 1):
-        if cand >= 1 and cand**r == v:
-            return cand
-    return None
+    """The integer r-th root of v >= 1, if v is an exact r-th power."""
+    if r == 2:
+        root = math.isqrt(v)
+    else:
+        # Integer Newton from 2^ceil(bits/r) >= v^(1/r) descends to the floor.
+        root = 1 << -(-v.bit_length() // r)
+        while True:
+            nxt = ((r - 1) * root + v // root ** (r - 1)) // r
+            if nxt >= root:
+                break
+            root = nxt
+    return root if root**r == v else None
 
 
 def _legendre(t: int, p: int) -> int:

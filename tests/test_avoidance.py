@@ -322,6 +322,118 @@ class TestScan:
         assert keys == sorted(keys)
 
 
+def _per_root_scan(h, order_cap, A, bits=64):
+    """Oracle: the scan evaluated at every primitive root separately."""
+    import math
+
+    from cyclohouse import RootOfUnity, evaluate, house, in_PA
+    from cyclohouse.avoidance import ScanHit, ScanResult
+
+    hits, undecided, poles = [], [], []
+    for m in range(1, order_cap + 1):
+        for k in range(m):
+            if m > 1 and math.gcd(k, m) != 1:
+                continue
+            xi = RootOfUnity.make(m, k)
+            v = evaluate(h, xi.to_cycnum())
+            if v is None:
+                poles.append(xi)
+                continue
+            verdict = in_PA(v, A, bits)
+            if verdict == "member":
+                hits.append(ScanHit(xi, v, house(v, bits)))
+            elif verdict == "undecided":
+                undecided.append(ScanHit(xi, v, house(v, bits)))
+    return ScanResult(tuple(hits), tuple(undecided), tuple(poles))
+
+
+def _random_scan_map(rng, n):
+    """A map over Q(zeta_n): root-of-unity sums (many hits) or small
+    random coefficients, optionally with a pole at a root of unity."""
+    from cyclohouse.cyclotomic import euler_phi
+
+    def small():
+        return CycNum(
+            n,
+            [Fraction(rng.randint(-2, 2), rng.choice((1, 1, 2))) for _ in range(euler_phi(n))],
+        )
+
+    def rou():
+        return z(n, rng.randrange(n)) if n > 1 else CycNum.from_rational(rng.choice((1, -1)))
+
+    d = rng.randint(1, 3)
+    if rng.random() < 0.5:
+        num = [rou() if rng.random() < 0.5 else CycNum.zero for _ in range(d)] + [rou()]
+    else:
+        num = [small() for _ in range(d)] + [CycNum.one]
+    den = [CycNum.one]
+    if rng.random() < 0.5:
+        den = [-z(rng.choice((1, 2, 3, 4, 6, 8)), 1), CycNum.one]
+    return ratfunc_new(Poly(num), Poly(den))
+
+
+class TestOrbitScan:
+    @pytest.mark.parametrize("n", [1, 3, 4, 5, 8, 12])
+    def test_matches_per_root_oracle(self, n):
+        import random
+
+        rng = random.Random(7000 + n)
+        for _ in range(6):
+            h = _random_scan_map(rng, n)
+            A = rng.choice((Fraction(1), Fraction(2), Fraction(5, 2)))
+            cap = rng.randint(8, 13)
+            got = scan_roots_of_unity(h, cap, A).to_dict()
+            assert got == _per_root_scan(h, cap, A).to_dict(), (h, A, cap)
+
+    def test_pole_orbits_match_oracle(self):
+        # poles at every primitive 12th root over Q(i): Phi_12 = x^4 - x^2 + 1
+        h = ratfunc_new(P(z(4), 0, 1), P(1, 0, -1, 0, 1))
+        got = scan_roots_of_unity(h, 12, 2)
+        assert {(r.order, r.exponent) for r in got.poles_skipped} == {
+            (12, 1), (12, 5), (12, 7), (12, 11)
+        }
+        assert got.to_dict() == _per_root_scan(h, 12, 2).to_dict()
+
+    def test_undecided_representative_reruns_each_root(self, monkeypatch):
+        import cyclohouse.avoidance as avoidance_mod
+        from cyclohouse import in_PA
+
+        def straddles_at_z5(value, A, bits=64):
+            return "undecided" if value == z(5) else in_PA(value, A, bits)
+
+        monkeypatch.setattr(avoidance_mod, "in_PA", straddles_at_z5)
+        got = scan_roots_of_unity(RatFunc.from_poly(P(0, 1)), 5, 2)
+        assert [(s.root.order, s.root.exponent) for s in got.undecided] == [(5, 1)]
+        assert [(s.root.order, s.root.exponent) for s in got.hits if s.root.order == 5] == [
+            (5, 2), (5, 3), (5, 4)
+        ]
+
+    def test_conjugation_commutes_with_evaluation(self):
+        import math
+        import random
+
+        from cyclohouse import evaluate
+        from cyclohouse.cyclotomic import conjugate
+
+        rng = random.Random(11)
+        for n in (1, 3, 4, 5, 8, 12):
+            h = _random_scan_map(rng, n)
+            c = math.lcm(*(a.n for a in h.num.coeffs + h.den.coeffs))
+            for m in (5, 7, 8, 9, 12, 15):
+                xi = z(m, 1)
+                value = evaluate(h, xi)
+                for u in range(2, m):
+                    if math.gcd(u, m) != 1 or (u - 1) % math.gcd(m, c):
+                        continue
+                    t = next(t for t in range(u, m * c + 1, m) if (t - 1) % c == 0)
+                    lhs = evaluate(h, conjugate(xi, t))
+                    assert conjugate(xi, t) == z(m, u)
+                    if value is None:
+                        assert lhs is None
+                    else:
+                        assert lhs == conjugate(value, t)
+
+
 class TestVerdict:
     def test_three_poles_certified(self):
         v = avoidance_verdict(

@@ -124,3 +124,17 @@ def test_precision_cap_env_variable(monkeypatch):
         house(a, 4096)
     monkeypatch.delenv("CYCLOHOUSE_PRECISION_CAP")
     assert precision_cap() == 4096
+
+
+def test_unexpected_exception_is_internal_error(monkeypatch):
+    import cyclohouse.cli as cli_mod
+
+    def boom(args):
+        raise RuntimeError("simulated failure")
+
+    monkeypatch.setattr(cli_mod, "_cmd_degree", boom)
+    code, out = _run(["degree", "x^2"])
+    assert code == 5
+    doc = json.loads(out)
+    assert doc["error"]["type"] == "internal"
+    assert "simulated failure" in doc["error"]["message"]

@@ -77,6 +77,38 @@ class TestRootExtraction:
         assert any(u * u == w for u in roots)
 
 
+class TestExactIntegerRoots:
+    """Integer roots are exact: no float rounding, no overflow."""
+
+    def test_large_square_scaling_is_special(self):
+        from cyclohouse.parser import parse_ratfunc
+
+        verdict = is_special(parse_ratfunc("(10^20+3)^2*x^3"))
+        assert verdict.status == "special"
+
+    def test_large_square_scaling_normalizes(self):
+        from cyclohouse.avoidance import monic_normalize
+        from cyclohouse.parser import parse_ratfunc
+
+        norm = monic_normalize(parse_ratfunc("(10^20+3)^2*x^3"))
+        assert norm.c == CycNum.from_rational(10**20 + 3)
+
+    def test_huge_coefficient_does_not_overflow(self):
+        from cyclohouse.avoidance import monic_normalize
+        from cyclohouse.parser import parse_ratfunc
+
+        h = parse_ratfunc("10^400*x^3")
+        assert is_special(h).status == "special"
+        assert monic_normalize(h).c == CycNum.from_rational(10**200)
+
+    def test_roots_of_large_powers(self):
+        for r in (2, 3, 5, 7):
+            for b in (2, 10**20 + 3, 3**200 + 1):
+                assert exact_nth_root_fraction(Fraction(b**r, 7**r), r) == Fraction(b, 7)
+                assert exact_nth_root_fraction(Fraction(b**r + 1), r) is None
+                assert exact_nth_root_fraction(Fraction(b**r - 1), r) is None
+
+
 class TestPolynomialDetection:
     def test_chebyshev_models_are_special(self):
         for d in range(2, 7):

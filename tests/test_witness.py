@@ -240,6 +240,28 @@ class TestCaps:
             iterate_term_lower_bound(3, 2)
 
 
+class TestSpecialTerms:
+    def test_bound_holds_is_the_integer_comparison(self):
+        h = RatFunc.from_poly(P(0, 1, 0, 1))
+        rep = verify_specialterms(h, RatFunc.from_poly(P(0, 1, 1)), 3)
+        assert rep.bound_holds == (
+            2016 * 5**rep.composition_terms >= rep.degree_h ** (rep.iterations - 2)
+        )
+
+    @pytest.mark.parametrize("terms", [0, 1, 2])
+    def test_bound_holds_decided_exactly(self, monkeypatch, terms):
+        # d = 3, n = 9: d^(n-2) = 2187 lies between 2016 * 5^0 and 2016 * 5^1
+        import cyclohouse.witness as witness_mod
+
+        monkeypatch.setattr(witness_mod, "iterate", lambda h, n: h)
+        monkeypatch.setattr(witness_mod, "term_count", lambda p: terms)
+        h = RatFunc.from_poly(P(0, 1, 0, 1))
+        rep = verify_specialterms(h, RatFunc.from_poly(P(0, 1, 1)), 9)
+        assert rep.bound_holds == (2016 * 5**terms >= 3**7)
+        assert rep.bound_holds == (terms >= 1)
+        assert rep.lower_bound == iterate_term_lower_bound(3, 9)
+
+
 class TestVerifyFZ:
     def test_generic_pair(self):
         rep = verify_fz(
