@@ -123,8 +123,7 @@ def _minimal_clearing_integer(c_inv: CycNum, pt: Poly, qt: Poly) -> int:
             if coeff:
                 values.append(c_inv * coeff)
     for v in values:
-        for coord in v.coords:
-            big_d = math.lcm(big_d, coord.denominator)
+        big_d = math.lcm(big_d, v.den)
     return big_d
 
 

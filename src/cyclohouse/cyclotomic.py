@@ -1,16 +1,20 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_n).
 
-An element is stored as its conductor n together with rational
-coordinates in the power basis 1, zeta_n, ..., zeta_n^(phi(n)-1),
-reduced modulo the n-th cyclotomic polynomial.  Values are always kept
-in canonical form:
+An element is stored as its conductor n, a tuple of integer numerators
+in the power basis 1, zeta_n, ..., zeta_n^(phi(n)-1) reduced modulo the
+n-th cyclotomic polynomial, and one positive common denominator (the
+FLINT ``fmpq_poly`` / ANTIC ``nf_elem`` layout).  Values are always
+kept in canonical form:
 
 * the conductor is minimal (no proper divisor m | n has the element
-  inside Q(zeta_m)), and
+  inside Q(zeta_m)),
 * n is never congruent to 2 mod 4 (Q(zeta_{2m}) = Q(zeta_m) for odd m),
+  and
+* the denominator is the least one: gcd(den, *num) == 1,
 
 so equality and hashing are plain tuple comparisons regardless of how a
-value was built.
+value was built.  Arithmetic runs on the integer numerators; the
+rational coordinates are derived on demand (``coords``).
 
 The analytic side (house computation) evaluates Galois conjugates at
 the standard embedding zeta_n -> exp(2*pi*i/n) with the fixed-point
@@ -83,41 +87,43 @@ def euler_phi(n: int) -> int:
     return result
 
 
-def _divisors(n: int) -> list[int]:
-    divs = [1]
-    for p, e in factorize(n):
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Integer coefficients of Phi_n, ascending, length phi(n)+1 (monic)."""
+    """Integer coefficients of Phi_n, ascending, length phi(n)+1 (monic).
+
+    Built from Phi_n(x) = Phi_rad(n)(x^(n/rad(n))) and, for squarefree
+    n = m*p with p the largest prime, Phi_n(x) = Phi_m(x^p) / Phi_m(x)
+    (Arnold and Monagan, "Calculating cyclotomic polynomials", 2011).
+    """
     if n == 1:
         return (-1, 1)
-    # Phi_n = (x^n - 1) / prod of Phi_d over proper divisors d.
-    num = [0] * (n + 1)
-    num[0] = -1
-    num[n] = 1
-    for d in _divisors(n):
-        if d == n:
-            continue
-        den = cyclotomic_polynomial(d)
-        num = _int_poly_exact_div(num, den)
-    return tuple(num)
+    rad = math.prod(p for p, _ in factorize(n))
+    if rad != n:
+        return _substitute_power(cyclotomic_polynomial(rad), n // rad)
+    m = n // factorize(n)[-1][0]
+    base = cyclotomic_polynomial(m)
+    return tuple(_int_poly_exact_div(_substitute_power(base, n // m), base))
 
 
-def _int_poly_exact_div(num: list[int], den: tuple[int, ...]) -> list[int]:
+def _substitute_power(c: tuple[int, ...], s: int) -> tuple[int, ...]:
+    """Coefficients of f(x^s) from those of f."""
+    out = [0] * (s * (len(c) - 1) + 1)
+    out[::s] = c
+    return tuple(out)
+
+
+def _int_poly_exact_div(num: tuple[int, ...], den: tuple[int, ...]) -> list[int]:
     """Exact division of integer polynomials, den monic."""
     num = list(num)
     dd = len(den) - 1
+    low = [(j, dj) for j, dj in enumerate(den[:dd]) if dj]
     out = [0] * (len(num) - dd)
     for i in range(len(num) - 1, dd - 1, -1):
         c = num[i]
         if c == 0:
             continue
         out[i - dd] = c
-        for j, dj in enumerate(den):
+        for j, dj in low:
             num[i - dd + j] -= c * dj
     return out
 
@@ -132,12 +138,14 @@ def canonical_conductor(m: int) -> int:
 class _Cyclotomy:
     """Cached per-conductor data: Phi_n, reduced power rows, torsion table."""
 
-    __slots__ = ("n", "phi", "cyclo", "_rows", "_torsion", "_units", "_lock")
+    __slots__ = ("n", "phi", "cyclo", "low", "_rows", "_torsion", "_units", "_lock")
 
     def __init__(self, n: int):
         self.n = n
         self.phi = euler_phi(n)
         self.cyclo = cyclotomic_polynomial(n)
+        # Nonzero (r, c_r) of Phi_n below its leading term, for reduction.
+        self.low = tuple((r, c) for r, c in enumerate(self.cyclo[:-1]) if c)
         # _rows[i] holds the power-basis coordinates of zeta^(phi+i);
         # exponents below phi are basis vectors and never materialized.
         self._rows: list[tuple[int, ...]] = []
@@ -175,15 +183,21 @@ class _Cyclotomy:
         self._ensure_rows(e)
         return self._rows[e - self.phi]
 
-    def power_accumulate(self, acc: list[Fraction], e: int, c: Fraction) -> None:
-        """acc += c * zeta^e, in power-basis coordinates."""
-        e %= self.n
-        if e < self.phi:
-            acc[e] += c
-        else:
-            for r, coeff in enumerate(self.row(e)):
-                if coeff:
-                    acc[r] += c * coeff
+    def reduce(self, acc: list[int]) -> list[int]:
+        """Reduce integer exponent coefficients modulo Phi_n, in place.
+
+        acc[e] is the coefficient of zeta^e (len(acc) >= phi); the
+        returned list is acc cut to its phi power-basis coordinates.
+        """
+        phi, low = self.phi, self.low
+        for e in range(len(acc) - 1, phi - 1, -1):
+            c = acc[e]
+            if c:
+                base = e - phi
+                for r, cr in low:
+                    acc[base + r] -= c * cr
+        del acc[phi:]
+        return acc
 
     def torsion_table(self) -> dict:
         """Map from int-coordinate tuples to k, covering all mu_M, M = lcm(2, n)."""
@@ -210,7 +224,16 @@ class _Cyclotomy:
             vec = [0] * self.phi
             vec[e] = 1
             return tuple(vec)
-        return self.row(e)
+        rad = math.prod(p for p, _ in factorize(self.n))
+        if rad == self.n:
+            return self.row(e)
+        # Phi_n(x) = Phi_rad(x^s), so zeta^e = (zeta^s)^q * zeta^r reads
+        # the row of y^q at conductor rad into the slots r, r+s, r+2s, ...
+        s = self.n // rad
+        q, r = divmod(e, s)
+        vec = [0] * self.phi
+        vec[r::s] = _cyclotomy(rad).row(q)
+        return tuple(vec)
 
 
 @lru_cache(maxsize=None)
@@ -218,46 +241,31 @@ def _cyclotomy(n: int) -> _Cyclotomy:
     return _Cyclotomy(n)
 
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // math.gcd(a, b)
-
-
 # ---------------------------------------------------------------------------
-# canonicalization
+# canonicalization (integer numerators; the denominator rides along)
 
 
-def _rewrite_2mod4(n: int, coords: list[Fraction]) -> tuple[int, list[Fraction]]:
+def _rewrite_2mod4(n: int, num: list[int]) -> tuple[int, list[int]]:
     """Rewrite coordinates at conductor n = 2m (m odd) in terms of zeta_m."""
     m = n // 2
     if m == 1:
-        return 1, [coords[0]]
-    ctx = _cyclotomy(m)
-    acc = [_ZERO] * ctx.phi
+        return 1, [num[0]]
     half = (m + 1) // 2
-    for j, c in enumerate(coords):
-        if not c:
-            continue
-        e = (j * half) % m
-        ctx.power_accumulate(acc, e, -c if j % 2 else c)
-    return m, acc
-
-
-def _sigma_coords(ctx: _Cyclotomy, coords, t: int) -> list[Fraction]:
-    """Coordinates of sigma_t(a) where sigma_t(zeta) = zeta^t."""
-    acc = [_ZERO] * ctx.phi
-    for j, c in enumerate(coords):
+    acc = [0] * m
+    for j, c in enumerate(num):
         if c:
-            ctx.power_accumulate(acc, (t * j) % ctx.n, c)
-    return acc
+            acc[(j * half) % m] += -c if j % 2 else c
+    return m, _cyclotomy(m).reduce(acc)
 
 
-def _scaled_nonzero_coords(coords):
-    """(den, [(j, int numerator)]) clearing denominators of the nonzeros."""
-    den = 1
-    for c in coords:
+def _sigma_coords(ctx: _Cyclotomy, num, t: int) -> list[int]:
+    """Numerators of sigma_t(a) where sigma_t(zeta) = zeta^t."""
+    n = ctx.n
+    acc = [0] * n
+    for j, c in enumerate(num):
         if c:
-            den = den * c.denominator // math.gcd(den, c.denominator)
-    return den, [(j, int(c * den)) for j, c in enumerate(coords) if c]
+            acc[(t * j) % n] += c
+    return ctx.reduce(acc)
 
 
 def _accumulate_embedding(n: int, nz_scaled, t: int, scale_bits: int):
@@ -282,7 +290,7 @@ def _accumulate_embedding(n: int, nz_scaled, t: int, scale_bits: int):
     return rl, rh, il, ih
 
 
-def _try_drop_prime(n: int, coords, p: int) -> list[Fraction] | None:
+def _try_drop_prime(n: int, num, p: int) -> list[int] | None:
     """Express the element in Q(zeta_m), m = n/p, or None if it is not there.
 
     No linear algebra is needed: the power basis at n splits over
@@ -296,49 +304,66 @@ def _try_drop_prime(n: int, coords, p: int) -> list[Fraction] | None:
     w_1 = ... = w_{p-1} and the value is then w_0 - w_1.
     """
     m = n // p
-    ctx_m = _cyclotomy(m)
-    phi_m = ctx_m.phi
-    buckets = [[_ZERO] * phi_m for _ in range(p)]
     if m % p == 0:
         # zeta_n^(i + p*j) = zeta_n^i * zeta_m^j with j < phi(m): delta rows
-        for k, c in enumerate(coords):
-            if c:
-                buckets[k % p][k // p] += c
-        for r in range(1, p):
-            if any(buckets[r]):
-                return None
-        return buckets[0]
-    inv_p = pow(p, -1, m)
-    for k, c in enumerate(coords):
-        if c:
-            ctx_m.power_accumulate(buckets[k % p], (inv_p * k) % m, c)
-    first = buckets[1]
-    for r in range(2, p):
-        if buckets[r] != first:
+        if any(num[k] for k in range(len(num)) if k % p):
             return None
-    return [a - b for a, b in zip(buckets[0], first)]
+        return list(num[::p])
+    # p is odd here (n is never 2 mod 4), so buckets 1 and 2 exist; they
+    # are compared before the others are built.
+    ctx_m = _cyclotomy(m)
+    inv_p = pow(p, -1, m)
+
+    def bucket(r: int) -> list[int]:
+        acc = [0] * m
+        for k in range(r, len(num), p):
+            c = num[k]
+            if c:
+                acc[(inv_p * k) % m] += c
+        return ctx_m.reduce(acc)
+
+    first = bucket(1)
+    for r in range(2, p):
+        if bucket(r) != first:
+            return None
+    return [a - b for a, b in zip(bucket(0), first)]
 
 
-def _canonicalize(n: int, coords: list[Fraction]) -> tuple[int, tuple[Fraction, ...]]:
+def _canonicalize(n: int, num: list[int]) -> tuple[int, list[int]]:
+    """Minimal conductor and its numerators (zero comes back as (1, [0]))."""
     while True:
         if n % 4 == 2:
-            n, coords = _rewrite_2mod4(n, coords)
+            n, num = _rewrite_2mod4(n, num)
         if n == 2:
             n = 1
         if n == 1:
-            return 1, (coords[0],)
-        if not any(coords):
-            return 1, (_ZERO,)
-        descended = False
+            return 1, [num[0]]
+        if not any(num):
+            return 1, [0]
         for p, _ in factorize(n):
-            dropped = _try_drop_prime(n, coords, p)
+            dropped = _try_drop_prime(n, num, p)
             if dropped is not None:
                 n //= p
-                coords = dropped
-                descended = True
+                num = dropped
                 break
-        if not descended:
-            return n, tuple(coords)
+        else:
+            return n, num
+
+
+def _lowest_terms(num, den: int) -> tuple[tuple[int, ...], int]:
+    """(num, den) divided by gcd(den, *num); den must be positive."""
+    if den != 1:
+        g = math.gcd(den, *num)
+        if g != 1:
+            return tuple(c // g for c in num), den // g
+    return tuple(num), den
+
+
+def _from_fractions(coords) -> tuple[list[int], int]:
+    """Integer numerators over the least common denominator of coords."""
+    coords = [Fraction(c) for c in coords]
+    den = math.lcm(*(c.denominator for c in coords))
+    return [c.numerator * (den // c.denominator) for c in coords], den
 
 
 # ---------------------------------------------------------------------------
@@ -350,38 +375,35 @@ class CycNum:
 
     Instances are immutable, hashable and always canonical.  The public
     constructor accepts coordinates at any conductor (including ones
-    congruent to 2 mod 4) and normalizes them.
+    congruent to 2 mod 4) and normalizes them.  ``num`` holds the
+    integer numerators and ``den`` the positive common denominator;
+    ``coords`` gives the same values as Fractions.
     """
 
-    __slots__ = ("n", "coords")
+    __slots__ = ("n", "num", "den")
 
     def __init__(self, n: int, coords):
         if n < 1:
             raise DomainError("conductor must be positive")
-        coords = [Fraction(c) for c in coords]
-        if len(coords) != euler_phi(n):
+        num, den = _from_fractions(coords)
+        if len(num) != euler_phi(n):
             raise DomainError(
-                f"expected {euler_phi(n)} coordinates at conductor {n}, got {len(coords)}"
+                f"expected {euler_phi(n)} coordinates at conductor {n}, got {len(num)}"
             )
-        cn, cc = _canonicalize(n, coords)
-        object.__setattr__(self, "n", cn)
-        object.__setattr__(self, "coords", cc)
+        cn, cnum = _canonicalize(n, num)
+        cnum, den = _lowest_terms(cnum, den)
+        _set_n(self, cn)
+        _set_num(self, cnum)
+        _set_den(self, den)
 
     def __setattr__(self, *_):
         raise AttributeError("CycNum is immutable")
-
-    @classmethod
-    def _raw(cls, n: int, coords: tuple[Fraction, ...]) -> "CycNum":
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "n", n)
-        object.__setattr__(obj, "coords", coords)
-        return obj
 
     # -- constructors ------------------------------------------------
 
     @classmethod
     def from_rational(cls, v) -> "CycNum":
-        return cls._raw(1, (Fraction(v),))
+        return _coerce(v if isinstance(v, (int, Fraction)) else Fraction(v))
 
     @classmethod
     def zeta(cls, m: int, k: int = 1) -> "CycNum":
@@ -389,23 +411,31 @@ class CycNum:
         if m < 1:
             raise DomainError("root-of-unity order must be positive")
         k %= m
+        g = math.gcd(k, m)  # zeta_m^k is a primitive (m/g)-th root of unity
+        m //= g
+        k //= g
         n = canonical_conductor(m)
         if n == 1:  # m <= 2
-            return cls.from_rational(-1 if (m == 2 and k == 1) else 1)
+            return _new(1, (-1 if m == 2 else 1,))
         ctx = _cyclotomy(n)
-        acc = [_ZERO] * ctx.phi
         if m == n:
-            ctx.power_accumulate(acc, k, _ONE)
-        else:  # m = 2n with n odd
-            e = (k * ((n + 1) // 2)) % n
-            ctx.power_accumulate(acc, e, -_ONE if k % 2 else _ONE)
-        cn, cc = _canonicalize(n, acc)
-        return cls._raw(cn, cc)
+            return _new(n, ctx._int_power_vec(k))
+        # m = 2n with n odd (k is odd): zeta_m^k = -zeta_n^(k*(n+1)/2)
+        vec = ctx._int_power_vec(k * ((n + 1) // 2))
+        return _new(n, tuple(-v for v in vec))
 
     zero: "CycNum"
     one: "CycNum"
 
     # -- representation ----------------------------------------------
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        """Rational power-basis coordinates at the minimal conductor."""
+        den = self.den
+        if den == 1:
+            return tuple(map(Fraction, self.num))
+        return tuple(Fraction(c, den) for c in self.num)
 
     def __repr__(self):
         return f"CycNum({self.n}, {[str(c) for c in self.coords]})"
@@ -414,13 +444,14 @@ class CycNum:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.n == other.n and self.coords == other.coords
+        return self.n == other.n and self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash((self.n, self.coords))
+        return hash((self.n, self.num, self.den))
 
     def __bool__(self):
-        return any(self.coords)
+        # Zero is canonical only as (1, (0,), 1).
+        return self.n != 1 or self.num[0] != 0
 
     @property
     def is_rational(self) -> bool:
@@ -429,26 +460,43 @@ class CycNum:
     def as_rational(self) -> Fraction:
         if self.n != 1:
             raise DomainError("value is not rational")
-        return self.coords[0]
+        return Fraction(self.num[0], self.den)
 
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.n == 1 and other.n == 1:
-            return CycNum._raw(1, (self.coords[0] + other.coords[0],))
-        n = _lcm(self.n, other.n)
+        if other.__class__ is not CycNum:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        da, db = self.den, other.den
+        if da == db:
+            den, sa, sb = da, 1, 1
+        else:
+            den = math.lcm(da, db)
+            sa, sb = den // da, den // db
+        if self.n == 1 or other.n == 1:
+            # Adding a rational moves coordinate 0 only and keeps the
+            # other summand's (minimal) conductor.
+            if self.n != 1:
+                self, other, sa, sb = other, self, sb, sa
+            num = [c * sb for c in other.num] if sb != 1 else list(other.num)
+            num[0] += self.num[0] * sa
+            num, den = _lowest_terms(num, den)
+            return _new(other.n, num, den)
+        n = math.lcm(self.n, other.n)
         a = _embed_list(self, n)
         b = _embed_list(other, n)
-        cn, cc = _canonicalize(n, [x + y for x, y in zip(a, b)])
-        return CycNum._raw(cn, cc)
+        if sa == 1 and sb == 1:
+            num = [x + y for x, y in zip(a, b)]
+        else:
+            num = [x * sa + y * sb for x, y in zip(a, b)]
+        return _make(n, num, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycNum._raw(self.n, tuple(-c for c in self.coords))
+        return _new(self.n, tuple(-c for c in self.num), self.den)
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -463,35 +511,29 @@ class CycNum:
         return other + (-self)
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.n == 1 and other.n == 1:
-            return CycNum._raw(1, (self.coords[0] * other.coords[0],))
-        if self.n == 1:
-            q = self.coords[0]
+        if other.__class__ is not CycNum:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        if self.n == 1 or other.n == 1:
+            if self.n != 1:
+                self, other = other, self
+            q = self.num[0]
             if q == 0:
                 return CycNum.zero
-            return CycNum._raw(other.n, tuple(q * c for c in other.coords))
-        if other.n == 1:
-            return other.__mul__(self)
-        n = _lcm(self.n, other.n)
+            # A nonzero rational factor keeps the conductor.
+            num, den = _lowest_terms([q * c for c in other.num], self.den * other.den)
+            return _new(other.n, num, den)
+        n = math.lcm(self.n, other.n)
         ctx = _cyclotomy(n)
         a = _embed_list(self, n)
-        b = _embed_list(other, n)
-        conv = [_ZERO] * (2 * ctx.phi - 1)
+        nzb = [(j, y) for j, y in enumerate(_embed_list(other, n)) if y]
+        conv = [0] * (2 * ctx.phi - 1)
         for i, x in enumerate(a):
             if x:
-                for j, y in enumerate(b):
-                    if y:
-                        conv[i + j] += x * y
-        acc = list(conv[: ctx.phi])
-        acc += [_ZERO] * (ctx.phi - len(acc))
-        for e in range(ctx.phi, len(conv)):
-            if conv[e]:
-                ctx.power_accumulate(acc, e, conv[e])
-        cn, cc = _canonicalize(n, acc)
-        return CycNum._raw(cn, cc)
+                for j, y in nzb:
+                    conv[i + j] += x * y
+        return _make(n, ctx.reduce(conv), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -499,9 +541,12 @@ class CycNum:
         if not self:
             raise DomainError("division by zero")
         if self.n == 1:
-            return CycNum._raw(1, (1 / self.coords[0],))
-        inv_coords = _inv_mod_cyclo(self.n, self.coords)
-        return CycNum._raw(self.n, tuple(inv_coords))
+            p, q = self.num[0], self.den
+            return _new(1, (q if p > 0 else -q,), abs(p))
+        # The inverse has the same minimal conductor: no canonicalization.
+        num, den = _from_fractions(_inv_mod_cyclo(self.n, self.coords))
+        num, den = _lowest_terms(num, den)
+        return _new(self.n, num, den)
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -539,29 +584,51 @@ class CycNum:
         return cls(int(d["conductor"]), [Fraction(c) for c in d["coords"]])
 
 
-CycNum.zero = CycNum._raw(1, (_ZERO,))
-CycNum.one = CycNum._raw(1, (_ONE,))
+# Slot setters bypass CycNum.__setattr__, which refuses every assignment.
+_set_n = CycNum.n.__set__
+_set_num = CycNum.num.__set__
+_set_den = CycNum.den.__set__
+
+
+def _new(n: int, num: tuple[int, ...], den: int = 1) -> CycNum:
+    """Wrap canonical data as is: minimal n, den > 0, gcd(den, *num) == 1."""
+    obj = object.__new__(CycNum)
+    _set_n(obj, n)
+    _set_num(obj, num)
+    _set_den(obj, den)
+    return obj
+
+
+def _make(n: int, num: list[int], den: int) -> CycNum:
+    """Canonicalize numerators at conductor n over den > 0."""
+    cn, cnum = _canonicalize(n, num)
+    cnum, den = _lowest_terms(cnum, den)
+    return _new(cn, cnum, den)
+
+
+CycNum.zero = _new(1, (0,))
+CycNum.one = _new(1, (1,))
 
 
 def _coerce(v):
     if isinstance(v, CycNum):
         return v
+    if type(v) is int:
+        return _new(1, (v,))
     if isinstance(v, (int, Fraction)):
-        return CycNum._raw(1, (Fraction(v),))
+        return _new(1, (int(v.numerator),), int(v.denominator))
     return NotImplemented
 
 
-def _embed_list(a: CycNum, n: int) -> list[Fraction]:
-    """Coordinates of a at conductor n (a.n must divide n)."""
+def _embed_list(a: CycNum, n: int) -> list[int]:
+    """Numerators of a at conductor n (a.n must divide n), over a.den."""
     if a.n == n:
-        return list(a.coords)
+        return list(a.num)
     ctx = _cyclotomy(n)
     step = n // a.n
-    acc = [_ZERO] * ctx.phi
-    for j, c in enumerate(a.coords):
-        if c:
-            ctx.power_accumulate(acc, step * j, c)
-    return acc
+    acc = [0] * n
+    acc[: step * len(a.num) : step] = a.num
+    return ctx.reduce(acc)
 
 
 def _inv_mod_cyclo(n: int, coords) -> list[Fraction]:
@@ -646,7 +713,7 @@ def embed_at_conductor(a: CycNum, m: int) -> list[Fraction]:
         raise DomainError("conductor must be positive")
     if m % a.n != 0:
         raise DomainError(f"minimal conductor {a.n} does not divide {m}")
-    return _embed_list(a, m)
+    return [Fraction(c, a.den) for c in _embed_list(a, m)]
 
 
 def conjugates(a: CycNum) -> list[CycNum]:
@@ -663,22 +730,23 @@ def conjugates(a: CycNum) -> list[CycNum]:
 def conjugate(a: CycNum, t: int) -> CycNum:
     """sigma_t(a) for t coprime to a.n (t is read mod a.n).
 
-    A conjugate keeps the minimal conductor, so it is canonical as built.
+    A conjugate keeps the minimal conductor and the denominator (sigma_t
+    maps Z[zeta_n] onto itself), so it is canonical as built.
     """
     n = a.n
     t %= n
     if t == 1 or n == 1:
         return a
-    # Reuse a's coordinate objects for equal values: a scan result holds
+    # Reuse a's numerator objects for equal values: a scan result holds
     # many conjugates of one value, and this keeps one copy of each.
-    same = {c: c for c in a.coords}
-    coords = _sigma_coords(_cyclotomy(n), a.coords, t)
-    return CycNum._raw(n, tuple(same.get(c, c) for c in coords))
+    same = {c: c for c in a.num}
+    num = _sigma_coords(_cyclotomy(n), a.num, t)
+    return _new(n, tuple(same.get(c, c) for c in num), a.den)
 
 
 def is_algebraic_integer(a: CycNum) -> bool:
     """True iff a lies in Z[zeta_n] (all power-basis coordinates integral)."""
-    return all(c.denominator == 1 for c in a.coords)
+    return a.den == 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -728,9 +796,10 @@ def house(
     cap = precision_cap() if cap is None else cap
     n = a.n
     if n == 1:
-        v = abs(a.coords[0])
+        v = abs(a.as_rational())
         return HouseResult(v, v, accuracy_bits)
-    den, nz = _scaled_nonzero_coords(a.coords)
+    den = a.den
+    nz = [(j, w) for j, w in enumerate(a.num) if w]
     target = Fraction(1, 1 << accuracy_bits)
     # Round the working precision up to a coarse bucket so the cached
     # root tables are shared across elements of the same conductor.
@@ -776,10 +845,10 @@ def house(
 def embedding_box(a: CycNum, t: int = 1, scale_bits: int = 64) -> ComplexBox:
     """Rigorous rectangle around sigma_t(a) at the standard embedding."""
     if a.n == 1:
-        return ComplexBox.point(a.coords[0])
-    den, nz = _scaled_nonzero_coords(a.coords)
+        return ComplexBox.point(a.as_rational())
+    nz = [(j, w) for j, w in enumerate(a.num) if w]
     rl, rh, il, ih = _accumulate_embedding(a.n, nz, t, scale_bits)
-    q = Fraction(1, (1 << scale_bits) * den)
+    q = Fraction(1, (1 << scale_bits) * a.den)
     return ComplexBox(
         RealInterval(rl * q, rh * q),
         RealInterval(il * q, ih * q),
@@ -830,9 +899,7 @@ def is_root_of_unity(a: CycNum) -> RootOfUnity | None:
         return None
     if not a:
         return None
-    key = tuple(int(c) for c in a.coords)
-    ctx = _cyclotomy(a.n)
-    k = ctx.torsion_table().get(key)
+    k = _cyclotomy(a.n).torsion_table().get(a.num)
     if k is None:
         return None
     m_tor = a.n if a.n % 2 == 0 else 2 * a.n
@@ -959,7 +1026,7 @@ def loxton_decompose(
             e = (k * ((n + 1) // 2)) % n
             v = ctx._int_power_vec(e)
             vecs.append(tuple(-x for x in v) if k % 2 else v)
-    target = tuple(int(c) for c in a.coords)
+    target = a.num
 
     single = {v: k for k, v in reversed(list(enumerate(vecs)))}
     if target in single:

@@ -22,12 +22,12 @@ def _format_rational(q: Fraction) -> str:
 def _cycnum_term_strings(a: CycNum) -> list[tuple[int, str]]:
     """(sign, body) pairs for each nonzero power-basis monomial."""
     out = []
-    n = a.n
-    for j, c in enumerate(a.coords):
+    n, den = a.n, a.den
+    for j, c in enumerate(a.num):
         if not c:
             continue
         sign = 1 if c > 0 else -1
-        mag = abs(c)
+        mag = Fraction(abs(c), den)
         if j == 0:
             body = _format_rational(mag)
         else:
@@ -39,7 +39,7 @@ def _cycnum_term_strings(a: CycNum) -> list[tuple[int, str]]:
 
 def format_cycnum(a: CycNum) -> str:
     if a.is_rational:
-        return _format_rational(a.coords[0])
+        return _format_rational(a.as_rational())
     parts = _cycnum_term_strings(a)
     pieces = []
     for idx, (sign, body) in enumerate(parts):
@@ -52,7 +52,7 @@ def format_cycnum(a: CycNum) -> str:
 
 def _is_simple_coefficient(c: CycNum) -> bool:
     """Renders as a single product (no internal + or -)."""
-    return sum(1 for v in c.coords if v) <= 1
+    return sum(1 for v in c.num if v) <= 1
 
 
 def _coefficient_product(c: CycNum, xpart: str | None) -> tuple[int, str]:

@@ -198,7 +198,10 @@ def eval_ast(node: ExprAST) -> RatFunc:
     if node.kind == "neg":
         return -eval_ast(node.children[0])
     if node.kind == "pow":
-        return eval_ast(node.children[0]).pow(node.value)
+        base = node.children[0]
+        if base.kind == "zeta":  # zN^k is the root of unity zeta_N^k itself
+            return RatFunc.const(CycNum.zeta(base.value, node.value))
+        return eval_ast(base).pow(node.value)
     lhs = eval_ast(node.children[0])
     rhs = eval_ast(node.children[1])
     if node.kind == "add":

@@ -201,14 +201,17 @@ def as_positive_rational_times_rou(
     n = a.n
     ctx = _cyclotomy(n)
     table = ctx.torsion_table()
-    coords = a.coords
-    j0 = next(j for j, c in enumerate(coords) if c)
+    num = a.num
+    j0 = next(j for j, c in enumerate(num) if c)
+    c0 = num[j0]
     m_tor = n if n % 2 == 0 else 2 * n
     for vec, k in table.items():
-        if not vec[j0]:
+        v0 = vec[j0]
+        if not v0:
             continue
-        s = coords[j0] / vec[j0]
-        if all(coords[j] == s * vec[j] for j in range(len(vec))):
+        # a = s * vec with s = c0 / (v0 * den), compared on numerators
+        if all(c * v0 == c0 * v for c, v in zip(num, vec)):
+            s = Fraction(c0, v0 * a.den)
             if s < 0:
                 s = -s
                 k = (k + m_tor // 2) % m_tor

@@ -361,12 +361,13 @@ def _quadratic_inner(a_gv, b_gv, c_gv) -> RatFunc | None:
 
 
 def _embed_cycnum_numeric(v: CycNum) -> complex:
+    den = v.den
     if v.is_rational:
-        return complex(v.coords[0])
+        return complex(v.num[0] / den)
     acc = 0j
-    for j, c in enumerate(v.coords):
+    for j, c in enumerate(v.num):
         if c:
-            acc += float(c) * cmath.exp(2j * cmath.pi * j / v.n)
+            acc += (c / den) * cmath.exp(2j * cmath.pi * j / v.n)
     return acc
 
 

@@ -252,12 +252,26 @@ class TestCyclotomicPolynomials:
         assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
         assert cyclotomic_polynomial(105)[7] == -2  # first coefficient beyond +-1
 
+    def test_matches_sympy(self):
+        # Every n <= 200, every 13-smooth n <= 4000 (the conductors built
+        # from small primes, where Phi_rad(n)(x^(n/rad n)) does the most
+        # work) and a prime near the top; sympy takes minutes for all of
+        # n <= 4000, most of it on large prime factors.
+        sympy = pytest.importorskip("sympy")
+        from cyclohouse.cyclotomic import cyclotomic_polynomial, factorize
+
+        ns = set(range(1, 201)) | {3989, 4000}
+        ns |= {n for n in range(201, 4001) if factorize(n)[-1][0] <= 13}
+        for n in sorted(ns):
+            want = sympy.cyclotomic_poly(n, polys=True).all_coeffs()[::-1]
+            assert list(cyclotomic_polynomial(n)) == want, n
+
     def test_product_over_divisors_is_x_n_minus_1(self):
-        from cyclohouse.cyclotomic import _divisors, cyclotomic_polynomial
+        from cyclohouse.cyclotomic import cyclotomic_polynomial
 
         for n in (6, 12, 30):
             prod = [1]
-            for d in _divisors(n):
+            for d in (d for d in range(1, n + 1) if n % d == 0):
                 phi_d = cyclotomic_polynomial(d)
                 out = [0] * (len(prod) + len(phi_d) - 1)
                 for i, a in enumerate(prod):

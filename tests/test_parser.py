@@ -127,6 +127,24 @@ def _random_expr(rng: random.Random, depth: int) -> str:
     return f"-({_random_expr(rng, depth - 1)})"
 
 
+class TestRootOfUnityPowers:
+    @pytest.mark.parametrize("n", [1, 2, 6, 10, 12, 2520])
+    def test_power_of_zeta_literal(self, n, monkeypatch):
+        ks = (-n - 1, -1, 0, 1, n, n + 3)
+        # by multiplication, and through inverse() for k < 0
+        expected = {k: CycNum.zeta(n) ** k for k in ks}
+        # zN^k is read as zeta_N^k directly: no inversion, not even for k < 0
+        monkeypatch.setattr(CycNum, "inverse", _no_inverse)
+        for k in ks:
+            for text in (f"z{n}^{k}", f"(z{n})^{k}"):
+                assert parse_scalar(text) == expected[k], text
+            assert parse_scalar(f"-z{n}^{k}") == -expected[k]
+
+
+def _no_inverse(self):
+    raise AssertionError("zN^k must not invert")
+
+
 class TestFuzz:
     def test_five_hundred_random_round_trips(self):
         rng = random.Random(987654321)
