@@ -22,6 +22,7 @@ premise, after pulling the whole orbit back through the scaling.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -455,6 +456,12 @@ class ScanResult:
         }
 
 
+# Equal scan results share one object while any copy of it is alive, so
+# a caller that keeps the results of repeated scans holds each one once;
+# entries go away with the last reference to their result.
+_SCAN_RESULTS: weakref.WeakValueDictionary[tuple, ScanResult] = weakref.WeakValueDictionary()
+
+
 def scan_roots_of_unity(
     h: RatFunc,
     order_cap: int,
@@ -524,7 +531,8 @@ def scan_roots_of_unity(
                 hits.append(ScanHit(xi, value, hr))
             elif verdict == UNDECIDED:
                 undecided.append(ScanHit(xi, value, hr))
-    return ScanResult(tuple(hits), tuple(undecided), tuple(poles))
+    result = ScanResult(tuple(hits), tuple(undecided), tuple(poles))
+    return _SCAN_RESULTS.setdefault((result.hits, result.undecided, result.poles_skipped), result)
 
 
 CERTIFIED_AVOIDING = "certified_avoiding"

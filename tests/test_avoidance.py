@@ -321,6 +321,21 @@ class TestScan:
         keys = [(s.root.order, s.root.exponent) for s in result.hits]
         assert keys == sorted(keys)
 
+    def test_equal_results_share_one_object(self):
+        import gc
+
+        from cyclohouse.avoidance import _SCAN_RESULTS
+
+        h = RatFunc.from_poly(P(0, 1, 1))
+        first = scan_roots_of_unity(h, 6, 1)
+        again = scan_roots_of_unity(ratfunc_new(P(0, 1, 1), P(1)), 6, 1)
+        assert again is first
+        assert scan_roots_of_unity(h, 6, 2) is not first
+        key = (first.hits, first.undecided, first.poles_skipped)
+        del first, again
+        gc.collect()
+        assert key not in _SCAN_RESULTS
+
 
 def _per_root_scan(h, order_cap, A, bits=64):
     """Oracle: the scan evaluated at every primitive root separately."""
