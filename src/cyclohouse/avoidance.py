@@ -34,10 +34,12 @@ from .cyclotomic import (
     HouseResult,
     LoxtonProfile,
     RootOfUnity,
+    compare_house,
     conjugate,
     house,
     in_PA,
     is_algebraic_integer,
+    is_root_of_unity,
 )
 from .errors import DomainError, UndecidedError
 from .ratfunc import (
@@ -311,24 +313,9 @@ def _house_at_most(x: CycNum, A: Fraction, accuracy_bits: int) -> bool | None:
     """
     if not x:
         return True
-    from .cyclotomic import is_root_of_unity, precision_cap
-
     if A == 1 and is_algebraic_integer(x):
         return is_root_of_unity(x) is not None
-    bits = accuracy_bits
-    cap = precision_cap()
-    while True:
-        try:
-            hr = house(x, bits)
-        except UndecidedError:
-            return None
-        if hr.upper <= A:
-            return True
-        if hr.lower > A:
-            return False
-        bits *= 2
-        if bits > cap:
-            return None
+    return compare_house(x, A, accuracy_bits)
 
 
 def verify_orbit_lemma(
@@ -488,7 +475,6 @@ def scan_roots_of_unity(
     hits = []
     undecided = []
     poles = []
-    enclosures: dict[HouseResult, HouseResult] = {}
     c = 1
     for poly in (h.num, h.den):
         for coeff in poly.coeffs:
@@ -524,9 +510,8 @@ def scan_roots_of_unity(
             value = conjugate(value, t)
             if verdict == UNDECIDED and t != 1:
                 verdict = in_PA(value, A, accuracy_bits)
-            # conjugates often get equal enclosures; the result keeps one copy
+            # conjugates often get equal enclosures, which house shares
             hr = house(value, accuracy_bits)
-            hr = enclosures.setdefault(hr, hr)
             if verdict == MEMBER:
                 hits.append(ScanHit(xi, value, hr))
             elif verdict == UNDECIDED:

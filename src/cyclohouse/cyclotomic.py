@@ -19,7 +19,11 @@ rational coordinates are derived on demand (``coords``).
 The analytic side (house computation) evaluates Galois conjugates at
 the standard embedding zeta_n -> exp(2*pi*i/n) with the fixed-point
 interval machinery from ``intervals``; every bound it reports is a
-rigorous enclosure.
+rigorous enclosure.  An element keeps its integer bounds on the largest
+squared conjugate modulus per working precision, so the questions asked
+of one number (``house`` at several accuracies, the ``compare_house``
+ladder behind ``in_PA``) compute each enclosure once.  Root-of-unity
+tests read a torsion table at rad(n), not at n.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import itertools
 import math
 import os
 import threading
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -138,10 +143,11 @@ def canonical_conductor(m: int) -> int:
 class _Cyclotomy:
     """Cached per-conductor data: Phi_n, reduced power rows, torsion table."""
 
-    __slots__ = ("n", "phi", "cyclo", "low", "_rows", "_torsion", "_units", "_lock")
+    __slots__ = ("n", "rad", "phi", "cyclo", "low", "_rows", "_torsion", "_units", "_lock")
 
     def __init__(self, n: int):
         self.n = n
+        self.rad = math.prod(p for p, _ in factorize(n))
         self.phi = euler_phi(n)
         self.cyclo = cyclotomic_polynomial(n)
         # Nonzero (r, c_r) of Phi_n below its leading term, for reduction.
@@ -200,7 +206,10 @@ class _Cyclotomy:
         return acc
 
     def torsion_table(self) -> dict:
-        """Map from int-coordinate tuples to k, covering all mu_M, M = lcm(2, n)."""
+        """Map from int-coordinate tuples to k, covering all mu_M, M = lcm(2, n).
+
+        Dense in n; ``root_of_unity`` reads it at rad(n) only.
+        """
         if self._torsion is None:
             n = self.n
             table: dict[tuple[int, ...], int] = {}
@@ -218,13 +227,38 @@ class _Cyclotomy:
             self._torsion = table
         return self._torsion
 
+    def root_of_unity(self, num: tuple[int, ...]) -> RootOfUnity | None:
+        """The root of unity with integer coordinates num at n, if any.
+
+        Phi_n(x) = Phi_rad(x^s) with s = n/rad, so zeta_n^(q*s + r) has the
+        coordinates of zeta_rad^q in the slots r, r+s, r+2s, ...: a root of
+        unity is nonzero in exactly one residue class r mod s, and that
+        class is a torsion vector at rad(n).
+        """
+        n, rad = self.n, self.rad
+        m_tor = n if n % 2 == 0 else 2 * n  # the torsion of Q(zeta_n) is mu_m_tor
+        if rad == n:
+            k = self.torsion_table().get(num)
+            return None if k is None else RootOfUnity.make(m_tor, k)
+        s = n // rad
+        r = next((j for j, c in enumerate(num) if c), 0) % s
+        part = num[r::s]
+        if len(num) - num.count(0) != len(part) - part.count(0):
+            return None
+        k = _cyclotomy(rad).torsion_table().get(part)
+        if k is None:
+            return None
+        # the value is zeta_n^r * zeta_m_rad^k
+        m_rad = rad if rad % 2 == 0 else 2 * rad
+        return RootOfUnity.make(m_tor, r * (m_tor // n) + k * (m_tor // m_rad))
+
     def _int_power_vec(self, e: int) -> tuple[int, ...]:
         e %= self.n
         if e < self.phi:
             vec = [0] * self.phi
             vec[e] = 1
             return tuple(vec)
-        rad = math.prod(p for p, _ in factorize(self.n))
+        rad = self.rad
         if rad == self.n:
             return self.row(e)
         # Phi_n(x) = Phi_rad(x^s), so zeta^e = (zeta^s)^q * zeta^r reads
@@ -377,10 +411,12 @@ class CycNum:
     constructor accepts coordinates at any conductor (including ones
     congruent to 2 mod 4) and normalizes them.  ``num`` holds the
     integer numerators and ``den`` the positive common denominator;
-    ``coords`` gives the same values as Fractions.
+    ``coords`` gives the same values as Fractions.  ``_squares``, set on
+    the first ``house`` call, keeps the conjugate bounds per working
+    precision (``_max_square_bounds``).
     """
 
-    __slots__ = ("n", "num", "den")
+    __slots__ = ("n", "num", "den", "_squares")
 
     def __init__(self, n: int, coords):
         if n < 1:
@@ -588,6 +624,7 @@ class CycNum:
 _set_n = CycNum.n.__set__
 _set_num = CycNum.num.__set__
 _set_den = CycNum.den.__set__
+_set_squares = CycNum._squares.__set__
 
 
 def _new(n: int, num: tuple[int, ...], den: int = 1) -> CycNum:
@@ -749,7 +786,7 @@ def is_algebraic_integer(a: CycNum) -> bool:
     return a.den == 1
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, weakref_slot=True)
 class HouseResult:
     """Rigorous enclosure [lower, upper] of the house of an element."""
 
@@ -771,10 +808,61 @@ class HouseResult:
         }
 
 
+# Equal enclosures share one HouseResult while any copy of it is alive,
+# keyed on the integer data that determine it: (isqrt of the lower and
+# upper bound, working precision, denominator).
+_HOUSE_RESULTS: weakref.WeakValueDictionary[tuple, HouseResult] = weakref.WeakValueDictionary()
+
+
 @lru_cache(maxsize=None)
 def _units_half(n: int) -> tuple[int, ...]:
     """Units t <= n/2; sigma_t and sigma_{n-t} give conjugate values."""
     return tuple(t for t in range(1, n // 2 + 1) if math.gcd(t, n) == 1)
+
+
+def _max_square_bounds(a: CycNum, prec: int) -> tuple[int, int]:
+    """Integer bounds on max_t |sigma_t(a)|^2 at scale (2^prec * a.den)^2.
+
+    Computed once per element and working precision: the result is kept
+    on the element itself and goes with it.
+    """
+    memo = getattr(a, "_squares", None)
+    if memo is not None:
+        hit = memo.get(prec)
+        if hit is not None:
+            return hit
+    n = a.n
+    nz = [(j, w) for j, w in enumerate(a.num) if w]
+    tab = root_table(n, prec)
+    best_lo = best_hi = 0
+    for t in _units_half(n):
+        rl = rh = il = ih = 0
+        for j, w in nz:
+            e1, e2, e3, e4 = tab[(t * j) % n]
+            if w >= 0:
+                rl += w * e1
+                rh += w * e2
+                il += w * e3
+                ih += w * e4
+            else:
+                rl += w * e2
+                rh += w * e1
+                il += w * e4
+                ih += w * e3
+        s1_lo, s1_hi = square_interval(rl, rh)
+        s2_lo, s2_hi = square_interval(il, ih)
+        lo2 = s1_lo + s2_lo
+        hi2 = s1_hi + s2_hi
+        if lo2 > best_lo:
+            best_lo = lo2
+        if hi2 > best_hi:
+            best_hi = hi2
+    bounds = (best_lo, best_hi)
+    if memo is None:
+        _set_squares(a, {prec: bounds})
+    else:
+        memo[prec] = bounds
+    return bounds
 
 
 def house(
@@ -799,46 +887,28 @@ def house(
         v = abs(a.as_rational())
         return HouseResult(v, v, accuracy_bits)
     den = a.den
-    nz = [(j, w) for j, w in enumerate(a.num) if w]
-    target = Fraction(1, 1 << accuracy_bits)
+    nnz = len(a.num) - a.num.count(0)
     # Round the working precision up to a coarse bucket so the cached
     # root tables are shared across elements of the same conductor.
-    raw = accuracy_bits + 16 + den.bit_length() + len(nz).bit_length()
+    raw = accuracy_bits + 16 + den.bit_length() + nnz.bit_length()
     prec = ((raw + 63) // 64) * 64
     while True:
         if prec > cap:
             raise UndecidedError(
                 f"house computation needs more than the {cap}-bit precision cap"
             )
-        tab = root_table(n, prec)
-        best_lo = best_hi = None
-        for t in _units_half(n):
-            rl = rh = il = ih = 0
-            for j, w in nz:
-                e1, e2, e3, e4 = tab[(t * j) % n]
-                if w >= 0:
-                    rl += w * e1
-                    rh += w * e2
-                    il += w * e3
-                    ih += w * e4
-                else:
-                    rl += w * e2
-                    rh += w * e1
-                    il += w * e4
-                    ih += w * e3
-            s1_lo, s1_hi = square_interval(rl, rh)
-            s2_lo, s2_hi = square_interval(il, ih)
-            lo2 = s1_lo + s2_lo
-            hi2 = s1_hi + s2_hi
-            if best_lo is None or lo2 > best_lo:
-                best_lo = lo2
-            if best_hi is None or hi2 > best_hi:
-                best_hi = hi2
+        best_lo, best_hi = _max_square_bounds(a, prec)
+        lo = isqrt_floor(best_lo)
+        hi = isqrt_ceil(best_hi)
         scale = (1 << prec) * den
-        lower = Fraction(isqrt_floor(best_lo), scale)
-        upper = Fraction(isqrt_ceil(best_hi), scale)
-        if upper - lower <= target:
-            return HouseResult(lower, upper, prec)
+        # width (hi - lo) / scale <= 2^-accuracy_bits, compared on integers
+        if (hi - lo) << accuracy_bits <= scale:
+            key = (lo, hi, prec, den)
+            hr = _HOUSE_RESULTS.get(key)
+            if hr is None:
+                hr = HouseResult(Fraction(lo, scale), Fraction(hi, scale), prec)
+                _HOUSE_RESULTS[key] = hr
+            return hr
         prec *= 2
 
 
@@ -892,18 +962,13 @@ def is_root_of_unity(a: CycNum) -> RootOfUnity | None:
     """Exact torsion test: the canonical root of unity equal to a, if any.
 
     Equivalent to testing a^M = 1 for M = lcm(2, n): the torsion of
-    Q(zeta_n)^x is exactly mu_M, realized here as a table lookup against
-    all M candidates at the minimal conductor.
+    Q(zeta_n)^x is exactly mu_M, realized here as a table lookup at
+    rad(n) of the one nonzero residue class of the coordinates mod
+    n/rad(n) (see ``_Cyclotomy.root_of_unity``).
     """
     if not is_algebraic_integer(a):
         return None
-    if not a:
-        return None
-    k = _cyclotomy(a.n).torsion_table().get(a.num)
-    if k is None:
-        return None
-    m_tor = a.n if a.n % 2 == 0 else 2 * a.n
-    return RootOfUnity.make(m_tor, k)
+    return _cyclotomy(a.n).root_of_unity(a.num)
 
 
 def in_PA(
@@ -928,20 +993,39 @@ def in_PA(
         return MEMBER  # house(0) = 0; 0 is an algebraic integer
     if A == 1:
         return MEMBER if is_root_of_unity(a) is not None else NONMEMBER
+    at_most = compare_house(a, A, accuracy_bits, cap=cap)
+    if at_most is None:
+        return UNDECIDED
+    return MEMBER if at_most else NONMEMBER
+
+
+def compare_house(
+    a: CycNum,
+    A,
+    accuracy_bits: int = DEFAULT_ACCURACY_BITS,
+    *,
+    cap: int | None = None,
+) -> bool | None:
+    """Decide house(a) <= A: True or False, or None at the precision cap.
+
+    The one precision ladder: the accuracy doubles from accuracy_bits
+    until the house enclosure separates from A; past the cap, or when
+    ``house`` itself reaches it, the answer is None.
+    """
     cap = precision_cap() if cap is None else cap
     bits = accuracy_bits
     while True:
         try:
             hr = house(a, bits, cap=cap)
         except UndecidedError:
-            return UNDECIDED
+            return None
         if hr.upper <= A:
-            return MEMBER
+            return True
         if hr.lower > A:
-            return NONMEMBER
+            return False
         bits *= 2
         if bits > cap:
-            return UNDECIDED
+            return None
 
 
 @dataclass(frozen=True)

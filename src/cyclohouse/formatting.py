@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cyclotomic import CycNum, HouseResult
+from .cyclotomic import CycNum
 from .errors import DomainError
 from .ratfunc import LaurentPoly, Poly, RatFunc
 
@@ -177,7 +177,3 @@ def scan_to_csv(result) -> str:
             )
         )
     return "\n".join(lines) + "\n"
-
-
-def house_to_dict(hr: HouseResult) -> dict:
-    return hr.to_dict()

@@ -30,11 +30,6 @@ import mpmath
 _TABLE_LOCK = threading.Lock()
 
 
-def floor_div(a: int, b: int) -> int:
-    """Exact floor(a/b) for positive b."""
-    return a // b
-
-
 def ceil_div(a: int, b: int) -> int:
     """Exact ceil(a/b) for positive b."""
     return -((-a) // b)
@@ -65,7 +60,7 @@ def _mpf_to_scaled(mpf_tuple, scale_bits: int, round_up: bool) -> int:
     if shift >= 0:
         return v << shift
     q = 1 << (-shift)
-    return ceil_div(v, q) if round_up else floor_div(v, q)
+    return ceil_div(v, q) if round_up else v // q
 
 
 @lru_cache(maxsize=512)

@@ -198,25 +198,13 @@ def as_positive_rational_times_rou(
         if q > 0:
             return q, RootOfUnity.make(1, 0)
         return -q, RootOfUnity.make(2, 1)
-    n = a.n
-    ctx = _cyclotomy(n)
-    table = ctx.torsion_table()
-    num = a.num
-    j0 = next(j for j, c in enumerate(num) if c)
-    c0 = num[j0]
-    m_tor = n if n % 2 == 0 else 2 * n
-    for vec, k in table.items():
-        v0 = vec[j0]
-        if not v0:
-            continue
-        # a = s * vec with s = c0 / (v0 * den), compared on numerators
-        if all(c * v0 == c0 * v for c, v in zip(num, vec)):
-            s = Fraction(c0, v0 * a.den)
-            if s < 0:
-                s = -s
-                k = (k + m_tor // 2) % m_tor
-            return s, RootOfUnity.make(m_tor, k)
-    return None
+    # Torsion vectors are primitive, so a = s * xi with s > 0 forces
+    # num = (s * den) * vec(xi) with s * den = gcd(*num).
+    g = math.gcd(*a.num)
+    rou = _cyclotomy(a.n).root_of_unity(tuple(c // g for c in a.num))
+    if rou is None:
+        return None
+    return Fraction(g, a.den), rou
 
 
 def nth_roots_in_cyclotomic(w: CycNum, r: int) -> tuple[list[CycNum], bool]:
@@ -258,10 +246,6 @@ def nth_roots_in_cyclotomic(w: CycNum, r: int) -> tuple[list[CycNum], bool]:
     for j in range(r):
         roots.append(u0 * CycNum.zeta(r, j))
     return roots, True
-
-
-def sqrt_in_cyclotomic(w: CycNum) -> tuple[list[CycNum], bool]:
-    return nth_roots_in_cyclotomic(w, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +341,7 @@ def _roots_of_low_degree(rad: Poly) -> tuple[list[CycNum], bool]:
     if rad.deg == 2:
         a, b, c = rad[2], rad[1], rad[0]
         disc = b * b - a * c * CycNum.from_rational(4)
-        sqrts, decisive = sqrt_in_cyclotomic(disc)
+        sqrts, decisive = nth_roots_in_cyclotomic(disc, 2)
         if not sqrts:
             return [], decisive
         s = sqrts[0]

@@ -1,8 +1,19 @@
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
 
-from cyclohouse import CycNum, UndecidedError, conjugates, house, is_root_of_unity
+from cyclohouse import (
+    CycNum,
+    UndecidedError,
+    compare_house,
+    conjugates,
+    house,
+    in_PA,
+    is_root_of_unity,
+)
+from cyclohouse import cyclotomic as cyc
 from cyclohouse.cyclotomic import is_algebraic_integer
 
 from .conftest import random_cycnum
@@ -85,3 +96,82 @@ def test_kronecker_equivalence_small_corpus():
             analytic = house(v, 64).upper <= thresh
             exact = is_root_of_unity(v) is not None
             assert analytic == exact, v
+
+
+# -- enclosures kept on the element ---------------------------------------------
+
+
+@pytest.fixture
+def table_lookups(monkeypatch):
+    """Counts root_table lookups by working precision: one per kernel run."""
+    counts: dict[int, int] = {}
+    real = cyc.root_table
+
+    def counting(n, prec):
+        counts[prec] = counts.get(prec, 0) + 1
+        return real(n, prec)
+
+    monkeypatch.setattr(cyc, "root_table", counting)
+    return counts
+
+
+def _sample():
+    # an algebraic integer at conductor 420 of house about 4.47
+    return z(420) + z(7, 3) * 2 - z(60, 7) + z(105) + 1
+
+
+def test_kernel_runs_once_per_element_and_precision(table_lookups):
+    a = _sample()
+    first = [house(a, 64), house(a, 256), in_PA(a, 5)]
+    once = dict(table_lookups)
+    assert len(once) >= 2 and all(c == 1 for c in once.values())
+    again = [house(a, 64), house(a, 256)]
+    assert in_PA(a, 5) == "member" and in_PA(a, 4) == "nonmember"
+    assert compare_house(a, 5) is True
+    assert table_lookups == once
+    assert again == first[:2]
+
+
+def test_equal_element_computes_its_own_bounds(table_lookups):
+    a = _sample()
+    house(a, 64)
+    b = CycNum(a.n, a.coords)
+    assert b == a and b is not a
+    before = sum(table_lookups.values())
+    house(b, 64)
+    assert sum(table_lookups.values()) == before + 1
+
+
+def test_memo_gives_the_enclosures_of_a_fresh_element():
+    for value in (_sample(), z(7) + z(5) * 3 - 1, z(60, 11) * 2 + z(9)):
+        kept = CycNum(value.n, value.coords)
+        # climb the ladder once on the kept element, in an unhelpful order
+        for bits in (256, 64, 128, 64, 256):
+            house(kept, bits)
+        in_PA(kept, 5)
+        for bits in (64, 128, 256):
+            fresh = CycNum(value.n, value.coords)
+            got, want = house(kept, bits), house(fresh, bits)
+            assert (got.lower, got.upper, got.precision_bits) == (
+                want.lower, want.upper, want.precision_bits)
+
+
+def test_equal_elements_share_one_result_while_alive():
+    a = _sample()
+    b = CycNum(a.n, a.coords)
+    hr = house(a, 128)
+    assert house(b, 128) is hr
+    assert house(conjugates(a)[0], 128) is hr
+    ref = weakref.ref(hr)
+    del hr
+    gc.collect()
+    assert ref() is None  # nothing but its callers holds a result
+
+
+def test_compare_house_ladder():
+    golden = CycNum.from_rational(1) + z(5)  # house (1 + sqrt 5)/2
+    assert compare_house(golden, Fraction(17, 10)) is True
+    assert compare_house(golden, Fraction(3, 2)) is False
+    # house(2*z3) = 2 exactly: no enclosure separates it from 2
+    assert compare_house(z(3) * 2, 2, cap=256) is None
+    assert in_PA(z(3) * 2, 2, cap=256) == "undecided"

@@ -1,0 +1,87 @@
+"""Reference torsion tests: the dense table over all of mu_M at conductor n.
+
+This is the earlier root-of-unity machinery of ``cyclohouse``: one
+coordinate tuple per element of mu_M, M = lcm(2, n), at the minimal
+conductor n itself, and a linear scan of that table for writing an
+element as a positive rational times a root of unity.  The package now
+looks roots of unity up at rad(n); these are kept to compare against.
+Powers of zeta_n come from the rows of ``fraction_reference``, which
+divide by Phi_n at n directly, so the tables share no code with the
+package's rad(n) reduction.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from functools import lru_cache
+
+from cyclohouse.cyclotomic import RootOfUnity, euler_phi
+
+from . import fraction_reference as ref
+
+
+def _power_vec(n: int, e: int) -> tuple[int, ...]:
+    """Integer coordinates of zeta_n^e in the power basis at n."""
+    e %= n
+    phi = euler_phi(n)
+    if e < phi:
+        vec = [0] * phi
+        vec[e] = 1
+        return tuple(vec)
+    return ref._cyclotomy(n).row(e)
+
+
+@lru_cache(maxsize=None)
+def torsion_table(n: int) -> dict[tuple[int, ...], int]:
+    """Map from int-coordinate tuples to k, covering all mu_M, M = lcm(2, n)."""
+    table: dict[tuple[int, ...], int] = {}
+    m_tor = n if n % 2 == 0 else 2 * n
+    for k in range(m_tor):
+        if n % 2 == 0:
+            vec = _power_vec(n, k)
+        else:
+            # zeta_{2n}^k = (-1)^k * zeta_n^(k*(n+1)/2 mod n)
+            vec = _power_vec(n, k * ((n + 1) // 2))
+            if k % 2 == 1:
+                vec = tuple(-v for v in vec)
+        table.setdefault(vec, k)
+    return table
+
+
+def is_root_of_unity(a) -> RootOfUnity | None:
+    """The root of unity equal to a, by lookup in the dense table."""
+    if a.den != 1 or not a:
+        return None
+    k = torsion_table(a.n).get(a.num)
+    if k is None:
+        return None
+    m_tor = a.n if a.n % 2 == 0 else 2 * a.n
+    return RootOfUnity.make(m_tor, k)
+
+
+def as_positive_rational_times_rou(a) -> tuple[Fraction, RootOfUnity] | None:
+    """a = s * xi with s > 0 rational, by a linear scan of the dense table."""
+    if not a:
+        return None
+    if a.is_rational:
+        q = a.as_rational()
+        if q > 0:
+            return q, RootOfUnity.make(1, 0)
+        return -q, RootOfUnity.make(2, 1)
+    n = a.n
+    num = a.num
+    j0 = next(j for j, c in enumerate(num) if c)
+    c0 = num[j0]
+    m_tor = n if n % 2 == 0 else 2 * n
+    for vec, k in torsion_table(n).items():
+        v0 = vec[j0]
+        if not v0:
+            continue
+        # a = s * vec with s = c0 / (v0 * den), compared on numerators
+        if all(c * v0 == c0 * v for c, v in zip(num, vec)):
+            s = Fraction(c0, v0 * a.den)
+            if s < 0:
+                s = -s
+                k = (k + m_tor // 2) % m_tor
+            return s, RootOfUnity.make(m_tor, k)
+    return None
