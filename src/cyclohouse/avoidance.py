@@ -475,6 +475,7 @@ def scan_roots_of_unity(
     hits = []
     undecided = []
     poles = []
+    enclosures: dict[HouseResult, HouseResult] = {}
     c = 1
     for poly in (h.num, h.den):
         for coeff in poly.coeffs:
@@ -510,8 +511,9 @@ def scan_roots_of_unity(
             value = conjugate(value, t)
             if verdict == UNDECIDED and t != 1:
                 verdict = in_PA(value, A, accuracy_bits)
-            # conjugates often get equal enclosures, which house shares
+            # conjugates often get equal enclosures; the result keeps one copy
             hr = house(value, accuracy_bits)
+            hr = enclosures.setdefault(hr, hr)
             if verdict == MEMBER:
                 hits.append(ScanHit(xi, value, hr))
             elif verdict == UNDECIDED:

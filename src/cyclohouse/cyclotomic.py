@@ -32,7 +32,6 @@ import itertools
 import math
 import os
 import threading
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -237,9 +236,6 @@ class _Cyclotomy:
         """
         n, rad = self.n, self.rad
         m_tor = n if n % 2 == 0 else 2 * n  # the torsion of Q(zeta_n) is mu_m_tor
-        if rad == n:
-            k = self.torsion_table().get(num)
-            return None if k is None else RootOfUnity.make(m_tor, k)
         s = n // rad
         r = next((j for j, c in enumerate(num) if c), 0) % s
         part = num[r::s]
@@ -786,7 +782,7 @@ def is_algebraic_integer(a: CycNum) -> bool:
     return a.den == 1
 
 
-@dataclass(frozen=True, slots=True, weakref_slot=True)
+@dataclass(frozen=True, slots=True)
 class HouseResult:
     """Rigorous enclosure [lower, upper] of the house of an element."""
 
@@ -806,12 +802,6 @@ class HouseResult:
             "upper": decimal_upper(self.upper),
             "precision_bits": self.precision_bits,
         }
-
-
-# Equal enclosures share one HouseResult while any copy of it is alive,
-# keyed on the integer data that determine it: (isqrt of the lower and
-# upper bound, working precision, denominator).
-_HOUSE_RESULTS: weakref.WeakValueDictionary[tuple, HouseResult] = weakref.WeakValueDictionary()
 
 
 @lru_cache(maxsize=None)
@@ -903,12 +893,7 @@ def house(
         scale = (1 << prec) * den
         # width (hi - lo) / scale <= 2^-accuracy_bits, compared on integers
         if (hi - lo) << accuracy_bits <= scale:
-            key = (lo, hi, prec, den)
-            hr = _HOUSE_RESULTS.get(key)
-            if hr is None:
-                hr = HouseResult(Fraction(lo, scale), Fraction(hi, scale), prec)
-                _HOUSE_RESULTS[key] = hr
-            return hr
+            return HouseResult(Fraction(lo, scale), Fraction(hi, scale), prec)
         prec *= 2
 
 

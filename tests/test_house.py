@@ -1,5 +1,3 @@
-import gc
-import weakref
 from fractions import Fraction
 
 import pytest
@@ -7,14 +5,15 @@ import pytest
 from cyclohouse import (
     CycNum,
     UndecidedError,
-    compare_house,
     conjugates,
     house,
     in_PA,
     is_root_of_unity,
 )
 from cyclohouse import cyclotomic as cyc
-from cyclohouse.cyclotomic import is_algebraic_integer
+from cyclohouse.avoidance import scan_roots_of_unity
+from cyclohouse.cyclotomic import compare_house, is_algebraic_integer
+from cyclohouse.ratfunc import Poly, RatFunc
 
 from .conftest import random_cycnum
 
@@ -156,16 +155,15 @@ def test_memo_gives_the_enclosures_of_a_fresh_element():
                 want.lower, want.upper, want.precision_bits)
 
 
-def test_equal_elements_share_one_result_while_alive():
-    a = _sample()
-    b = CycNum(a.n, a.coords)
-    hr = house(a, 128)
-    assert house(b, 128) is hr
-    assert house(conjugates(a)[0], 128) is hr
-    ref = weakref.ref(hr)
-    del hr
-    gc.collect()
-    assert ref() is None  # nothing but its callers holds a result
+def test_scan_keeps_one_result_per_equal_enclosure():
+    # h(x) = x^2 - 2 at the 20 primitive 25th roots: conjugate values,
+    # many of them with equal enclosures at 64 bits
+    h = RatFunc.from_poly(Poly([-2, 0, 1]))
+    hits = scan_roots_of_unity(h, 25, 3).hits
+    seen = {}
+    for hit in hits:
+        assert seen.setdefault(hit.house, hit.house) is hit.house
+    assert len(seen) < len(hits)
 
 
 def test_compare_house_ladder():
