@@ -39,7 +39,6 @@ from .cyclotomic import (
     house,
     in_PA,
     is_algebraic_integer,
-    is_root_of_unity,
 )
 from .errors import DomainError, UndecidedError
 from .ratfunc import (
@@ -212,6 +211,17 @@ class OrbitRecord:
         }
 
 
+def _orbit_points(h: RatFunc, a: CycNum, n_steps: int) -> list[CycNum]:
+    """a, h(a), ..., h^n_steps(a), cut short before a pole."""
+    points = [a]
+    for _ in range(n_steps):
+        nxt = evaluate(h, points[-1])
+        if nxt is None:
+            break
+        points.append(nxt)
+    return points
+
+
 def orbit(
     h: RatFunc,
     a: CycNum,
@@ -233,14 +243,8 @@ def orbit(
         big_d: int | None = norm.D
     except DomainError:
         big_d = None
-    points = [a]
-    truncated_at: int | None = None
-    for j in range(n_steps):
-        nxt = evaluate(h, points[-1])
-        if nxt is None:
-            truncated_at = j
-            break
-        points.append(nxt)
+    points = _orbit_points(h, a, n_steps)
+    truncated_at = len(points) - 1 if len(points) <= n_steps else None
     houses = tuple(house(p, accuracy_bits) for p in points)
     integral_flags = (
         tuple(is_algebraic_integer(CycNum.from_rational(big_d) * p) for p in points)
@@ -305,19 +309,6 @@ class OrbitLemmaReport:
         }
 
 
-def _house_at_most(x: CycNum, A: Fraction, accuracy_bits: int) -> bool | None:
-    """Decide house(x) <= A: True/False, or None at the precision cap.
-
-    The boundary A = 1 is decided exactly for algebraic integers by the
-    torsion test (house <= 1 iff a root of unity or zero).
-    """
-    if not x:
-        return True
-    if A == 1 and is_algebraic_integer(x):
-        return is_root_of_unity(x) is not None
-    return compare_house(x, A, accuracy_bits)
-
-
 def verify_orbit_lemma(
     h: RatFunc,
     a: CycNum,
@@ -336,15 +327,8 @@ def verify_orbit_lemma(
         raise DomainError("n must be nonnegative")
     A = Fraction(A)
     norm = monic_normalize(h, accuracy_bits)
-    points = [a]
-    truncated = False
-    for _ in range(n):
-        nxt = evaluate(h, points[-1])
-        if nxt is None:
-            truncated = True
-            break
-        points.append(nxt)
-    if truncated or len(points) <= n:
+    points = _orbit_points(h, a, n)
+    if len(points) <= n:
         return OrbitLemmaReport(
             n=n,
             A=A,
@@ -362,7 +346,7 @@ def verify_orbit_lemma(
     hcinv_upper = house(norm.c.inverse(), accuracy_bits).upper
     bound = max(hcinv_upper * max(norm.R, hc_upper * A), A)
 
-    premise_house = _house_at_most(points[n], A, accuracy_bits)
+    premise_house = compare_house(points[n], A, accuracy_bits)
 
     counterexamples = []
     house_checks = []

@@ -14,7 +14,10 @@ kept in canonical form:
 
 so equality and hashing are plain tuple comparisons regardless of how a
 value was built.  Arithmetic runs on the integer numerators; the
-rational coordinates are derived on demand (``coords``).
+rational coordinates are derived on demand (``coords``).  Inversion
+multiplies by the other conjugates over Q(zeta_(n/p)), p the smallest
+prime of n, and recurses on the relative norm at the smaller conductor
+(``CycNum.inverse``), so it too is products and Galois conjugates only.
 
 The analytic side (house computation) evaluates Galois conjugates at
 the standard embedding zeta_n -> exp(2*pi*i/n) with the fixed-point
@@ -38,16 +41,11 @@ from functools import lru_cache
 
 from .errors import DomainError, ResourceLimitError, UndecidedError
 from .intervals import (
-    ComplexBox,
-    RealInterval,
     isqrt_ceil,
     isqrt_floor,
     root_table,
     square_interval,
 )
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 DEFAULT_ACCURACY_BITS = 64
 
@@ -89,6 +87,13 @@ def euler_phi(n: int) -> int:
     for p, e in factorize(n):
         result *= (p - 1) * p ** (e - 1)
     return result
+
+
+@lru_cache(maxsize=None)
+def _primitive_root(p: int) -> int:
+    """The least generator of (Z/p)^x for a prime p."""
+    qs = [q for q, _ in factorize(p - 1)]
+    return next(r for r in range(1, p) if all(pow(r, (p - 1) // q, p) != 1 for q in qs))
 
 
 @lru_cache(maxsize=None)
@@ -204,24 +209,26 @@ class _Cyclotomy:
         del acc[phi:]
         return acc
 
+    def torsion_vectors(self) -> list[tuple[int, ...]]:
+        """Coordinates of zeta_M^k for k < M, M = lcm(2, n); built per call."""
+        n = self.n
+        if n % 2 == 0:
+            return [self._int_power_vec(k) for k in range(n)]
+        vecs = []
+        for k in range(2 * n):
+            # zeta_{2n}^k = (-1)^k * zeta_n^(k*(n+1)/2 mod n)
+            vec = self._int_power_vec(k * ((n + 1) // 2))
+            vecs.append(tuple(-v for v in vec) if k % 2 else vec)
+        return vecs
+
     def torsion_table(self) -> dict:
         """Map from int-coordinate tuples to k, covering all mu_M, M = lcm(2, n).
 
         Dense in n; ``root_of_unity`` reads it at rad(n) only.
         """
         if self._torsion is None:
-            n = self.n
             table: dict[tuple[int, ...], int] = {}
-            m_tor = n if n % 2 == 0 else 2 * n
-            for k in range(m_tor):
-                if n % 2 == 0:
-                    vec = self._int_power_vec(k)
-                else:
-                    # zeta_{2n}^k = (-1)^k * zeta_n^(k*(n+1)/2 mod n)
-                    e = (k * ((n + 1) // 2)) % n
-                    vec = self._int_power_vec(e)
-                    if k % 2 == 1:
-                        vec = tuple(-v for v in vec)
+            for k, vec in enumerate(self.torsion_vectors()):
                 table.setdefault(vec, k)
             self._torsion = table
         return self._torsion
@@ -296,28 +303,6 @@ def _sigma_coords(ctx: _Cyclotomy, num, t: int) -> list[int]:
         if c:
             acc[(t * j) % n] += c
     return ctx.reduce(acc)
-
-
-def _accumulate_embedding(n: int, nz_scaled, t: int, scale_bits: int):
-    """Scaled-integer box of sigma_t(a) at the standard embedding.
-
-    Scale is 2^scale_bits times the denominator used in nz_scaled.
-    """
-    tab = root_table(n, scale_bits)
-    rl = rh = il = ih = 0
-    for j, w in nz_scaled:
-        a_, b_, c_, d_ = tab[(t * j) % n]
-        if w >= 0:
-            rl += w * a_
-            rh += w * b_
-            il += w * c_
-            ih += w * d_
-        else:
-            rl += w * b_
-            rh += w * a_
-            il += w * d_
-            ih += w * c_
-    return rl, rh, il, ih
 
 
 def _try_drop_prime(n: int, num, p: int) -> list[int] | None:
@@ -570,15 +555,37 @@ class CycNum:
     __rmul__ = __mul__
 
     def inverse(self) -> "CycNum":
+        """1/a down the tower Q(zeta_n) > Q(zeta_m) > ... > Q.
+
+        With p the smallest prime of n and m = n/p, c = prod sigma_h(a)
+        over 1 != h in the cyclic group H = Gal(Q(zeta_n)/Q(zeta_m))
+        makes a*c the relative norm, which lies at a conductor dividing
+        m, so 1/a = c * (a*c)^-1.  c is sigma_g of the product of
+        sigma_(g^i)(a) over i < |H| - 1 (g generates H), built by
+        doubling in O(log p) products.  Taking the smallest p keeps the
+        top level, where products are largest, the shortest.
+        """
         if not self:
             raise DomainError("division by zero")
-        if self.n == 1:
+        n = self.n
+        if n == 1:
             p, q = self.num[0], self.den
             return _new(1, (q if p > 0 else -q,), abs(p))
-        # The inverse has the same minimal conductor: no canonicalization.
-        num, den = _from_fractions(_inv_mod_cyclo(self.n, self.coords))
-        num, den = _lowest_terms(num, den)
-        return _new(self.n, num, den)
+        p = factorize(n)[0][0]
+        m = n // p
+        if m % p == 0:
+            g, order = 1 + m, p
+        else:  # g = 1 mod m and a primitive root mod p
+            g, order = 1 + m * ((_primitive_root(p) - 1) * pow(m, -1, p) % p), p - 1
+        block, size = self, 1
+        for bit in bin(order - 1)[3:]:
+            block = block * conjugate(block, pow(g, size, n))
+            size *= 2
+            if bit == "1":
+                block = self * conjugate(block, g)
+                size += 1
+        c = conjugate(block, g)
+        return c * (self * c).inverse()
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -662,62 +669,6 @@ def _embed_list(a: CycNum, n: int) -> list[int]:
     acc = [0] * n
     acc[: step * len(a.num) : step] = a.num
     return ctx.reduce(acc)
-
-
-def _inv_mod_cyclo(n: int, coords) -> list[Fraction]:
-    """Extended Euclid against Phi_n; returns coords of the inverse."""
-    phi = euler_phi(n)
-    r0 = [Fraction(c) for c in cyclotomic_polynomial(n)]
-    r1 = list(coords)
-    while r1 and not r1[-1]:
-        r1.pop()
-    s0: list[Fraction] = []
-    s1: list[Fraction] = [_ONE]
-    while len(r1) > 1:
-        q, rem = _poly_divmod_frac(r0, r1)
-        r0, r1 = r1, rem
-        s0, s1 = s1, _poly_sub_frac(s0, _poly_mul_frac(q, s1))
-        while r1 and not r1[-1]:
-            r1.pop()
-    if not r1:
-        raise DomainError("division by zero")
-    c = r1[0]
-    out = [v / c for v in s1]
-    out += [_ZERO] * (phi - len(out))
-    return out[:phi]
-
-
-def _poly_divmod_frac(a: list[Fraction], b: list[Fraction]):
-    a = list(a)
-    db = len(b) - 1
-    lead = b[-1]
-    q = [_ZERO] * max(0, len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        if a[i]:
-            f = a[i] / lead
-            q[i - db] = f
-            for j in range(db + 1):
-                a[i - db + j] -= f * b[j]
-    return q, a[:db]
-
-
-def _poly_mul_frac(a, b):
-    if not a or not b:
-        return []
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _poly_sub_frac(a, b):
-    out = list(a) + [_ZERO] * max(0, len(b) - len(a))
-    for i, y in enumerate(b):
-        out[i] -= y
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -897,19 +848,6 @@ def house(
         prec *= 2
 
 
-def embedding_box(a: CycNum, t: int = 1, scale_bits: int = 64) -> ComplexBox:
-    """Rigorous rectangle around sigma_t(a) at the standard embedding."""
-    if a.n == 1:
-        return ComplexBox.point(a.as_rational())
-    nz = [(j, w) for j, w in enumerate(a.num) if w]
-    rl, rh, il, ih = _accumulate_embedding(a.n, nz, t, scale_bits)
-    q = Fraction(1, (1 << scale_bits) * a.den)
-    return ComplexBox(
-        RealInterval(rl * q, rh * q),
-        RealInterval(il * q, ih * q),
-    )
-
-
 @dataclass(frozen=True, slots=True)
 class RootOfUnity:
     """zeta_order^exponent in lowest terms (minimal order)."""
@@ -974,10 +912,6 @@ def in_PA(
         raise DomainError("A must be at least 1")
     if not is_algebraic_integer(a):
         return NONMEMBER
-    if not a:
-        return MEMBER  # house(0) = 0; 0 is an algebraic integer
-    if A == 1:
-        return MEMBER if is_root_of_unity(a) is not None else NONMEMBER
     at_most = compare_house(a, A, accuracy_bits, cap=cap)
     if at_most is None:
         return UNDECIDED
@@ -993,10 +927,16 @@ def compare_house(
 ) -> bool | None:
     """Decide house(a) <= A: True or False, or None at the precision cap.
 
-    The one precision ladder: the accuracy doubles from accuracy_bits
+    Zero, and A = 1 for an algebraic integer (its house is at most 1 iff
+    it is a root of unity or zero), are decided exactly.  Otherwise this
+    is the one precision ladder: the accuracy doubles from accuracy_bits
     until the house enclosure separates from A; past the cap, or when
     ``house`` itself reaches it, the answer is None.
     """
+    if not a:
+        return True
+    if A == 1 and is_algebraic_integer(a):
+        return is_root_of_unity(a) is not None
     cap = precision_cap() if cap is None else cap
     bits = accuracy_bits
     while True:
@@ -1086,22 +1026,12 @@ def loxton_decompose(
         return []
     n = a.n
     ctx = _cyclotomy(n)
+    root = ctx.root_of_unity(a.num)
+    if root is not None:
+        return _loxton_result(a, [root])
     m_tor = n if n % 2 == 0 else 2 * n
-    vecs = []
-    for k in range(m_tor):
-        if n % 2 == 0:
-            vecs.append(ctx._int_power_vec(k))
-        else:
-            e = (k * ((n + 1) // 2)) % n
-            v = ctx._int_power_vec(e)
-            vecs.append(tuple(-x for x in v) if k % 2 else v)
+    vecs = ctx.torsion_vectors()
     target = a.num
-
-    single = {v: k for k, v in reversed(list(enumerate(vecs)))}
-    if target in single:
-        sol = [single[target]]
-        return _loxton_result(a, m_tor, sol)
-
     for d in range(2, d_max + 1):
         d1 = d // 2
         d2 = d - d1
@@ -1122,15 +1052,12 @@ def loxton_decompose(
             need = tuple(x - y for x, y in zip(target, s))
             hit = left.get(need)
             if hit is not None:
-                return _loxton_result(a, m_tor, sorted(hit + combo))
+                return _loxton_result(a, [RootOfUnity.make(m_tor, k) for k in hit + combo])
     return None
 
 
-def _loxton_result(a: CycNum, m_tor: int, ks) -> list[tuple[CycNum, RootOfUnity]]:
-    roots = sorted(
-        (RootOfUnity.make(m_tor, k) for k in ks),
-        key=lambda r: (r.order, r.exponent),
-    )
+def _loxton_result(a: CycNum, roots) -> list[tuple[CycNum, RootOfUnity]]:
+    roots = sorted(roots, key=lambda r: (r.order, r.exponent))
     total = CycNum.zero
     for r in roots:
         total = total + r.to_cycnum()

@@ -333,22 +333,12 @@ class RatFunc:
     __slots__ = ("num", "den")
 
     def __init__(self, num: Poly, den: Poly):
-        if den.is_zero():
-            raise DomainError("zero denominator")
-        if not num.is_zero():
+        if not num.is_zero() and not den.is_zero():
             g = poly_gcd(num, den)
             if g.deg > 0:
                 num = num.divmod(g)[0]
                 den = den.divmod(g)[0]
-        lead = den.leading()
-        if lead != CycNum.one:
-            inv = lead.inverse()
-            num = num.scale(inv)
-            den = den.scale(inv)
-        if num.is_zero():
-            den = Poly([1])
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        _set_monic(self, num, den)
 
     def __setattr__(self, *_):
         raise AttributeError("RatFunc is immutable")
@@ -357,17 +347,7 @@ class RatFunc:
     def _from_coprime(cls, num: Poly, den: Poly) -> "RatFunc":
         """Skip gcd reduction for inputs known to be coprime."""
         obj = object.__new__(cls)
-        if den.is_zero():
-            raise DomainError("zero denominator")
-        lead = den.leading()
-        if lead != CycNum.one:
-            inv = lead.inverse()
-            num = num.scale(inv)
-            den = den.scale(inv)
-        if num.is_zero():
-            den = Poly([1])
-        object.__setattr__(obj, "num", num)
-        object.__setattr__(obj, "den", den)
+        _set_monic(obj, num, den)
         return obj
 
     @staticmethod
@@ -431,6 +411,21 @@ class RatFunc:
                 raise DomainError("division by zero")
             return RatFunc(self.den.pow(-k), self.num.pow(-k))
         return RatFunc._from_coprime(self.num.pow(k), self.den.pow(k))
+
+
+def _set_monic(obj: RatFunc, num: Poly, den: Poly) -> None:
+    """Store num/den on obj with den scaled to be monic (zero as 0/1)."""
+    if den.is_zero():
+        raise DomainError("zero denominator")
+    lead = den.leading()
+    if lead != CycNum.one:
+        inv = lead.inverse()
+        num = num.scale(inv)
+        den = den.scale(inv)
+    if num.is_zero():
+        den = Poly([1])
+    object.__setattr__(obj, "num", num)
+    object.__setattr__(obj, "den", den)
 
 
 def ratfunc_new(p: Poly, q: Poly) -> RatFunc:

@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclotomic import CycNum, RootOfUnity, _cyclotomy
+from .cyclotomic import CycNum, RootOfUnity, _cyclotomy, factorize
 from .errors import DomainError
 from .ratfunc import (
     Mobius,
@@ -141,28 +141,14 @@ def sqrt_rational_cyc(s: Fraction) -> CycNum:
     # sqrt(p/q) = sqrt(p*q)/q
     n_int = s.numerator * s.denominator
     result = result * CycNum.from_rational(Fraction(1, s.denominator))
-    square_free = 1
     square = 1
-    d = 2
-    v = n_int
-    while d * d <= v:
-        e = 0
-        while v % d == 0:
-            v //= d
-            e += 1
-        if e:
-            square *= d ** (e // 2)
-            if e % 2:
-                square_free *= d
-        d += 1 if d == 2 else 2
-    if v > 1:
-        square_free *= v
-    result = result * CycNum.from_rational(square)
-    m = square_free
-    if m % 2 == 0:
-        result = result * (CycNum.zeta(8) + CycNum.zeta(8, 7))
-        m //= 2
-    for p in _odd_prime_factors(m):
+    for p, e in factorize(n_int):
+        square *= p ** (e // 2)
+        if e % 2 == 0:
+            continue
+        if p == 2:
+            result = result * (CycNum.zeta(8) + CycNum.zeta(8, 7))
+            continue
         gauss = CycNum.zero
         for t in range(1, p):
             gauss = gauss + CycNum.zeta(p, t) * _legendre(t, p)
@@ -170,21 +156,8 @@ def sqrt_rational_cyc(s: Fraction) -> CycNum:
             result = result * gauss
         else:  # gauss^2 = -p, divide by i
             result = result * gauss * CycNum.zeta(4, 3)
+    result = result * CycNum.from_rational(square)
     return result
-
-
-def _odd_prime_factors(m: int) -> list[int]:
-    out = []
-    d = 3
-    while d * d <= m:
-        if m % d == 0:
-            out.append(d)
-            while m % d == 0:
-                m //= d
-        d += 2
-    if m > 1:
-        out.append(m)
-    return out
 
 
 def as_positive_rational_times_rou(

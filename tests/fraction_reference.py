@@ -3,10 +3,11 @@
 This is the earlier layout of ``cyclohouse.cyclotomic``: one Fraction per
 power-basis coordinate, Phi_n obtained by dividing x^n - 1 by every
 Phi_d, and reduction through cached rows of zeta^e.  The canonicalization,
-Galois action, addition and multiplication below are that code, kept as
-it was (with values passed as (conductor, coordinates) pairs instead of
-CycNum instances) so the integer-coordinate implementation can be
-compared against it.  It shares nothing with the package but
+Galois action, addition, multiplication and inversion (extended Euclid
+against Phi_n over Fractions) below are that code, kept as it was (with
+values passed as (conductor, coordinates) pairs instead of CycNum
+instances) so the integer-coordinate implementation can be compared
+against it.  It shares nothing with the package but
 ``factorize`` and ``euler_phi``.
 """
 
@@ -234,3 +235,63 @@ def mul(a, b) -> tuple[int, tuple[Fraction, ...]]:
         if conv[e]:
             ctx.power_accumulate(acc, e, conv[e])
     return canonicalize(n, acc)
+
+
+def inverse(a) -> tuple[int, tuple[Fraction, ...]]:
+    """1/a for a canonical nonzero (conductor, coords) pair."""
+    n, coords = a
+    if n == 1:
+        return 1, (1 / coords[0],)
+    phi = euler_phi(n)
+    r0 = [Fraction(c) for c in cyclotomic_polynomial(n)]
+    r1 = list(coords)
+    while r1 and not r1[-1]:
+        r1.pop()
+    s0: list[Fraction] = []
+    s1: list[Fraction] = [Fraction(1)]
+    while len(r1) > 1:
+        q, rem = _poly_divmod_frac(r0, r1)
+        r0, r1 = r1, rem
+        s0, s1 = s1, _poly_sub_frac(s0, _poly_mul_frac(q, s1))
+        while r1 and not r1[-1]:
+            r1.pop()
+    if not r1:
+        raise ZeroDivisionError("division by zero")
+    c = r1[0]
+    out = [v / c for v in s1]
+    out += [_ZERO] * (phi - len(out))
+    # The inverse has the same minimal conductor.
+    return n, tuple(out[:phi])
+
+
+def _poly_divmod_frac(a: list[Fraction], b: list[Fraction]):
+    a = list(a)
+    db = len(b) - 1
+    lead = b[-1]
+    q = [_ZERO] * max(0, len(a) - db)
+    for i in range(len(a) - 1, db - 1, -1):
+        if a[i]:
+            f = a[i] / lead
+            q[i - db] = f
+            for j in range(db + 1):
+                a[i - db + j] -= f * b[j]
+    return q, a[:db]
+
+
+def _poly_mul_frac(a, b):
+    if not a or not b:
+        return []
+    out = [_ZERO] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] += x * y
+    return out
+
+
+def _poly_sub_frac(a, b):
+    out = list(a) + [_ZERO] * max(0, len(b) - len(a))
+    for i, y in enumerate(b):
+        out[i] -= y
+    return out

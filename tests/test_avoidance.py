@@ -204,6 +204,9 @@ class TestOrbit:
         rec = orbit(ratfunc_new(P(1), P(-1, 1)), CycNum.one, 5, 1)
         assert rec.truncated_at == 0
         assert rec.points == (CycNum.one,)
+        rec = orbit(ratfunc_new(P(1), P(-1, 1)), CycNum.from_rational(2), 5, 1)
+        assert rec.truncated_at == 1
+        assert rec.points == (CycNum.from_rational(2), CycNum.one)
 
     def test_no_degree_gap_omits_flags(self):
         rec = orbit(ratfunc_new(P(0, 0, 1), P(1, 1)), z(3), 2, 1)

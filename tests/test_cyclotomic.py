@@ -218,6 +218,7 @@ class TestLoxton:
         import itertools
 
         cases = [rat(3), z(3) + 1, z(4) * 2, z(12) + z(12, 5), rat(-2), z(3) - 1]
+        cases += [z(12, 5), rat(-1), z(9, 2)]  # single roots of unity
         for a in cases:
             n = a.n
             m_tor = n if n % 2 == 0 else 2 * n

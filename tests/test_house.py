@@ -173,3 +173,17 @@ def test_compare_house_ladder():
     # house(2*z3) = 2 exactly: no enclosure separates it from 2
     assert compare_house(z(3) * 2, 2, cap=256) is None
     assert in_PA(z(3) * 2, 2, cap=256) == "undecided"
+
+
+def test_compare_house_decides_zero_and_torsion_exactly(monkeypatch):
+    import cyclohouse.cyclotomic as cyc
+
+    def no_house(*_a, **_k):
+        raise AssertionError("house called")
+
+    monkeypatch.setattr(cyc, "house", no_house)
+    assert compare_house(CycNum.zero, 3) is True
+    assert compare_house(z(7, 3), 1) is True
+    assert compare_house(-z(36, 5), Fraction(1)) is True
+    assert compare_house(z(7) + 1, 1) is False
+    assert in_PA(z(9, 2), 1) == "member"

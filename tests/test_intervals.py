@@ -4,14 +4,9 @@ from fractions import Fraction
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cyclohouse.intervals import (
-    ComplexBox,
-    RealInterval,
-    isqrt_ceil,
-    isqrt_floor,
-    root_table,
-    square_interval,
-)
+from cyclohouse.intervals import isqrt_ceil, isqrt_floor, root_table, square_interval
+
+from .interval_boxes import ComplexBox, RealInterval
 
 
 def test_root_table_contains_float_approximations():

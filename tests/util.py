@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from cyclohouse import CycNum, Poly
-from cyclohouse.cyclotomic import _units_half, embedding_box
-from cyclohouse.intervals import ComplexBox, RealInterval
+from cyclohouse.cyclotomic import _units_half
+
+from .interval_boxes import ComplexBox, RealInterval, embedding_box
 
 
 def poly_box_at(p: Poly, z: ComplexBox, sigma_t: int, scale_bits: int = 96) -> ComplexBox:
@@ -23,16 +25,10 @@ def coefficient_embeddings(p: Poly) -> list[int]:
     """Representative sigma indices covering every embedding of p's field."""
     n = 1
     for c in p.coeffs:
-        n = n * c.n // _gcd(n, c.n)
+        n = math.lcm(n, c.n)
     if n == 1:
         return [1]
     return list(_units_half(n)) + [n - t for t in _units_half(n)]
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def circle_sample_boxes(radius: Fraction, count: int = 64, scale_bits: int = 96):
