@@ -449,9 +449,9 @@ def scan_roots_of_unity(
     coefficients of h, sigma_t for t = u (mod m), t = 1 (mod c) fixes h
     and sends zeta_m^k to zeta_m^(k*u), so h(zeta_m^(k*u)) =
     sigma_t(h(zeta_m^k)).  Poles, integrality, torsion and the house are
-    Galois-invariant, so the pole status and any decided P_A verdict of
-    the smallest exponent of an orbit hold for the whole orbit; an
-    undecided verdict is rerun on each conjugate.
+    Galois-invariant, so the pole status, the P_A verdict and the house
+    enclosure of the smallest exponent of an orbit hold for the whole
+    orbit: each is computed once, there.
     """
     if order_cap < 1:
         raise DomainError("order cap must be >= 1")
@@ -459,7 +459,6 @@ def scan_roots_of_unity(
     hits = []
     undecided = []
     poles = []
-    enclosures: dict[HouseResult, HouseResult] = {}
     c = 1
     for poly in (h.num, h.den):
         for coeff in poly.coeffs:
@@ -476,32 +475,26 @@ def scan_roots_of_unity(
             for u in range(1, order + 1)
             if math.gcd(u, order) == 1 and (u - 1) % g == 0
         ]
-        # exponent -> (value at the orbit representative, t, verdict); the
-        # representative is the smallest exponent, so it is met first
+        # exponent -> (value at the orbit representative, t, verdict, house);
+        # the representative is the smallest exponent, so it is met first
         found: dict[int, tuple] = {}
         for k in primitive:
             if k not in found:
                 value = evaluate(h, CycNum.zeta(order, k))
-                verdict = None if value is None else in_PA(value, A, accuracy_bits)
+                verdict = hr = None
+                if value is not None:
+                    verdict = in_PA(value, A, accuracy_bits)
+                    if verdict != NONMEMBER:
+                        hr = house(value, accuracy_bits)
                 for u, t in lifts:
-                    found[k * u % order] = (value, t, verdict)
-            value, t, verdict = found[k]
+                    found[k * u % order] = (value, t, verdict, hr)
+            value, t, verdict, hr = found[k]
             xi = RootOfUnity.make(order, k)
             if value is None:
                 poles.append(xi)
-                continue
-            if verdict == NONMEMBER:
-                continue
-            value = conjugate(value, t)
-            if verdict == UNDECIDED and t != 1:
-                verdict = in_PA(value, A, accuracy_bits)
-            # conjugates often get equal enclosures; the result keeps one copy
-            hr = house(value, accuracy_bits)
-            hr = enclosures.setdefault(hr, hr)
-            if verdict == MEMBER:
-                hits.append(ScanHit(xi, value, hr))
-            elif verdict == UNDECIDED:
-                undecided.append(ScanHit(xi, value, hr))
+            elif verdict != NONMEMBER:
+                hit = ScanHit(xi, conjugate(value, t), hr)
+                (hits if verdict == MEMBER else undecided).append(hit)
     result = ScanResult(tuple(hits), tuple(undecided), tuple(poles))
     return _SCAN_RESULTS.setdefault((result.hits, result.undecided, result.poles_skipped), result)
 

@@ -22,11 +22,11 @@ prime of n, and recurses on the relative norm at the smaller conductor
 The analytic side (house computation) evaluates Galois conjugates at
 the standard embedding zeta_n -> exp(2*pi*i/n) with the fixed-point
 interval machinery from ``intervals``; every bound it reports is a
-rigorous enclosure.  An element keeps its integer bounds on the largest
-squared conjugate modulus per working precision, so the questions asked
-of one number (``house`` at several accuracies, the ``compare_house``
-ladder behind ``in_PA``) compute each enclosure once.  Root-of-unity
-tests read a torsion table at rad(n), not at n.
+rigorous enclosure.  ``house`` and ``compare_house`` (behind ``in_PA``)
+climb one precision ladder (``_rungs``) of integer bounds on the largest
+squared conjugate modulus, which an element keeps per working precision;
+the boundary house(a) = A is decided exactly, from a * conj(a) = A^2.
+Root-of-unity tests read a torsion table at rad(n), not at n.
 """
 
 from __future__ import annotations
@@ -806,6 +806,24 @@ def _max_square_bounds(a: CycNum, prec: int) -> tuple[int, int]:
     return bounds
 
 
+def _rungs(a: CycNum, accuracy_bits: int, cap: int):
+    """The precision ladder of an irrational a, as (prec, lo, hi, scale).
+
+    lo <= scale^2 * max_t |sigma_t(a)|^2 <= hi with scale = 2^prec * a.den;
+    prec starts at a 64-bit bucket and doubles while it is at most cap.
+    """
+    den = a.den
+    nnz = len(a.num) - a.num.count(0)
+    # Round the working precision up to a coarse bucket so the cached
+    # root tables are shared across elements of the same conductor.
+    raw = accuracy_bits + 16 + den.bit_length() + nnz.bit_length()
+    prec = ((raw + 63) // 64) * 64
+    while prec <= cap:
+        lo, hi = _max_square_bounds(a, prec)
+        yield prec, lo, hi, (1 << prec) * den
+        prec *= 2
+
+
 def house(
     a: CycNum,
     accuracy_bits: int = DEFAULT_ACCURACY_BITS,
@@ -816,36 +834,26 @@ def house(
 
     Each conjugate sigma_t(a) is evaluated at zeta_n = exp(2*pi*i/n)
     with outward-rounded fixed-point intervals; the working precision
-    escalates until the enclosure of the maximum is narrow enough.
+    climbs the ladder (``_rungs``) until the enclosure of the maximum is
+    narrow enough.
 
     Raises UndecidedError if the precision cap is exhausted first.
     """
     if accuracy_bits < 1:
         raise DomainError("accuracy_bits must be >= 1")
     cap = precision_cap() if cap is None else cap
-    n = a.n
-    if n == 1:
+    if a.n == 1:
         v = abs(a.as_rational())
         return HouseResult(v, v, accuracy_bits)
-    den = a.den
-    nnz = len(a.num) - a.num.count(0)
-    # Round the working precision up to a coarse bucket so the cached
-    # root tables are shared across elements of the same conductor.
-    raw = accuracy_bits + 16 + den.bit_length() + nnz.bit_length()
-    prec = ((raw + 63) // 64) * 64
-    while True:
-        if prec > cap:
-            raise UndecidedError(
-                f"house computation needs more than the {cap}-bit precision cap"
-            )
-        best_lo, best_hi = _max_square_bounds(a, prec)
-        lo = isqrt_floor(best_lo)
-        hi = isqrt_ceil(best_hi)
-        scale = (1 << prec) * den
+    for prec, lo2, hi2, scale in _rungs(a, accuracy_bits, cap):
+        lo = isqrt_floor(lo2)
+        hi = isqrt_ceil(hi2)
         # width (hi - lo) / scale <= 2^-accuracy_bits, compared on integers
         if (hi - lo) << accuracy_bits <= scale:
             return HouseResult(Fraction(lo, scale), Fraction(hi, scale), prec)
-        prec *= 2
+    raise UndecidedError(
+        f"house computation needs more than the {cap}-bit precision cap"
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -903,9 +911,9 @@ def in_PA(
 ) -> str:
     """Membership of a in P_A (algebraic integers of house at most A).
 
-    Returns "member", "nonmember" or "undecided".  A = 1 and rational
-    arguments are decided exactly; otherwise the house enclosure is
-    refined until it separates from A or the precision cap is reached.
+    Returns "member", "nonmember" or "undecided" (``compare_house``):
+    undecided means house(a) != A and no rung up to the precision cap
+    separates the two.
     """
     A = Fraction(A)
     if A < 1:
@@ -925,32 +933,35 @@ def compare_house(
     *,
     cap: int | None = None,
 ) -> bool | None:
-    """Decide house(a) <= A: True or False, or None at the precision cap.
+    """Decide house(a) <= A for rational A: True or False, or None.
 
-    Zero, and A = 1 for an algebraic integer (its house is at most 1 iff
-    it is a root of unity or zero), are decided exactly.  Otherwise this
-    is the one precision ladder: the accuracy doubles from accuracy_bits
-    until the house enclosure separates from A; past the cap, or when
-    ``house`` itself reaches it, the answer is None.
+    A < 0, rational a (zero included) and A = 1 for an algebraic
+    integer (its house is at most 1 iff it is a root of unity or zero)
+    are decided exactly.  Otherwise each rung of the precision ladder up
+    to the cap compares its bounds on the largest squared conjugate with
+    A^2 on integers.  If none separates, the boundary is exact:
+    conjugation commutes with every sigma_t, so |sigma_t(a)|^2 =
+    sigma_t(a * conj(a)), and house(a) = A iff one, hence every,
+    conjugate of a * conj(a) - A^2 vanishes.  None means house(a) != A
+    and no rung separates.
     """
-    if not a:
-        return True
+    A = Fraction(A)
+    if A < 0:  # before any squaring, which would flip the answer
+        return False
+    if a.is_rational:
+        return abs(a.as_rational()) <= A
     if A == 1 and is_algebraic_integer(a):
         return is_root_of_unity(a) is not None
     cap = precision_cap() if cap is None else cap
-    bits = accuracy_bits
-    while True:
-        try:
-            hr = house(a, bits, cap=cap)
-        except UndecidedError:
-            return None
-        if hr.upper <= A:
+    p, q2 = A.numerator, A.denominator**2
+    for _, lo, hi, scale in _rungs(a, accuracy_bits, cap):
+        # lo/scale^2 <= house^2 <= hi/scale^2 against A^2 = p^2/q2
+        bound = (p * scale) ** 2
+        if hi * q2 <= bound:
             return True
-        if hr.lower > A:
+        if lo * q2 > bound:
             return False
-        bits *= 2
-        if bits > cap:
-            return None
+    return True if a * conjugate(a, -1) == A * A else None
 
 
 @dataclass(frozen=True)

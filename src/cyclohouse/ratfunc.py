@@ -109,12 +109,6 @@ class Poly:
             return Poly()
         return Poly([c * x for x in self.coeffs])
 
-    def shift_up(self, k: int) -> "Poly":
-        """Multiply by x^k."""
-        if not self.coeffs:
-            return self
-        return Poly([CycNum.zero] * k + list(self.coeffs))
-
     def monic(self) -> "Poly":
         if self.is_zero():
             return self
@@ -228,9 +222,6 @@ class LaurentPoly:
 
     def __setattr__(self, *_):
         raise AttributeError("LaurentPoly is immutable")
-
-    def as_dict(self) -> dict[int, CycNum]:
-        return dict(self.terms)
 
     def is_zero(self) -> bool:
         return not self.terms

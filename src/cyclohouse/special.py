@@ -149,9 +149,10 @@ def sqrt_rational_cyc(s: Fraction) -> CycNum:
         if p == 2:
             result = result * (CycNum.zeta(8) + CycNum.zeta(8, 7))
             continue
-        gauss = CycNum.zero
-        for t in range(1, p):
-            gauss = gauss + CycNum.zeta(p, t) * _legendre(t, p)
+        # sum of (t/p) zeta_p^t over 0 < t < p, written in the power basis:
+        # zeta_p^(p-1) = -(1 + ... + zeta_p^(p-2)) moves its symbol to each slot
+        last = _legendre(p - 1, p)
+        gauss = CycNum(p, [_legendre(j, p) - last for j in range(p - 1)])
         if p % 4 == 1:
             result = result * gauss
         else:  # gauss^2 = -p, divide by i

@@ -328,9 +328,9 @@ def test_criterion_10_composition_term_bounds():
     _report(10, f"caps match hand arithmetic; {checked} expansions, 0 violations")
 
 
-def test_criterion_11_parser_and_cli():
+def test_criterion_11_parser_and_cli(monkeypatch):
     from .test_parser import _random_expr
-    from .test_cli import CASES
+    from .test_cli import CASES, apply_case
 
     rng = random.Random(55555)
     checked = 0
@@ -346,14 +346,16 @@ def test_criterion_11_parser_and_cli():
         checked += 1
 
     byte_identical = 0
-    for name, (argv, expected_code) in sorted(CASES.items()):
+    for name in sorted(CASES):
         outs = []
-        for _ in range(2):
-            buf = io.StringIO()
-            with contextlib.redirect_stdout(buf):
-                code = cli_main(argv)
-            assert code == expected_code
-            outs.append(buf.getvalue())
+        with monkeypatch.context() as mp:
+            argv, expected_code = apply_case(name, mp)
+            for _ in range(2):
+                buf = io.StringIO()
+                with contextlib.redirect_stdout(buf):
+                    code = cli_main(argv)
+                assert code == expected_code
+                outs.append(buf.getvalue())
         assert outs[0] == outs[1]
         byte_identical += 1
     _report(

@@ -412,19 +412,36 @@ class TestOrbitScan:
         }
         assert got.to_dict() == _per_root_scan(h, 12, 2).to_dict()
 
-    def test_undecided_representative_reruns_each_root(self, monkeypatch):
+    def test_orbit_verdict_is_carried_to_every_root(self, monkeypatch):
         import cyclohouse.avoidance as avoidance_mod
         from cyclohouse import in_PA
 
+        asked = []
+
         def straddles_at_z5(value, A, bits=64):
+            asked.append(value)
             return "undecided" if value == z(5) else in_PA(value, A, bits)
 
         monkeypatch.setattr(avoidance_mod, "in_PA", straddles_at_z5)
         got = scan_roots_of_unity(RatFunc.from_poly(P(0, 1)), 5, 2)
-        assert [(s.root.order, s.root.exponent) for s in got.undecided] == [(5, 1)]
-        assert [(s.root.order, s.root.exponent) for s in got.hits if s.root.order == 5] == [
-            (5, 2), (5, 3), (5, 4)
+        assert asked.count(z(5)) == 1 and all(z(5, k) not in asked for k in (2, 3, 4))
+        assert [(s.root.order, s.root.exponent) for s in got.undecided] == [
+            (5, 1), (5, 2), (5, 3), (5, 4)
         ]
+        assert [s.value for s in got.undecided] == [z(5, k) for k in (1, 2, 3, 4)]
+        assert not any(s.root.order == 5 for s in got.hits)
+
+    def test_undecided_orbit_below_the_cap(self, monkeypatch):
+        # house(1 + z5^k) is the golden ratio for every k; F_101/F_100 lies
+        # about 2^-138 above it, past a 128-bit cap
+        monkeypatch.setenv("CYCLOHOUSE_PRECISION_CAP", "128")
+        A = Fraction(573147844013817084101, 354224848179261915075)
+        got = scan_roots_of_unity(RatFunc.from_poly(P(1, 1)), 5, A)
+        assert [(s.root.order, s.root.exponent) for s in got.undecided] == [
+            (5, 1), (5, 2), (5, 3), (5, 4)
+        ]
+        assert [s.value for s in got.undecided] == [z(5, k) + 1 for k in (1, 2, 3, 4)]
+        assert len({id(s.house) for s in got.undecided}) == 1
 
     def test_conjugation_commutes_with_evaluation(self):
         import math

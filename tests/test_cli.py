@@ -1,4 +1,8 @@
-"""Golden-file tests: every CLI command, byte-identical deterministic output."""
+"""Golden-file tests: every CLI command, byte-identical deterministic output.
+
+A CASES entry is (argv, exit code) or (argv, exit code, environment);
+``apply_case`` sets the environment with monkeypatch.
+"""
 
 import io
 import json
@@ -16,6 +20,7 @@ CASES = {
     "integer": (["integer", "1 + z8"], 0),
     "rootofunity": (["rootofunity", "1 + z3"], 0),
     "pa": (["pa", "1 + z5", "--A", "2"], 0),
+    "pa_boundary": (["pa", "2*z3", "--A", "2"], 0),
     "decompose": (["decompose", "1 + z5 + z5^2", "--dmax", "4"], 0),
     "cheb": (["cheb", "3"], 0),
     "compose": (["compose", "x^2", "x^3"], 0),
@@ -47,8 +52,21 @@ CASES = {
     "err_syntax": (["degree", "2x"], 2),
     "err_domain": (["compose", "x", "1/0"], 1),
     "err_resource": (["iterate", "x^2", "64"], 3),
-    "err_undecided": (["pa", "2*z3", "--A", "2"], 4),
+    # F_101/F_100 is about 2^-138 above the golden ratio, the house of 1 + z5
+    "err_undecided": (
+        ["pa", "1 + z5", "--A", "573147844013817084101/354224848179261915075"],
+        4,
+        {"CYCLOHOUSE_PRECISION_CAP": "128"},
+    ),
 }
+
+
+def apply_case(name, monkeypatch):
+    """argv and exit code of a golden case, with its environment set."""
+    argv, code, *env = CASES[name]
+    for key, value in (env[0] if env else {}).items():
+        monkeypatch.setenv(key, value)
+    return argv, code
 
 
 def _run(argv):
@@ -59,8 +77,8 @@ def _run(argv):
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_golden(name):
-    argv, expected_code = CASES[name]
+def test_golden(name, monkeypatch):
+    argv, expected_code = apply_case(name, monkeypatch)
     code, out = _run(argv)
     assert code == expected_code
     golden = (GOLDEN_DIR / f"{name}.out").read_text()
@@ -68,16 +86,16 @@ def test_golden(name):
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_deterministic_across_runs(name):
-    argv, _ = CASES[name]
+def test_deterministic_across_runs(name, monkeypatch):
+    argv, _ = apply_case(name, monkeypatch)
     _, out1 = _run(argv)
     _, out2 = _run(argv)
     assert out1 == out2
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_output_is_json_or_csv(name):
-    argv, _ = CASES[name]
+def test_output_is_json_or_csv(name, monkeypatch):
+    argv, _ = apply_case(name, monkeypatch)
     _, out = _run(argv)
     if "--csv" in argv:
         assert out.splitlines()[0] == "order,exponent,value,house_lower,house_upper,in_PA"

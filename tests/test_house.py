@@ -1,5 +1,7 @@
+import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from cyclohouse import (
@@ -155,35 +157,129 @@ def test_memo_gives_the_enclosures_of_a_fresh_element():
                 want.lower, want.upper, want.precision_bits)
 
 
-def test_scan_keeps_one_result_per_equal_enclosure():
-    # h(x) = x^2 - 2 at the 20 primitive 25th roots: conjugate values,
-    # many of them with equal enclosures at 64 bits
-    h = RatFunc.from_poly(Poly([-2, 0, 1]))
-    hits = scan_roots_of_unity(h, 25, 3).hits
-    seen = {}
-    for hit in hits:
-        assert seen.setdefault(hit.house, hit.house) is hit.house
-    assert len(seen) < len(hits)
+def _orbit_key(order, k, c):
+    """The least exponent of the Galois orbit of zeta_order^k over Q(zeta_c)."""
+    g = math.gcd(order, c)
+    units = [u for u in range(1, order + 1) if math.gcd(u, order) == 1 and (u - 1) % g == 0]
+    return min(k * u % order for u in units)
+
+
+@pytest.mark.parametrize(
+    "h, c",
+    [
+        (RatFunc.from_poly(Poly([-2, 0, 1])), 1),  # x^2 - 2: one orbit per order
+        (RatFunc.from_poly(Poly([z(4), 1, 1])), 4),  # x^2 + x + i: up to two
+    ],
+    ids=["over_Q", "over_Q_i"],
+)
+def test_scan_computes_verdict_and_house_once_per_orbit(monkeypatch, h, c):
+    import cyclohouse.avoidance as avoidance_mod
+
+    calls = {"in_PA": [], "house": []}
+
+    def counted(name, real):
+        def wrapper(value, *args, **kwargs):
+            calls[name].append(value)
+            return real(value, *args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(avoidance_mod, "in_PA", counted("in_PA", in_PA))
+    monkeypatch.setattr(avoidance_mod, "house", counted("house", house))
+    result = scan_roots_of_unity(h, 25, 3)
+    orbits = {
+        (m, _orbit_key(m, k, c))
+        for m in range(1, 26)
+        for k in range(m)
+        if math.gcd(k, m) == 1
+    }
+    assert len(calls["in_PA"]) == len(orbits)  # a polynomial: every value is finite
+    assert len(calls["house"]) <= len(orbits)
+    shared = {}
+    for hit in result.hits + result.undecided:
+        key = (hit.root.order, _orbit_key(hit.root.order, hit.root.exponent, c))
+        assert shared.setdefault(key, hit.house) is hit.house
+    assert len(shared) == len(calls["house"]) < len(result.hits)
+
+
+# F_101/F_100 is about 2^-138 above the golden ratio, the house of 1 + z5
+FIB_RATIO = Fraction(573147844013817084101, 354224848179261915075)
 
 
 def test_compare_house_ladder():
     golden = CycNum.from_rational(1) + z(5)  # house (1 + sqrt 5)/2
     assert compare_house(golden, Fraction(17, 10)) is True
     assert compare_house(golden, Fraction(3, 2)) is False
-    # house(2*z3) = 2 exactly: no enclosure separates it from 2
-    assert compare_house(z(3) * 2, 2, cap=256) is None
-    assert in_PA(z(3) * 2, 2, cap=256) == "undecided"
+    # no rung up to 128 bits separates the house from FIB_RATIO
+    assert compare_house(golden, FIB_RATIO, cap=128) is None
+    assert in_PA(golden, FIB_RATIO, cap=128) == "undecided"
+    assert compare_house(golden, FIB_RATIO) is True
 
 
 def test_compare_house_decides_zero_and_torsion_exactly(monkeypatch):
     import cyclohouse.cyclotomic as cyc
 
-    def no_house(*_a, **_k):
-        raise AssertionError("house called")
+    def refuse(*_a, **_k):
+        raise AssertionError("house or isqrt called")
 
-    monkeypatch.setattr(cyc, "house", no_house)
+    for name in ("house", "isqrt_floor", "isqrt_ceil"):
+        monkeypatch.setattr(cyc, name, refuse)
     assert compare_house(CycNum.zero, 3) is True
     assert compare_house(z(7, 3), 1) is True
     assert compare_house(-z(36, 5), Fraction(1)) is True
     assert compare_house(z(7) + 1, 1) is False
     assert in_PA(z(9, 2), 1) == "member"
+    # the ladder alone separates, and the boundary is exact at a low cap
+    golden = CycNum.from_rational(1) + z(5)
+    assert compare_house(golden, Fraction(17, 10)) is True
+    assert compare_house(golden, Fraction(3, 2)) is False
+    assert compare_house(z(3) * 2, 2, cap=64) is True
+
+
+def test_negative_bound_is_never_met():
+    for a in (CycNum.zero, z(3), CycNum.from_rational(-3), z(3) * 2):
+        assert compare_house(a, -1) is False
+        assert compare_house(a, Fraction(-3)) is False
+
+
+def _house_mp(a: CycNum, prec: int = 1024):
+    """Oracle: the house of a by mpmath at prec bits, from its coordinates."""
+    with mpmath.workprec(prec):
+        best = mpmath.mpf(0)
+        for t in range(1, a.n + 1):
+            if math.gcd(t, a.n) == 1:
+                v = mpmath.fsum(
+                    mpmath.mpf(c.numerator) / c.denominator
+                    * mpmath.expjpi(mpmath.mpf(2 * t * j % (2 * a.n)) / a.n)
+                    for j, c in enumerate(a.coords)
+                )
+                best = max(best, abs(v))
+        return best
+
+
+_BOUNDARY = [(z(3) * 2, 2), (z(4) * 4 + 3, 5), (z(3) * 8 + 5, 7)] + [
+    ((z(4) * 4 + 3) * z(m), 5) for m in (3, 5, 8, 12)
+]
+
+
+@pytest.mark.parametrize("a, A", _BOUNDARY)
+def test_boundary_is_decided_exactly(a, A):
+    assert abs(_house_mp(a) - A) < mpmath.mpf(2) ** -900
+    for cap in (64, 128, None):
+        assert compare_house(a, A, cap=cap) is True
+        assert in_PA(a, A, cap=cap) == "member"
+    eps = Fraction(1, 2**200)
+    assert compare_house(a, A + eps) is True
+    assert compare_house(a, A - eps) is False
+
+
+@pytest.mark.parametrize("a", [z(5) + 1, z(7) + z(7, 3) + 1])
+def test_near_boundary_matches_mpmath(a):
+    with mpmath.workprec(1024):
+        h = _house_mp(a)
+        centre = Fraction(int(mpmath.nint(h * mpmath.mpf(2) ** 400)), 2**400)
+    for A in (centre - Fraction(1, 2**200), centre + Fraction(1, 2**200)):
+        with mpmath.workprec(1024):
+            truth = h <= mpmath.mpf(A.numerator) / A.denominator
+        assert compare_house(a, A) is truth
+        assert in_PA(a, A) == ("member" if truth else "nonmember")

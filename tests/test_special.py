@@ -8,6 +8,7 @@ coefficient.  Detector and oracle share no code path beyond basic
 polynomial arithmetic.
 """
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -45,6 +46,23 @@ class TestRootExtraction:
     def test_gauss_sqrt_squares_back(self, s):
         r = sqrt_rational_cyc(Fraction(s))
         assert r * r == CycNum.from_rational(Fraction(s))
+
+    def test_gauss_sum_matches_products(self):
+        for p in range(3, 200, 2):
+            if any(p % d == 0 for d in range(3, p, 2)):
+                continue
+            gauss = CycNum.zero
+            for t in range(1, p):
+                symbol = 1 if pow(t, (p - 1) // 2, p) == 1 else -1
+                gauss = gauss + z(p, t) * symbol
+            want = gauss if p % 4 == 1 else gauss * z(4, 3)
+            assert sqrt_rational_cyc(Fraction(p)) == want, p
+
+    def test_gauss_sum_at_a_large_prime(self):
+        start = time.process_time()
+        r = sqrt_rational_cyc(Fraction(10009))
+        assert time.process_time() - start < 1
+        assert r.n == 10009 and r.den == 1
 
     def test_negative_sqrt(self):
         r = sqrt_rational_cyc(Fraction(-6))
