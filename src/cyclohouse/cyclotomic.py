@@ -700,6 +700,24 @@ def embed_at_conductor(a: CycNum, m: int) -> list[Fraction]:
     return [Fraction(c, a.den) for c in _embed_list(a, m)]
 
 
+def residue_mod_p(a: CycNum, p: int, g: int, big_n: int) -> int:
+    """Image of a under the ring map zeta_N -> g into F_p.
+
+    g must have exact order N = big_n modulo the prime p, a.n must divide
+    N and p must not divide a.den.  Then zeta_n -> g^(N/n), a root of
+    Phi_n mod p, extends to a ring map, so a root of unity of Q(zeta_n)
+    lands in the subgroup of order lcm(2, n) and a nonzero image means
+    a nonzero value.
+    """
+    w = pow(g, big_n // a.n, p)
+    acc, wj = 0, 1
+    for c in a.num:
+        if c:
+            acc += c * wj
+        wj = wj * w % p
+    return acc * pow(a.den, -1, p) % p
+
+
 def conjugates(a: CycNum) -> list[CycNum]:
     """All Q-Galois conjugates sigma_t(a), t running over (Z/n)^x.
 

@@ -9,26 +9,32 @@ polynomial must itself be a root of unity.
 The search is explicitly bounded: inner maps S are drawn from
   (1) the identity,
   (2) structure-guided candidates (certificates from special-map
-      detection, the depressed affine shift, pole-matching affine maps),
-  (3) the quadratic family a x + b + c x^(-1) over a finite grid of
-      roots of unity and bounded-height rationals.
+      detection, the depressed affine shift),
+  (3) over a finite grid of roots of unity and bounded-height rationals,
+      the pole-matching maps a x + gamma (h with one finite pole gamma)
+      or the quadratic family a x + b + c x^(-1) (h a polynomial), both
+      decided from Taylor coefficients, the second through an exact
+      screen in F_p.
 "None" always means "no witness on that grid", never a proof of
-avoidance.  Every hit is re-verified by the exact identity before being
-returned.
+avoidance: no candidate is rejected on floating-point evidence.  Every
+hit is re-verified by the exact identity before being returned.
 """
 
 from __future__ import annotations
 
-import cmath
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .cyclotomic import (
     CycNum,
     LoxtonProfile,
     RootOfUnity,
+    factorize,
     is_root_of_unity,
+    residue_mod_p,
 )
 from .errors import DomainError
 from .ratfunc import (
@@ -112,53 +118,51 @@ class SearchGrid:
     rou_order_cap: int = 12
     rational_height_cap: int = 8
 
-    def entries(self) -> list["_GridValue"]:
-        out = []
-        for order in range(1, self.rou_order_cap + 1):
-            for k in range(order):
-                if math.gcd(k, order) == 1 or (order == 1 and k == 0):
-                    out.append(_GridValue(rou=(order, k)))
-        rationals = []
-        cap = self.rational_height_cap
-        for den in range(1, cap + 1):
-            for num in range(1, cap + 1):
-                if math.gcd(num, den) == 1:
-                    rationals.append((max(num, den), num, den))
-        rationals.sort()
-        for _h, num, den in rationals:
-            q = Fraction(num, den)
-            if q != 1:
-                out.append(_GridValue(rational=q))
-            out.append(_GridValue(rational=-q))
-        return out
+    def entries(self) -> tuple["_GridValue", ...]:
+        """The grid values in search order, built once per grid."""
+        return _grid_entries(self)
+
+
+@lru_cache(maxsize=8)
+def _grid_entries(grid: SearchGrid) -> tuple["_GridValue", ...]:
+    out = []
+    for order in range(1, grid.rou_order_cap + 1):
+        for k in range(order):
+            if math.gcd(k, order) == 1 or (order == 1 and k == 0):
+                out.append(_GridValue(rou=(order, k)))
+    rationals = []
+    cap = grid.rational_height_cap
+    for den in range(1, cap + 1):
+        for num in range(1, cap + 1):
+            if math.gcd(num, den) == 1:
+                rationals.append((max(num, den), num, den))
+    rationals.sort()
+    for _h, num, den in rationals:
+        q = Fraction(num, den)
+        if q != 1:
+            out.append(_GridValue(rational=q))
+        out.append(_GridValue(rational=-q))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
 class _GridValue:
-    """Grid scalar, tagged so embeddings are cheap to evaluate numerically."""
+    """Grid scalar: the root of unity zeta_order^k or a rational."""
 
     rou: tuple[int, int] | None = None
     rational: Fraction | None = None
+    value: CycNum = field(init=False, repr=False, compare=False)
 
-    def to_cycnum(self) -> CycNum:
+    def __post_init__(self):
         if self.rou is not None:
-            return CycNum.zeta(*self.rou)
-        return CycNum.from_rational(self.rational)
+            value = CycNum.zeta(*self.rou)
+        else:
+            value = CycNum.from_rational(self.rational)
+        object.__setattr__(self, "value", value)
 
-    def embed(self, t: int, n: int) -> complex:
-        """Numeric image under sigma_t inside Q(zeta_n)."""
-        if self.rational is not None:
-            return complex(self.rational)
-        order, k = self.rou
-        return cmath.exp(2j * cmath.pi * ((t * k) % order) / order)
-
-    def conductor(self) -> int:
-        if self.rational is not None:
-            return 1
-        return self.rou[0]
-
-    def is_zero(self) -> bool:
-        return self.rational == 0
+    def is_root(self) -> bool:
+        """True for a root of unity, the rationals 1 and -1 included."""
+        return self.rou is not None or abs(self.rational) == 1
 
 
 _ZERO_VALUE = _GridValue(rational=Fraction(0))
@@ -172,21 +176,22 @@ def witness_search_deg2(
     """Search for a witness with deg S <= 2; bounded and grid-limited.
 
     Returns the first verified witness in a fixed deterministic order:
-    the identity inner map, then structure-guided candidates, then the
-    quadratic grid family in lexicographic grid order.
+    the identity inner map, then structure-guided candidates, then, in
+    grid order, the pole-matching maps a x + gamma (h with one finite
+    pole) or the quadratic family (h a polynomial).
     """
     if d_max < 1:
         raise DomainError("d_max must be >= 1")
     grid = grid or SearchGrid()
 
-    for s_cand in _identity_candidate() + _targeted_candidates(h, grid):
+    for s_cand in _identity_candidate() + _targeted_candidates(h):
         w = _try_inner_map(h, s_cand, d_max)
         if w is not None:
             return w
-    if h.is_poly() and degree(h) >= 1:
-        w = _grid_search_polynomial(h, d_max, grid)
-        if w is not None:
-            return w
+    if not h.is_poly():
+        return _pole_matching_search(h, d_max, grid)
+    if degree(h) >= 1:
+        return _grid_search_polynomial(h, d_max, grid)
     return None
 
 
@@ -194,7 +199,7 @@ def _identity_candidate() -> list[RatFunc]:
     return [RatFunc.x()]
 
 
-def _targeted_candidates(h: RatFunc, grid: SearchGrid) -> list[RatFunc]:
+def _targeted_candidates(h: RatFunc) -> list[RatFunc]:
     """Structure-guided inner maps tried before the grid."""
     out: list[RatFunc] = []
     d = degree(h)
@@ -219,36 +224,6 @@ def _targeted_candidates(h: RatFunc, grid: SearchGrid) -> list[RatFunc]:
         v = (-p[d - 1]) * (p[d] * d).inverse()
         if v:
             out.append(RatFunc.from_poly(Poly([v, CycNum.one])))
-    if not h.is_poly():
-        out.extend(_pole_matching_candidates(h, grid))
-    return out
-
-
-def _pole_matching_candidates(h: RatFunc, grid: SearchGrid) -> list[RatFunc]:
-    """Affine-type inner maps compatible with a single finite pole.
-
-    For non-polynomial h the quadratic family a x + b + c x^(-1) with
-    a, c both nonzero can never make h(S(x)) a Laurent polynomial (the
-    preimage of any finite pole of h is a nonzero finite point), so the
-    search reduces to S = a x + gamma and S = gamma + a x^(-1) where
-    gamma is the unique finite pole, if there is exactly one.
-    """
-    den = h.den
-    if den.deg < 1:
-        return []
-    # den = (x - gamma)^e exactly?
-    e = den.deg
-    gamma = (-den[e - 1]) * CycNum.from_rational(Fraction(1, e))
-    if Poly([-gamma, CycNum.one]).pow(e) != den:
-        return []
-    out = []
-    x = Poly.x()
-    for gv in grid.entries():
-        a = gv.to_cycnum()
-        if not a:
-            continue
-        out.append(RatFunc.from_poly(Poly([gamma, a])))
-        out.append(RatFunc(Poly([a, gamma * CycNum.one]), x))
     return out
 
 
@@ -283,122 +258,212 @@ def _witness_from_laurent(
     return w
 
 
+def _pole_matching_search(
+    h: RatFunc, d_max: int, grid: SearchGrid
+) -> Witness | None:
+    """S = a x + gamma over the grid, for h whose denominator is (x - gamma)^e.
+
+    For non-polynomial h the quadratic family a x + b + c x^(-1) with
+    a, c both nonzero can never make h(S(x)) a Laurent polynomial (the
+    preimage of any finite pole of h is a nonzero finite point), so the
+    search reduces to S = a x + gamma and S = gamma + a x^(-1) where
+    gamma is the unique finite pole, if there is exactly one.  With c_k
+    the Taylor coefficients of the numerator at gamma,
+    h(a x + gamma) = sum c_k a^(k-e) x^(k-e), and h(gamma + a/x) has the
+    same coefficients at mirrored exponents: the second map is a witness
+    exactly when the first is, so only a x + gamma is tried, and one
+    Taylor shift serves every grid value a.
+    """
+    den = h.den
+    e = den.deg
+    gamma = (-den[e - 1]) * CycNum.from_rational(Fraction(1, e))
+    if Poly([-gamma, CycNum.one]).pow(e) != den:
+        return None
+    shifted = h.num.taylor_shift(gamma)
+    if shifted.num_terms() > d_max:  # the term count is the same for every a
+        return None
+    for gv in grid.entries():
+        a = gv.value
+        s_map = RatFunc.from_poly(Poly([gamma, a]))
+        w = _witness_from_laurent(h, s_map, _pole_laurent(shifted, e, a), d_max)
+        if w is not None:
+            return w
+    return None
+
+
+def _pole_laurent(shifted: Poly, e: int, a: CycNum) -> LaurentPoly:
+    """h(a x + gamma), from the numerator's Taylor coefficients at gamma."""
+    return LaurentPoly(
+        [(k - e, c * a ** (k - e)) for k, c in enumerate(shifted.coeffs) if c]
+    )
+
+
 def _grid_search_polynomial(
     h: RatFunc, d_max: int, grid: SearchGrid
 ) -> Witness | None:
-    """The quadratic family over the grid, with exact coefficient pruning.
+    """The quadratic family a x + b + c x^(-1) over the grid.
 
-    The extreme coefficients of h(a x + b + c x^(-1)) are
-    h_d a^d and h_d c^d, and the next-to-extreme ones factor as
-    (power of a or c) * (d h_d b + h_{d-1}); all must be roots of unity
-    or vanish, which cuts the grid down to a handful of candidates
-    before any full expansion.  A one-embedding numeric screen (sound:
-    true witnesses have coefficients of modulus exactly 0 or 1) removes
-    the rest; survivors are expanded and verified exactly.
+    With p_k(b) the Taylor coefficients of h at b, the coefficient of
+    x^m in h(a x + b + c/x) is the sum over k = m (mod 2) of
+    p_k(b) C(k, (k+m)/2) a^((k+m)/2) c^((k-m)/2), and each must vanish
+    or be a root of unity.  Two are tested first: h_d a^d, which picks
+    a (and c, by symmetry), and p_(d-1)(b) a^(d-1), which picks b, with
+    p_(d-1)(b) = d h_d b + h_(d-1).  For a root of unity a the second
+    does not depend on a.  ``_ModularScreen`` tests both in F_p before
+    the exact test, then walks the remaining coefficients in F_p; it
+    rejects no witness, and the survivors are expanded and verified
+    exactly.
     """
-    p = h.num
-    d = p.deg
-    h_d = p[d]
-    h_dm1 = p[d - 1]
-    entries = grid.entries()
-
+    poly = h.num
+    d = poly.deg
+    h_d, h_dm1 = poly[d], poly[d - 1]
+    screen = _ModularScreen(poly, grid)
     a_values = [
         gv
-        for gv in entries
-        if not gv.is_zero() and is_root_of_unity(h_d * gv.to_cycnum() ** d) is not None
+        for gv in grid.entries()
+        if screen.may_be_root(screen.lead(gv.value), gv.value.n)
+        and is_root_of_unity(h_d * gv.value**d) is not None
     ]
-    c_values = [_ZERO_VALUE] + a_values
-    bracket_ok: list[_GridValue] = []
-    d_hd = h_d * d
-    for gv in [_ZERO_VALUE] + entries:
-        val = d_hd * gv.to_cycnum() + h_dm1
-        if (not val) or is_root_of_unity(val) is not None:
-            bracket_ok.append(gv)
+    if not a_values:
+        return None
+    b_values = [_ZERO_VALUE, *grid.entries()]
 
-    h_floats = [complex(0)] * (d + 1)
-    for i in range(d + 1):
-        h_floats[i] = _embed_cycnum_numeric(p[i])
+    def b_survivors(a: CycNum) -> list[tuple[_GridValue, list[int]]]:
+        """The b with p_(d-1)(b) a^(d-1) zero or a root of unity."""
+        scale, a_top = screen.powers(a)[d - 1], a ** (d - 1)
+        out = []
+        for gv in b_values:
+            b = gv.value
+            if not screen.may_be_root(screen.next_to_lead(b) * scale % screen.p, b.n):
+                continue
+            top = ((d * h_d) * b + h_dm1) * a_top
+            if not top or is_root_of_unity(top) is not None:
+                out.append((gv, screen.taylor(b)))
+        return out
 
+    cs = [(gv, screen.powers(gv.value)) for gv in [_ZERO_VALUE, *a_values]]
+    root_bs = b_survivors(CycNum.one)
     for a_gv in a_values:
-        a_num = a_gv.embed(1, 1)
-        for c_gv in c_values:
-            c_num = c_gv.embed(1, 1)
-            for b_gv in bracket_ok:
-                if not _numeric_screen(
-                    h_floats, a_num, b_gv.embed(1, 1), c_num, d_max
-                ):
+        bs = root_bs if a_gv.is_root() else b_survivors(a_gv.value)
+        a = a_gv.value
+        ap = screen.powers(a)
+        for c_gv, cp in cs:
+            c = c_gv.value
+            order = math.lcm(screen.order, a.n, c.n)
+            for b_gv, tb in bs:
+                b = b_gv.value
+                if not screen.keeps(ap, tb, cp, math.lcm(order, b.n), d_max):
                     continue
-                s_map = _quadratic_inner(a_gv, b_gv, c_gv)
-                if s_map is None:
-                    continue
-                lp = substitute_poly_laurent(
-                    p, LaurentPoly(_inner_terms(a_gv, b_gv, c_gv))
-                )
-                if lp.is_constant():
-                    continue
-                w = _witness_from_laurent(h, s_map, lp, d_max)
+                inner = LaurentPoly([(1, a), (0, b), (-1, c)])
+                lp = substitute_poly_laurent(poly, inner)
+                w = _witness_from_laurent(h, inner.to_ratfunc(), lp, d_max)
                 if w is not None:
                     return w
     return None
 
 
-def _inner_terms(a_gv, b_gv, c_gv):
-    terms = []
-    if not a_gv.is_zero():
-        terms.append((1, a_gv.to_cycnum()))
-    if not b_gv.is_zero():
-        terms.append((0, b_gv.to_cycnum()))
-    if not c_gv.is_zero():
-        terms.append((-1, c_gv.to_cycnum()))
-    return terms
+class _ModularScreen:
+    """The coefficients of h(a x + b + c/x) reduced into F_p.
+
+    p = 1 (mod N) is prime and g has exact order N mod p, where N is a
+    multiple of lcm(2, conductors of h and of the grid), so zeta_N -> g
+    is a ring map into F_p (``residue_mod_p``).  A coefficient in
+    Q(zeta_L) that vanishes or is a root of unity maps to 0 or to v with
+    v^lcm(2, L) = 1, and a nonzero image means a nonzero coefficient, so
+    the screen never rejects a witness.  A coefficient that is neither
+    passes with probability about lcm(2, L)/p, p > 2^24, and each
+    survivor is verified exactly.
+    """
+
+    def __init__(self, poly: Poly, grid: SearchGrid):
+        self.order = math.lcm(2, *(c.n for c in poly.coeffs))
+        big_n = math.lcm(self.order, *range(1, grid.rou_order_cap + 1))
+        # p must not divide a denominator of h or of the grid
+        while True:
+            p, g = _screen_field(big_n)
+            if p > grid.rational_height_cap and all(c.den % p for c in poly.coeffs):
+                break
+            big_n *= 2
+        self.p, self.g, self.big_n = p, g, big_n
+        self.d = d = poly.deg
+        self.coeffs = [residue_mod_p(c, p, g, big_n) for c in poly.coeffs]
+        self.binom = [[math.comb(k, i) % p for i in range(k + 1)] for k in range(d + 1)]
+        self._taylor: dict[int, list[int]] = {}
+
+    def image(self, v: CycNum) -> int:
+        return residue_mod_p(v, self.p, self.g, self.big_n)
+
+    def powers(self, v: CycNum) -> list[int]:
+        """Images of v^0, ..., v^d."""
+        x, out = self.image(v), [1]
+        for _ in range(self.d):
+            out.append(out[-1] * x % self.p)
+        return out
+
+    def taylor(self, b: CycNum) -> list[int]:
+        """Images of the Taylor coefficients p_0(b), ..., p_d(b) of h at b."""
+        x = self.image(b)
+        t = self._taylor.get(x)
+        if t is None:
+            t, p, d = list(self.coeffs), self.p, self.d
+            for i in range(d):
+                for j in range(d - 1, i - 1, -1):
+                    t[j] = (t[j] + x * t[j + 1]) % p
+            self._taylor[x] = t
+        return t
+
+    def lead(self, a: CycNum) -> int:
+        """Image of h_d a^d."""
+        return self.coeffs[-1] * self.powers(a)[-1] % self.p
+
+    def next_to_lead(self, b: CycNum) -> int:
+        """Image of p_(d-1)(b) = d h_d b + h_(d-1)."""
+        return (self.d * self.coeffs[-1] * self.image(b) + self.coeffs[-2]) % self.p
+
+    def may_be_root(self, v: int, n: int) -> bool:
+        """False only if a value of conductor dividing lcm(n, conductors
+        of h) with image v is neither 0 nor a root of unity."""
+        return not v or pow(v, math.lcm(self.order, n), self.p) == 1
+
+    def keeps(self, ap, t, cp, order: int, d_max: int) -> bool:
+        """False only if h(a x + b + c/x) is no witness within d_max terms.
+
+        ap and cp are the ``powers`` of a and c, t is ``taylor`` at b and
+        order is lcm(2, L), L the conductor of h, a, b and c.  The x^d and
+        x^(d-1) coefficients are taken as tested; the walk starts at
+        x^(d-2) and stops at the first image that is neither 0 nor of
+        order dividing lcm(2, L), or once more than d_max are nonzero.
+        """
+        p, d, binom = self.p, self.d, self.binom
+        nonzero = 1 + (t[d - 1] != 0)
+        # with c = 0 (image 0) every coefficient below x^0 vanishes
+        for m in range(d - 2, -d - 1 if cp[1] else -1, -1):
+            s = 0
+            for k in range(abs(m), d + 1, 2):
+                i = (k + m) >> 1
+                s += t[k] * binom[k][i] * ap[i] * cp[k - i]
+            s %= p
+            if s:
+                nonzero += 1
+                if nonzero > d_max or pow(s, order, p) != 1:
+                    return False
+        return nonzero <= d_max
 
 
-def _quadratic_inner(a_gv, b_gv, c_gv) -> RatFunc | None:
-    terms = _inner_terms(a_gv, b_gv, c_gv)
-    if not terms or all(e == 0 for e, _ in terms):
-        return None
-    return LaurentPoly(terms).to_ratfunc()
+_SCREEN_PRIME_FLOOR = 1 << 24
 
 
-def _embed_cycnum_numeric(v: CycNum) -> complex:
-    den = v.den
-    if v.is_rational:
-        return complex(v.num[0] / den)
-    acc = 0j
-    for j, c in enumerate(v.num):
-        if c:
-            acc += (c / den) * cmath.exp(2j * cmath.pi * j / v.n)
-    return acc
-
-
-_SCREEN_TOL = 0.02
-
-
-def _numeric_screen(h_floats, a, b, c, d_max: int) -> bool:
-    """Sound float filter: every coefficient near modulus 0 or 1, and at
-    most d_max are away from 0.  True witnesses always pass."""
-    # Horner over the Laurent argument a x + b + c/x
-    coeffs = {0: h_floats[-1]}
-    for hf in reversed(h_floats[:-1]):
-        nxt: dict[int, complex] = {}
-        for e, v in coeffs.items():
-            if a:
-                nxt[e + 1] = nxt.get(e + 1, 0j) + v * a
-            if b:
-                nxt[e] = nxt.get(e, 0j) + v * b
-            if c:
-                nxt[e - 1] = nxt.get(e - 1, 0j) + v * c
-        nxt[0] = nxt.get(0, 0j) + hf
-        coeffs = nxt
-    nonzero = 0
-    for v in coeffs.values():
-        m = abs(v)
-        if m < _SCREEN_TOL:
-            continue
-        if abs(m - 1.0) > _SCREEN_TOL:
-            return False
-        nonzero += 1
-    return 1 <= nonzero <= d_max
+@lru_cache(maxsize=8)
+def _screen_field(big_n: int) -> tuple[int, int]:
+    """The least prime p = 1 (mod N) above 2^24, and g of exact order N mod p."""
+    p = big_n * (_SCREEN_PRIME_FLOOR // big_n + 1) + 1
+    while factorize(p) != ((p, 1),):
+        p += big_n
+    qs = [q for q, _ in factorize(big_n)]
+    for r in itertools.count(2):
+        g = pow(r, (p - 1) // big_n, p)
+        if all(pow(g, big_n // q, p) != 1 for q in qs):
+            return p, g
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from cyclohouse import (
     is_root_of_unity,
     loxton_decompose,
 )
-from cyclohouse.cyclotomic import euler_phi
+from cyclohouse.cyclotomic import euler_phi, residue_mod_p
 
 from .conftest import random_cycnum
 
@@ -382,3 +382,38 @@ class TestLoxtonProfile:
     def test_empty_E_rejected(self):
         with pytest.raises(DomainError):
             LoxtonProfile(B=Fraction(1), E=(), budget=())
+
+
+class TestResidueModP:
+    """zeta_120 -> g of exact order 120 mod p = 241 is a ring map."""
+
+    P, N = 241, 120
+    G = next(
+        pow(r, 2, 241)
+        for r in range(2, 241)
+        if all(pow(r, 2 * 120 // q, 241) != 1 for q in (2, 3, 5))
+    )
+
+    def res(self, a):
+        return residue_mod_p(a, self.P, self.G, self.N)
+
+    def test_generator_has_exact_order(self):
+        assert pow(self.G, self.N, self.P) == 1
+        assert all(pow(self.G, self.N // q, self.P) != 1 for q in (2, 3, 5))
+
+    @given(cycnums(), cycnums())
+    @settings(max_examples=40)
+    def test_ring_map(self, a, b):
+        p = self.P
+        assert self.res(a + b) == (self.res(a) + self.res(b)) % p
+        assert self.res(a * b) == self.res(a) * self.res(b) % p
+        assert self.res(-a) == -self.res(a) % p
+
+    def test_roots_of_unity_land_in_the_torsion(self):
+        for m in (1, 2, 3, 4, 5, 6, 8, 10, 12, 24, 40):
+            for k in range(m):
+                v = self.res(z(m, k))
+                assert pow(v, m, self.P) == 1
+        assert self.res(z(8)) == pow(self.G, 15, self.P)
+        assert self.res(rat(Fraction(3, 4))) == 3 * pow(4, -1, self.P) % self.P
+        assert self.res(CycNum.zero) == 0

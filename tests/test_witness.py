@@ -1,7 +1,13 @@
+import contextlib
+import io
+import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclohouse import (
     CycNum,
@@ -13,20 +19,36 @@ from cyclohouse import (
     RootOfUnity,
     SearchGrid,
     Witness,
+    avoidance_verdict,
     chebyshev,
+    compose,
+    degree,
     evaluate,
     fz_degree_cap,
     house,
     is_A_short,
     is_algebraic_integer,
     iterate_term_lower_bound,
+    parse_ratfunc,
     ratfunc_new,
+    to_laurent,
     verify_fz,
     verify_specialterms,
     witness_check,
     witness_laurent,
     witness_search_deg2,
 )
+from cyclohouse.cli import main
+from cyclohouse.witness import (
+    _ZERO_VALUE,
+    _identity_candidate,
+    _ModularScreen,
+    _pole_laurent,
+    _targeted_candidates,
+    _try_inner_map,
+)
+
+from .conftest import random_cycnum, random_poly
 
 ONE = CycNum.one
 R1 = RootOfUnity(1, 0)
@@ -194,6 +216,178 @@ class TestGrid:
         )
         rous = [e.rou for e in entries if e.rou is not None]
         assert all(order <= 6 for order, _ in rous)
+
+    def test_entries_built_once_per_grid(self):
+        assert SearchGrid().entries() is SearchGrid().entries()
+        assert all(gv.value == CycNum.zeta(*gv.rou) for gv in SearchGrid().entries() if gv.rou)
+
+
+HALF_SHIFT = RatFunc.from_poly(P(Fraction(-1, 2), Fraction(1, 2)))
+
+
+class TestAffineNextToLead:
+    """The x^(d-1) coefficient of h(a x + b) is p_(d-1)(b) a^(d-1), where
+    p_(d-1)(b) = d h_d b + h_(d-1): with a = 1/2 it depends on a."""
+
+    H = "(2*x+1)^3 + (2*x+1)^2"
+
+    def test_library_finds_half_shift(self):
+        h = parse_ratfunc(self.H)
+        w = witness_search_deg2(h, 3)
+        assert w is not None and w.S == HALF_SHIFT
+        assert witness_check(h, w)
+        assert witness_laurent(w) == LaurentPoly([(3, 1), (2, 1)])
+
+    def test_cli_finds_half_shift(self):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main(["witness-search", self.H, "--dmax", "3"])
+        assert code == 0
+        doc = json.loads(buf.getvalue())
+        assert doc["witness"]["S"] == "1/2*x - 1/2"
+        assert [t["n"] for t in doc["witness"]["terms"]] == [3, 2]
+
+    @pytest.mark.parametrize("budget", [2, 3])
+    def test_degree_50_verdict_finds_the_witness(self, budget):
+        # degree 50 clears the threshold: a miss here would be reported
+        # as a shape-complete search
+        h = parse_ratfunc("(2*x+1)^50 + (2*x+1)^49")
+        verdict = avoidance_verdict(h, 2, LoxtonProfile.default(budget))
+        assert verdict.kind == "witness_found"
+        assert verdict.witness.S == HALF_SHIFT
+        assert witness_check(h, verdict.witness)
+        assert "search_shape_complete" not in verdict.diagnostics
+
+
+def _chebyshev_ints(d):
+    """T_d from T_(k+1) = x T_k - T_(k-1) on integer lists (T_0 = 2)."""
+    prev, cur = [2], [0, 1]
+    for _ in range(d - 1):
+        prev, cur = cur, [a - b for a, b in zip([0, *cur], prev + [0, 0])]
+    return Poly(cur)
+
+
+class TestModularScreen:
+    def test_t120_keeps_x_plus_inverse_x(self):
+        # T_120(x + 1/x) = x^120 + x^-120; the coefficients of T_120 reach
+        # about 2^80 and cancel, which defeats a float screen
+        assert _chebyshev_ints(8) == chebyshev(8)
+        screen = _ModularScreen(_chebyshev_ints(120), SearchGrid())
+        one = screen.powers(ONE)
+        assert screen.keeps(one, screen.taylor(CycNum.zero), one, 2, 2)
+        # x + 1 + 1/x is no witness: the x^118 coefficient is 7140
+        assert not screen.keeps(one, screen.taylor(ONE), one, 2, 2)
+
+    def test_walk_below_the_next_to_lead_coefficient(self):
+        # x^d and x^(d-1) are tested before the screen; the walk starts at x^(d-2)
+        screen = _ModularScreen(P(1, 2, 1, 1), SearchGrid())
+        one, zero = screen.powers(ONE), screen.powers(CycNum.zero)
+        # x^3 + x^2 + 2x + 1 at S = x: x^1 has the nonunit 2
+        assert not screen.keeps(one, screen.taylor(CycNum.zero), zero, 2, 4)
+        # x^3 + x^2 + x + 1 at S = x: four unit terms, over a budget of 3
+        screen = _ModularScreen(P(1, 1, 1, 1), SearchGrid())
+        one, zero = screen.powers(ONE), screen.powers(CycNum.zero)
+        assert screen.keeps(one, screen.taylor(CycNum.zero), zero, 2, 4)
+        assert not screen.keeps(one, screen.taylor(CycNum.zero), zero, 2, 3)
+        # (x + 1)^2 at S = x - 1 is x^2, one term
+        screen = _ModularScreen(P(1, 2, 1), SearchGrid())
+        one, zero = screen.powers(ONE), screen.powers(CycNum.zero)
+        assert screen.keeps(one, screen.taylor(-ONE), zero, 2, 1)
+
+
+_GRID = SearchGrid().entries()
+_ROOTS = [gv for gv in _GRID if gv.rou is not None]
+
+
+@st.composite
+def planted_witnesses(draw):
+    """h = g o S^-1 with S = a x + b or a x + b + a/x on the default grid,
+    g a sum of at most two roots of unity times powers of x (for the
+    quadratic S, of x^n + x^-n), and the term count of g."""
+    a = draw(st.sampled_from(_GRID)).value
+    b = draw(st.sampled_from((_ZERO_VALUE, *_GRID))).value
+    quadratic = draw(st.booleans())
+    low = 1 if quadratic else -3
+    exps = draw(
+        st.lists(st.integers(low, 5).filter(bool), min_size=1, max_size=2, unique=True)
+    )
+    betas = [draw(st.sampled_from(_ROOTS)).value for _ in exps]
+    inverse = RatFunc.from_poly(Poly([-b * a.inverse(), a.inverse()]))
+    if quadratic:
+        g = Poly()
+        for n, beta in zip(exps, betas):
+            g = g + chebyshev(n).scale(beta)
+        return compose(RatFunc.from_poly(g), inverse), (a, b, a), 2 * len(exps)
+    g = LaurentPoly(list(zip(exps, betas))).to_ratfunc()
+    return compose(g, inverse), (a, b, CycNum.zero), len(exps)
+
+
+class TestPlantedWitnesses:
+    @given(planted_witnesses())
+    @settings(max_examples=40)
+    def test_search_finds_a_planted_witness(self, planted):
+        h, (a, b, c), d_max = planted
+        w = witness_search_deg2(h, d_max)
+        assert w is not None
+        assert witness_check(h, w) and w.term_count() <= d_max
+        if h.is_poly() and degree(h) >= 2:
+            screen = _ModularScreen(h.num, SearchGrid())
+            order = math.lcm(screen.order, a.n, b.n, c.n)
+            assert screen.keeps(
+                screen.powers(a), screen.taylor(b), screen.powers(c), order, d_max
+            )
+
+
+def _compose_order_search(h, d_max, gamma):
+    """The search order with one compose per map, a x + gamma before
+    gamma + a/x at each grid value: the oracle for pole matching."""
+    for s_map in _identity_candidate() + _targeted_candidates(h):
+        w = _try_inner_map(h, s_map, d_max)
+        if w is not None:
+            return w
+    for gv in _GRID:
+        for s_map in (
+            RatFunc.from_poly(Poly([gamma, gv.value])),
+            RatFunc(Poly([gv.value, gamma]), Poly.x()),
+        ):
+            w = _try_inner_map(h, s_map, d_max)
+            if w is not None:
+                return w
+    return None
+
+
+class TestPoleMatching:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_taylor_laurent_matches_compose(self, seed):
+        rng = random.Random(seed)
+        gamma = random_cycnum(rng, max_conductor=4, height=3)
+        num = random_poly(rng, rng.randint(0, 4), max_conductor=4, height=3)
+        if not num.evaluate(gamma):
+            num = num + Poly([1])
+        e = rng.randint(1, 3)
+        h = ratfunc_new(num, Poly([-gamma, 1]).pow(e))
+        shifted = h.num.taylor_shift(gamma)
+        for gv in _GRID:
+            a = gv.value
+            lp = _pole_laurent(shifted, e, a)
+            assert lp == to_laurent(compose(h, RatFunc.from_poly(Poly([gamma, a]))))
+            mirrored = to_laurent(compose(h, RatFunc(Poly([a, gamma]), Poly.x())))
+            assert mirrored == LaurentPoly([(-k, c) for k, c in lp.terms])
+
+    @pytest.mark.parametrize(
+        "text,d_max",
+        [
+            ("1/(x - 1)^2", 1),
+            ("1/(2*x - 1)^2 + z3*(2*x - 1)^3/8", 2),
+            ("z5/(x - z3)^3 + (x - z3)/z4", 2),
+            ("(3*x + 1)^2/(x + 1/2)", 3),
+        ],
+    )
+    def test_first_witness_is_the_compose_order_one(self, text, d_max):
+        h = parse_ratfunc(text)
+        gamma = -h.den[h.den.deg - 1] * CycNum.from_rational(Fraction(1, h.den.deg))
+        w = witness_search_deg2(h, d_max)
+        assert w == _compose_order_search(h, d_max, gamma)
 
 
 class TestCaps:
