@@ -51,9 +51,6 @@ from .ratfunc import (
 from .special import as_positive_rational_times_rou, exact_nth_root_fraction
 from .witness import SearchGrid, Witness, witness_search_deg2
 
-DEFAULT_HOUSE_BITS = 64
-
-
 @dataclass(frozen=True)
 class MonicNormalization:
     """Scaling data (c, ht, D, R) with h(x) = c^-1 * ht(c x) exactly."""
@@ -74,7 +71,7 @@ class MonicNormalization:
         }
 
 
-def monic_normalize(h: RatFunc, accuracy_bits: int = DEFAULT_HOUSE_BITS) -> MonicNormalization:
+def monic_normalize(h: RatFunc) -> MonicNormalization:
     """Monic model of h = p/q, requiring deg p > deg q + 1.
 
     Solves c^(d-e-1) = lead(p) in the supported closed form (a positive
@@ -98,7 +95,7 @@ def monic_normalize(h: RatFunc, accuracy_bits: int = DEFAULT_HOUSE_BITS) -> Moni
         raise AssertionError("normalization failed to produce monic model")
     h_tilde = RatFunc(pt, qt)
     big_d = _minimal_clearing_integer(c_inv, pt, qt)
-    radius = _verified_escape_radius(h_tilde, accuracy_bits)
+    radius = _verified_escape_radius(h_tilde)
     return MonicNormalization(c=c, h_tilde=h_tilde, D=big_d, R=radius)
 
 
@@ -129,14 +126,12 @@ def _minimal_clearing_integer(c_inv: CycNum, pt: Poly, qt: Poly) -> int:
     return big_d
 
 
-def escape_radius(
-    norm: MonicNormalization, accuracy_bits: int = DEFAULT_HOUSE_BITS
-) -> Fraction:
+def escape_radius(norm: MonicNormalization) -> Fraction:
     """Recompute and verify the escape radius of the monic model."""
-    return _verified_escape_radius(norm.h_tilde, accuracy_bits)
+    return _verified_escape_radius(norm.h_tilde)
 
 
-def _verified_escape_radius(h_tilde: RatFunc, accuracy_bits: int) -> Fraction:
+def _verified_escape_radius(h_tilde: RatFunc) -> Fraction:
     """Radius R with |ht(z)| >= |z| verified for all |z| >= R, all embeddings.
 
     Starts from 1 + 2*max(1, max coefficient house) and doubles until a
@@ -157,11 +152,11 @@ def _verified_escape_radius(h_tilde: RatFunc, accuracy_bits: int) -> Fraction:
     h_upper: dict[int, Fraction] = {}
     for i in range(d):
         if pt[i]:
-            h_upper[i] = house(pt[i], accuracy_bits).upper
+            h_upper[i] = house(pt[i]).upper
     g_upper: dict[int, Fraction] = {}
     for j in range(e):
         if qt[j]:
-            g_upper[j] = house(qt[j], accuracy_bits).upper
+            g_upper[j] = house(qt[j]).upper
     coeff_max = max([Fraction(1)] + list(h_upper.values()) + list(g_upper.values()))
     raw = 1 + 2 * coeff_max
     # The verification inequality is monotone in R, so rounding the
@@ -222,14 +217,7 @@ def _orbit_points(h: RatFunc, a: CycNum, n_steps: int) -> list[CycNum]:
     return points
 
 
-def orbit(
-    h: RatFunc,
-    a: CycNum,
-    n_steps: int,
-    A,
-    *,
-    accuracy_bits: int = DEFAULT_HOUSE_BITS,
-) -> OrbitRecord:
+def orbit(h: RatFunc, a: CycNum, n_steps: int, A) -> OrbitRecord:
     """Track a, h(a), ..., h^N(a) with houses, D-integrality and P_A hits.
 
     D-integrality flags are present only when the degree gap holds and
@@ -239,13 +227,13 @@ def orbit(
         raise DomainError("orbit length must be nonnegative")
     A = Fraction(A)
     try:
-        norm = monic_normalize(h, accuracy_bits)
+        norm = monic_normalize(h)
         big_d: int | None = norm.D
     except DomainError:
         big_d = None
     points = _orbit_points(h, a, n_steps)
     truncated_at = len(points) - 1 if len(points) <= n_steps else None
-    houses = tuple(house(p, accuracy_bits) for p in points)
+    houses = tuple(house(p) for p in points)
     integral_flags = (
         tuple(is_algebraic_integer(CycNum.from_rational(big_d) * p) for p in points)
         if big_d is not None
@@ -254,7 +242,7 @@ def orbit(
     hits = []
     undecided = []
     for j, p in enumerate(points):
-        verdict = in_PA(p, A, accuracy_bits)
+        verdict = in_PA(p, A)
         if verdict == MEMBER:
             hits.append(j)
         elif verdict == UNDECIDED:
@@ -309,14 +297,7 @@ class OrbitLemmaReport:
         }
 
 
-def verify_orbit_lemma(
-    h: RatFunc,
-    a: CycNum,
-    n: int,
-    A,
-    *,
-    accuracy_bits: int = DEFAULT_HOUSE_BITS,
-) -> OrbitLemmaReport:
+def verify_orbit_lemma(h: RatFunc, a: CycNum, n: int, A) -> OrbitLemmaReport:
     """Check both orbit-lemma bullets; emit counterexample candidates.
 
     Each bullet is asserted only when its premise on the n-th orbit
@@ -326,7 +307,7 @@ def verify_orbit_lemma(
     if n < 0:
         raise DomainError("n must be nonnegative")
     A = Fraction(A)
-    norm = monic_normalize(h, accuracy_bits)
+    norm = monic_normalize(h)
     points = _orbit_points(h, a, n)
     if len(points) <= n:
         return OrbitLemmaReport(
@@ -342,17 +323,17 @@ def verify_orbit_lemma(
             D=norm.D,
         )
 
-    hc_upper = house(norm.c, accuracy_bits).upper
-    hcinv_upper = house(norm.c.inverse(), accuracy_bits).upper
+    hc_upper = house(norm.c).upper
+    hcinv_upper = house(norm.c.inverse()).upper
     bound = max(hcinv_upper * max(norm.R, hc_upper * A), A)
 
-    premise_house = compare_house(points[n], A, accuracy_bits)
+    premise_house = compare_house(points[n], A)
 
     counterexamples = []
     house_checks = []
     if premise_house:
         for j in range(n):
-            hr = house(points[j], accuracy_bits)
+            hr = house(points[j])
             entry = {
                 "j": j,
                 "house_upper": str(hr.upper),
@@ -433,13 +414,7 @@ class ScanResult:
 _SCAN_RESULTS: weakref.WeakValueDictionary[tuple, ScanResult] = weakref.WeakValueDictionary()
 
 
-def scan_roots_of_unity(
-    h: RatFunc,
-    order_cap: int,
-    A,
-    *,
-    accuracy_bits: int = DEFAULT_HOUSE_BITS,
-) -> ScanResult:
+def scan_roots_of_unity(h: RatFunc, order_cap: int, A) -> ScanResult:
     """All roots of unity of order <= cap whose image lands in P_A.
 
     Hits are exact where decidable; enclosure-straddling cases are
@@ -483,9 +458,9 @@ def scan_roots_of_unity(
                 value = evaluate(h, CycNum.zeta(order, k))
                 verdict = hr = None
                 if value is not None:
-                    verdict = in_PA(value, A, accuracy_bits)
+                    verdict = in_PA(value, A)
                     if verdict != NONMEMBER:
-                        hr = house(value, accuracy_bits)
+                        hr = house(value)
                 for u, t in lifts:
                     found[k * u % order] = (value, t, verdict, hr)
             value, t, verdict, hr = found[k]

@@ -23,6 +23,7 @@ from .avoidance import (
     scan_roots_of_unity,
 )
 from .cyclotomic import (
+    DEFAULT_ACCURACY_BITS,
     UNDECIDED,
     LoxtonProfile,
     RootOfUnity,
@@ -269,7 +270,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("house", help="rigorous house enclosure of a scalar")
     p.add_argument("expr")
-    p.add_argument("--bits", type=int, default=64)
+    p.add_argument("--bits", type=int, default=DEFAULT_ACCURACY_BITS)
     p.set_defaults(func=_cmd_house)
 
     p = sub.add_parser("integer", help="algebraic integrality test")

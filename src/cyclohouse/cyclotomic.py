@@ -56,11 +56,20 @@ UNDECIDED = "undecided"
 
 
 def precision_cap() -> int:
-    """Working-precision ceiling in bits (env CYCLOHOUSE_PRECISION_CAP)."""
+    """Working-precision ceiling in bits (env CYCLOHOUSE_PRECISION_CAP).
+
+    Raises DomainError for a value that is not an integer >= 64.
+    """
+    text = os.environ.get("CYCLOHOUSE_PRECISION_CAP", "4096")
     try:
-        return max(64, int(os.environ.get("CYCLOHOUSE_PRECISION_CAP", "4096")))
+        cap = int(text)
     except ValueError:
-        return 4096
+        cap = 0
+    if cap < 64:
+        raise DomainError(
+            f"CYCLOHOUSE_PRECISION_CAP must be an integer >= 64, got {text!r}"
+        )
+    return cap
 
 
 @lru_cache(maxsize=None)
@@ -739,11 +748,7 @@ def conjugate(a: CycNum, t: int) -> CycNum:
     t %= n
     if t == 1 or n == 1:
         return a
-    # Reuse a's numerator objects for equal values: a scan result holds
-    # many conjugates of one value, and this keeps one copy of each.
-    same = {c: c for c in a.num}
-    num = _sigma_coords(_cyclotomy(n), a.num, t)
-    return _new(n, tuple(same.get(c, c) for c in num), a.den)
+    return _new(n, tuple(_sigma_coords(_cyclotomy(n), a.num, t)), a.den)
 
 
 def is_algebraic_integer(a: CycNum) -> bool:
@@ -824,12 +829,14 @@ def _max_square_bounds(a: CycNum, prec: int) -> tuple[int, int]:
     return bounds
 
 
-def _rungs(a: CycNum, accuracy_bits: int, cap: int):
+def _rungs(a: CycNum, accuracy_bits: int):
     """The precision ladder of an irrational a, as (prec, lo, hi, scale).
 
     lo <= scale^2 * max_t |sigma_t(a)|^2 <= hi with scale = 2^prec * a.den;
-    prec starts at a 64-bit bucket and doubles while it is at most cap.
+    prec starts at a 64-bit bucket and doubles while it is at most
+    ``precision_cap()``.
     """
+    cap = precision_cap()
     den = a.den
     nnz = len(a.num) - a.num.count(0)
     # Round the working precision up to a coarse bucket so the cached
@@ -842,12 +849,7 @@ def _rungs(a: CycNum, accuracy_bits: int, cap: int):
         prec *= 2
 
 
-def house(
-    a: CycNum,
-    accuracy_bits: int = DEFAULT_ACCURACY_BITS,
-    *,
-    cap: int | None = None,
-) -> HouseResult:
+def house(a: CycNum, accuracy_bits: int = DEFAULT_ACCURACY_BITS) -> HouseResult:
     """Enclose max over conjugates of |a| to within 2^-accuracy_bits.
 
     Each conjugate sigma_t(a) is evaluated at zeta_n = exp(2*pi*i/n)
@@ -859,18 +861,17 @@ def house(
     """
     if accuracy_bits < 1:
         raise DomainError("accuracy_bits must be >= 1")
-    cap = precision_cap() if cap is None else cap
     if a.n == 1:
         v = abs(a.as_rational())
         return HouseResult(v, v, accuracy_bits)
-    for prec, lo2, hi2, scale in _rungs(a, accuracy_bits, cap):
+    for prec, lo2, hi2, scale in _rungs(a, accuracy_bits):
         lo = isqrt_floor(lo2)
         hi = isqrt_ceil(hi2)
         # width (hi - lo) / scale <= 2^-accuracy_bits, compared on integers
         if (hi - lo) << accuracy_bits <= scale:
             return HouseResult(Fraction(lo, scale), Fraction(hi, scale), prec)
     raise UndecidedError(
-        f"house computation needs more than the {cap}-bit precision cap"
+        f"house computation needs more than the {precision_cap()}-bit precision cap"
     )
 
 
@@ -920,13 +921,7 @@ def is_root_of_unity(a: CycNum) -> RootOfUnity | None:
     return _cyclotomy(a.n).root_of_unity(a.num)
 
 
-def in_PA(
-    a: CycNum,
-    A,
-    accuracy_bits: int = DEFAULT_ACCURACY_BITS,
-    *,
-    cap: int | None = None,
-) -> str:
+def in_PA(a: CycNum, A) -> str:
     """Membership of a in P_A (algebraic integers of house at most A).
 
     Returns "member", "nonmember" or "undecided" (``compare_house``):
@@ -938,19 +933,13 @@ def in_PA(
         raise DomainError("A must be at least 1")
     if not is_algebraic_integer(a):
         return NONMEMBER
-    at_most = compare_house(a, A, accuracy_bits, cap=cap)
+    at_most = compare_house(a, A)
     if at_most is None:
         return UNDECIDED
     return MEMBER if at_most else NONMEMBER
 
 
-def compare_house(
-    a: CycNum,
-    A,
-    accuracy_bits: int = DEFAULT_ACCURACY_BITS,
-    *,
-    cap: int | None = None,
-) -> bool | None:
+def compare_house(a: CycNum, A) -> bool | None:
     """Decide house(a) <= A for rational A: True or False, or None.
 
     A < 0, rational a (zero included) and A = 1 for an algebraic
@@ -970,9 +959,8 @@ def compare_house(
         return abs(a.as_rational()) <= A
     if A == 1 and is_algebraic_integer(a):
         return is_root_of_unity(a) is not None
-    cap = precision_cap() if cap is None else cap
     p, q2 = A.numerator, A.denominator**2
-    for _, lo, hi, scale in _rungs(a, accuracy_bits, cap):
+    for _, lo, hi, scale in _rungs(a, DEFAULT_ACCURACY_BITS):
         # lo/scale^2 <= house^2 <= hi/scale^2 against A^2 = p^2/q2
         bound = (p * scale) ** 2
         if hi * q2 <= bound:
@@ -1032,12 +1020,11 @@ class LoxtonProfile:
         return best
 
 
-def loxton_decompose(
-    a: CycNum,
-    d_max: int,
-    *,
-    max_half_table: int = 2_000_000,
-) -> list[tuple[CycNum, RootOfUnity]] | None:
+#: Most entries one half of the meet-in-the-middle Loxton search may hold.
+LOXTON_HALF_TABLE_CEILING = 2_000_000
+
+
+def loxton_decompose(a: CycNum, d_max: int) -> list[tuple[CycNum, RootOfUnity]] | None:
     """Shortest representation of a as a sum of roots of unity.
 
     The search space is restricted to roots of unity living in
@@ -1064,9 +1051,9 @@ def loxton_decompose(
     for d in range(2, d_max + 1):
         d1 = d // 2
         d2 = d - d1
-        if math.comb(m_tor + d1 - 1, d1) > max_half_table:
+        if math.comb(m_tor + d1 - 1, d1) > LOXTON_HALF_TABLE_CEILING:
             raise ResourceLimitError(
-                f"loxton search table would exceed {max_half_table} entries"
+                f"loxton search table would exceed {LOXTON_HALF_TABLE_CEILING} entries"
             )
         left: dict[tuple[int, ...], tuple[int, ...]] = {}
         for combo in itertools.combinations_with_replacement(range(m_tor), d1):

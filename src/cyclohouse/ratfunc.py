@@ -13,11 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .cyclotomic import CycNum
 from .errors import DomainError, ResourceLimitError
 
-#: Default ceiling for iterate() expansion, in projected monomials.
+#: Ceiling for iterate() expansion, in projected monomials.
 DEFAULT_ITERATE_CEILING = 1_000_000
 
 
@@ -471,9 +472,7 @@ def compose(h1: RatFunc, h2: RatFunc) -> RatFunc:
     return RatFunc._from_coprime(num, den)
 
 
-def iterate(
-    h: RatFunc, n: int, *, monomial_ceiling: int = DEFAULT_ITERATE_CEILING
-) -> RatFunc:
+def iterate(h: RatFunc, n: int) -> RatFunc:
     """n-fold composition of h with itself; iterate(h, 0) = x."""
     if n < 0:
         raise DomainError("iteration count must be nonnegative")
@@ -482,10 +481,10 @@ def iterate(
     d = degree(h)
     if d >= 2:
         projected = d**n
-        if 2 * (projected + 1) > monomial_ceiling:
+        if 2 * (projected + 1) > DEFAULT_ITERATE_CEILING:
             raise ResourceLimitError(
                 f"iterate would expand to about {projected} monomials "
-                f"(ceiling {monomial_ceiling})"
+                f"(ceiling {DEFAULT_ITERATE_CEILING})"
             )
     out = h
     for _ in range(n - 1):
@@ -525,30 +524,27 @@ def to_laurent(h: RatFunc) -> LaurentPoly | None:
     return LaurentPoly([(i - k, c) for i, c in enumerate(h.num.coeffs) if c])
 
 
-_CHEB_CACHE: list[Poly] = []
-
-
+@lru_cache(maxsize=None)
 def chebyshev(d: int) -> Poly:
     """Monic degree-d polynomial with T_d(t + 1/t) = t^d + t^-d.
 
-    Built by the recurrence T_1 = x, T_2 = x^2 - 2,
-    T_{d+1} = x*T_d - T_{d-1}; each new polynomial is verified against
-    the defining identity by exact Laurent substitution.
+    Built on integers by the recurrence T_0 = 2, T_1 = x,
+    T_{k+1} = x*T_k - T_{k-1}, and verified against the defining
+    identity by expanding T_d(t + 1/t) on integers.
     """
     if d < 1:
         raise DomainError("chebyshev index must be >= 1")
-    if not _CHEB_CACHE:
-        _CHEB_CACHE.append(Poly([2]))  # T_0
-        _CHEB_CACHE.append(Poly.x())  # T_1
-    x = Poly.x()
-    while len(_CHEB_CACHE) <= d:
-        k = len(_CHEB_CACHE)
-        t_k = x * _CHEB_CACHE[k - 1] - _CHEB_CACHE[k - 2]
-        expected = LaurentPoly([(k, 1), (-k, 1)])
-        if substitute_poly_laurent(t_k, LaurentPoly.x_plus_inverse_x()) != expected:
-            raise AssertionError(f"chebyshev recurrence failed identity at d={k}")
-        _CHEB_CACHE.append(t_k)
-    return _CHEB_CACHE[d]
+    prev, cur = [2], [0, 1]
+    for _ in range(d - 1):
+        prev, cur = cur, [a - b for a, b in zip([0, *cur], prev + [0, 0])]
+    # Horner in t + 1/t; acc[i] is the coefficient of t^(i - d)
+    acc = [0] * (2 * d + 1)
+    for c in reversed(cur):
+        acc = [a + b for a, b in zip([0, *acc[:-1]], [*acc[1:], 0])]
+        acc[d] += c
+    if acc != [1] + [0] * (2 * d - 1) + [1]:
+        raise AssertionError(f"chebyshev recurrence failed identity at d={d}")
+    return Poly(cur)
 
 
 @dataclass(frozen=True)

@@ -340,7 +340,7 @@ class TestScan:
         assert key not in _SCAN_RESULTS
 
 
-def _per_root_scan(h, order_cap, A, bits=64):
+def _per_root_scan(h, order_cap, A):
     """Oracle: the scan evaluated at every primitive root separately."""
     import math
 
@@ -357,11 +357,11 @@ def _per_root_scan(h, order_cap, A, bits=64):
             if v is None:
                 poles.append(xi)
                 continue
-            verdict = in_PA(v, A, bits)
+            verdict = in_PA(v, A)
             if verdict == "member":
-                hits.append(ScanHit(xi, v, house(v, bits)))
+                hits.append(ScanHit(xi, v, house(v)))
             elif verdict == "undecided":
-                undecided.append(ScanHit(xi, v, house(v, bits)))
+                undecided.append(ScanHit(xi, v, house(v)))
     return ScanResult(tuple(hits), tuple(undecided), tuple(poles))
 
 
@@ -418,9 +418,9 @@ class TestOrbitScan:
 
         asked = []
 
-        def straddles_at_z5(value, A, bits=64):
+        def straddles_at_z5(value, A):
             asked.append(value)
-            return "undecided" if value == z(5) else in_PA(value, A, bits)
+            return "undecided" if value == z(5) else in_PA(value, A)
 
         monkeypatch.setattr(avoidance_mod, "in_PA", straddles_at_z5)
         got = scan_roots_of_unity(RatFunc.from_poly(P(0, 1)), 5, 2)

@@ -144,6 +144,38 @@ def test_precision_cap_env_variable(monkeypatch):
     assert precision_cap() == 4096
 
 
+@pytest.mark.parametrize("value", ["abc", "10", "63", "-1", ""])
+def test_malformed_precision_cap_is_a_domain_error(monkeypatch, value):
+    monkeypatch.setenv("CYCLOHOUSE_PRECISION_CAP", value)
+    code, out = _run(["pa", "1 + z5", "--A", "2"])
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "domain"
+    assert "CYCLOHOUSE_PRECISION_CAP" in error["message"]
+
+
+def test_no_per_call_precision_or_ceiling_parameters():
+    import inspect
+
+    from cyclohouse import avoidance, cyclotomic, ratfunc
+
+    knobs = {"cap", "accuracy_bits", "monomial_ceiling", "max_half_table"}
+    functions = [
+        cyclotomic.in_PA,
+        cyclotomic.compare_house,
+        cyclotomic.loxton_decompose,
+        avoidance.monic_normalize,
+        avoidance.escape_radius,
+        avoidance.orbit,
+        avoidance.verify_orbit_lemma,
+        avoidance.scan_roots_of_unity,
+        ratfunc.iterate,
+    ]
+    for f in functions:
+        assert not knobs & set(inspect.signature(f).parameters), f.__name__
+    assert "cap" not in inspect.signature(cyclotomic.house).parameters
+
+
 def test_unexpected_exception_is_internal_error(monkeypatch):
     import cyclohouse.cli as cli_mod
 

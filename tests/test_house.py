@@ -55,10 +55,11 @@ def test_requested_accuracy_met():
         assert hr.width <= Fraction(1, 2**bits)
 
 
-def test_precision_cap_raises():
+def test_precision_cap_raises(monkeypatch):
+    monkeypatch.setenv("CYCLOHOUSE_PRECISION_CAP", "256")
     a = CycNum.from_rational(1) + z(5)
     with pytest.raises(UndecidedError):
-        house(a, 10**6, cap=256)
+        house(a, 10**6)
 
 
 def test_house_invariant_under_galois(rng):
@@ -206,13 +207,15 @@ def test_scan_computes_verdict_and_house_once_per_orbit(monkeypatch, h, c):
 FIB_RATIO = Fraction(573147844013817084101, 354224848179261915075)
 
 
-def test_compare_house_ladder():
+def test_compare_house_ladder(monkeypatch):
     golden = CycNum.from_rational(1) + z(5)  # house (1 + sqrt 5)/2
     assert compare_house(golden, Fraction(17, 10)) is True
     assert compare_house(golden, Fraction(3, 2)) is False
     # no rung up to 128 bits separates the house from FIB_RATIO
-    assert compare_house(golden, FIB_RATIO, cap=128) is None
-    assert in_PA(golden, FIB_RATIO, cap=128) == "undecided"
+    monkeypatch.setenv("CYCLOHOUSE_PRECISION_CAP", "128")
+    assert compare_house(golden, FIB_RATIO) is None
+    assert in_PA(golden, FIB_RATIO) == "undecided"
+    monkeypatch.delenv("CYCLOHOUSE_PRECISION_CAP")
     assert compare_house(golden, FIB_RATIO) is True
 
 
@@ -233,7 +236,8 @@ def test_compare_house_decides_zero_and_torsion_exactly(monkeypatch):
     golden = CycNum.from_rational(1) + z(5)
     assert compare_house(golden, Fraction(17, 10)) is True
     assert compare_house(golden, Fraction(3, 2)) is False
-    assert compare_house(z(3) * 2, 2, cap=64) is True
+    monkeypatch.setenv("CYCLOHOUSE_PRECISION_CAP", "64")
+    assert compare_house(z(3) * 2, 2) is True
 
 
 def test_negative_bound_is_never_met():
@@ -263,11 +267,15 @@ _BOUNDARY = [(z(3) * 2, 2), (z(4) * 4 + 3, 5), (z(3) * 8 + 5, 7)] + [
 
 
 @pytest.mark.parametrize("a, A", _BOUNDARY)
-def test_boundary_is_decided_exactly(a, A):
+def test_boundary_is_decided_exactly(a, A, monkeypatch):
     assert abs(_house_mp(a) - A) < mpmath.mpf(2) ** -900
-    for cap in (64, 128, None):
-        assert compare_house(a, A, cap=cap) is True
-        assert in_PA(a, A, cap=cap) == "member"
+    for cap in ("64", "128", None):
+        if cap is None:
+            monkeypatch.delenv("CYCLOHOUSE_PRECISION_CAP")
+        else:
+            monkeypatch.setenv("CYCLOHOUSE_PRECISION_CAP", cap)
+        assert compare_house(a, A) is True
+        assert in_PA(a, A) == "member"
     eps = Fraction(1, 2**200)
     assert compare_house(a, A + eps) is True
     assert compare_house(a, A - eps) is False

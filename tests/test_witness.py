@@ -3,6 +3,7 @@ import io
 import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -42,8 +43,10 @@ from cyclohouse.cli import main
 from cyclohouse.witness import (
     _ZERO_VALUE,
     _identity_candidate,
+    _is_prime,
     _ModularScreen,
     _pole_laurent,
+    _screen_field,
     _targeted_candidates,
     _try_inner_map,
 )
@@ -221,6 +224,12 @@ class TestGrid:
         assert SearchGrid().entries() is SearchGrid().entries()
         assert all(gv.value == CycNum.zeta(*gv.rou) for gv in SearchGrid().entries() if gv.rou)
 
+    @pytest.mark.parametrize("grid", [SearchGrid(), SearchGrid(6, 3), SearchGrid(1, 1)])
+    def test_each_value_listed_once(self, grid):
+        # -1 is the root of unity (2, 1), not also the rational -1
+        entries = grid.entries()
+        assert len({gv.value for gv in entries}) == len(entries)
+
 
 HALF_SHIFT = RatFunc.from_poly(P(Fraction(-1, 2), Fraction(1, 2)))
 
@@ -265,6 +274,49 @@ def _chebyshev_ints(d):
     for _ in range(d - 1):
         prev, cur = cur, [a - b for a, b in zip([0, *cur], prev + [0, 0])]
     return Poly(cur)
+
+
+def test_chebyshev_is_built_on_integers():
+    chebyshev.cache_clear()
+    start = time.process_time()
+    t120 = chebyshev(120)
+    assert time.process_time() - start < 0.05
+    assert t120 == _chebyshev_ints(120)
+
+
+class TestScreenField:
+    def test_default_grid_field_is_unchanged(self):
+        # N = lcm(2, 1..12), 2N and 13N: fields the default grid screens in
+        assert _screen_field(27720) == (16936921, 7054944)
+        assert _screen_field(55440) == (17075521, 14303671)
+        assert _screen_field(360360) == (16936921, 16368869)
+
+    def test_primality_test(self):
+        from cyclohouse.cyclotomic import factorize
+
+        assert all(_is_prime(n) == (factorize(n) == ((n, 1),)) for n in range(1, 5000))
+        # strong pseudoprimes to the first 4, 9 and 12 prime bases
+        for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+            assert not _is_prime(n)
+        assert _is_prime(2**61 - 1) and _is_prime(2**89 - 1)
+
+    def test_grid_40_answers(self):
+        buf = io.StringIO()
+        start = time.process_time()
+        with contextlib.redirect_stdout(buf):
+            code = main(["witness-search", "x^3 + 2*x + 5", "--dmax", "2", "--gridM", "40"])
+        assert time.process_time() - start < 5
+        assert code == 0 and json.loads(buf.getvalue()) == {"witness": None}
+
+    def test_grid_60_is_a_resource_error(self):
+        # lcm(1..60) is past the bound of the deterministic primality test
+        buf = io.StringIO()
+        start = time.process_time()
+        with contextlib.redirect_stdout(buf):
+            code = main(["witness-search", "x^3 + 2*x + 5", "--dmax", "2", "--gridM", "60"])
+        assert time.process_time() - start < 1
+        assert code == 3
+        assert json.loads(buf.getvalue())["error"]["type"] == "resource"
 
 
 class TestModularScreen:
