@@ -211,18 +211,37 @@ def _cmd_scan(args) -> int:
 def _cmd_witness_check(args) -> int:
     h = parse_ratfunc(args.h)
     s_map = parse_ratfunc(args.S)
-    try:
-        raw_terms = json.loads(args.terms)
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"terms must be JSON: {exc}") from exc
-    terms = []
-    for entry in raw_terms:
-        beta = RootOfUnity.make(int(entry["beta"]["order"]), int(entry["beta"]["exp"]))
-        e = parse_scalar(entry.get("e", "1"))
-        terms.append((beta, e, int(entry["n"])))
-    w = Witness(tuple(terms), s_map)
+    w = Witness(tuple(_witness_terms(args.terms)), s_map)
     _emit({"valid": witness_check(h, w), "witness": w.to_dict()})
     return EXIT_OK
+
+
+def _witness_terms(text: str) -> list:
+    """--terms: a JSON list of {"beta": {"order", "exp"}, "e", "n"} objects."""
+    try:
+        raw_terms = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DomainError(f"terms must be JSON: {exc}") from exc
+    if not isinstance(raw_terms, list):
+        raise DomainError("terms must be a JSON list of objects")
+    terms = []
+    for entry in raw_terms:
+        beta = entry.get("beta") if isinstance(entry, dict) else None
+        if not isinstance(beta, dict):
+            raise DomainError('each term must be an object with a "beta" object')
+        root = RootOfUnity.make(_json_int(beta, "order"), _json_int(beta, "exp"))
+        e = entry.get("e", "1")
+        if not isinstance(e, str):
+            raise DomainError('term key "e" must be a string')
+        terms.append((root, parse_scalar(e), _json_int(entry, "n")))
+    return terms
+
+
+def _json_int(obj: dict, key: str) -> int:
+    value = obj.get(key)
+    if type(value) is not int:  # bool is an int subclass; JSON true is not a number
+        raise DomainError(f'term key "{key}" must be present and an integer')
+    return value
 
 
 def _cmd_witness_search(args) -> int:

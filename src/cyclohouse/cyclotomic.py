@@ -993,6 +993,8 @@ class LoxtonProfile:
         last_x = None
         last_d = None
         for x, d in self.budget:
+            if d < 0:
+                raise DomainError("budget values must be nonnegative")
             if last_x is not None and (x < last_x or d < last_d):
                 raise DomainError("budget must be monotone nondecreasing")
             last_x, last_d = x, d

@@ -5,10 +5,12 @@ The decision runs in two layers.
 Polynomial layer: an affine conjugacy (ux + v) taking h to one of the
 models forces v = -a_{d-1}/(d a_d) (the unique recentering killing the
 x^(d-1) coefficient) and pins u by u^(d-1) = eps/a_d, so the search
-space collapses to finitely many exactly-verifiable candidates.  A
-non-affine conjugator never helps for polynomial h: the power models'
-extra symmetry x -> c/x folds any such conjugacy back into an affine
-one, and T_d has no totally ramified fixed point besides infinity.
+space collapses to finitely many candidates, each read off the
+recentred coefficients q = h(x + v): the conjugate by ux + v has x^k
+coefficient q_k u^(k-1) and constant (q_0 - v)/u.  A non-affine
+conjugator never helps for polynomial h: the power models' extra
+symmetry x -> c/x folds any such conjugacy back into an affine one, and
+T_d has no totally ramified fixed point besides infinity.
 
 Rational layer: a non-polynomial special map must have a finite totally
 ramified fixed point gamma (the image of infinity under the
@@ -16,7 +18,8 @@ conjugation).  Such points are roots of multiplicity d-1 of the
 Wronskian num'*den - num*den', of which there are at most two, located
 by gcd/derivative computations alone; each candidate is checked by the
 exact shape identity num - gamma*den = c*(x-gamma)^d and, on success,
-conjugated to the polynomial layer by gamma + 1/x.
+conjugated to the polynomial layer by gamma + 1/x.  That conjugate,
+x^d den(gamma + 1/x)/c, comes from one Taylor shift of the denominator.
 
 Root extraction stays inside the cyclotomic closure: for rational s > 0
 the r-th root lies in the field iff s^(2/r) is rational, in which case
@@ -60,14 +63,7 @@ class SpecialCertificate:
     degree: int
 
     def model(self) -> RatFunc:
-        d = self.degree
-        if self.model_kind == MODEL_POWER:
-            return RatFunc.from_poly(Poly.x().pow(d))
-        if self.model_kind == MODEL_NEG_POWER:
-            return RatFunc.from_poly(Poly.x().pow(d).scale(-1))
-        if self.model_kind == MODEL_CHEBYSHEV:
-            return RatFunc.from_poly(chebyshev(d))
-        raise DomainError(f"unknown model kind {self.model_kind}")
+        return RatFunc.from_poly(_model_poly(self.model_kind, self.degree))
 
     def model_name(self) -> str:
         if self.model_kind == MODEL_POWER:
@@ -75,6 +71,16 @@ class SpecialCertificate:
         if self.model_kind == MODEL_NEG_POWER:
             return f"-x^{self.degree}"
         return f"T_{self.degree}"
+
+
+def _model_poly(kind: str, d: int) -> Poly:
+    if kind == MODEL_POWER:
+        return Poly.x().pow(d)
+    if kind == MODEL_NEG_POWER:
+        return Poly.x().pow(d).scale(-1)
+    if kind == MODEL_CHEBYSHEV:
+        return chebyshev(d)
+    raise DomainError(f"unknown model kind {kind}")
 
 
 @dataclass(frozen=True)
@@ -238,48 +244,38 @@ def is_special(h: RatFunc) -> SpecialVerdict:
     d = degree(h)
     if d < 2:
         raise DomainError("is_special requires degree >= 2")
-    if h.is_poly():
-        return _special_polynomial(h)
-    return _special_rational(h)
+    if not h.is_poly():
+        return _special_rational(h)
+    verdict = _special_polynomial(h.num)
+    cert = verdict.certificate
+    if cert is not None and mobius_conjugate(h, cert.mobius) != cert.model():
+        raise AssertionError("special certificate failed to verify")
+    return verdict
 
 
-def _special_polynomial(h: RatFunc) -> SpecialVerdict:
-    p = h.num
+def _special_polynomial(p: Poly) -> SpecialVerdict:
     d = p.deg
-    a_d = p[d]
-    v = (-p[d - 1]) * (a_d * d).inverse()
+    a_d_inv = p[d].inverse()
+    v = (-p[d - 1]) * a_d_inv * Fraction(1, d)
     q = p.taylor_shift(v)  # h(x + v)
     unknown = False
 
     middles_vanish = all(not q[k] for k in range(1, d)) and q[0] == v
-    if middles_vanish:
-        for sign, kind in ((1, MODEL_POWER), (-1, MODEL_NEG_POWER)):
-            w = CycNum.from_rational(sign) * a_d.inverse()
-            roots, decisive = nth_roots_in_cyclotomic(w, d - 1)
-            if not decisive:
-                unknown = True
-            cert = _try_candidates(h, roots, v, kind, d)
-            if cert:
+    powers = ((1, MODEL_POWER), (-1, MODEL_NEG_POWER)) if middles_vanish else ()
+    for sign, kind in powers + ((1, MODEL_CHEBYSHEV),):
+        roots, decisive = nth_roots_in_cyclotomic(a_d_inv * sign, d - 1)
+        if not decisive:
+            unknown = True
+        model = _model_poly(kind, d)
+        for u in roots:
+            # (q(u x) - v)/u coefficientwise, its constant compared times u
+            if q[0] - v == model[0] * u and all(
+                q[k] * u ** (k - 1) == model[k] for k in range(1, d + 1)
+            ):
+                cert = SpecialCertificate(Mobius.affine(u, v), kind, d)
                 return SpecialVerdict(STATUS_SPECIAL, cert)
 
-    w = a_d.inverse()
-    roots, decisive = nth_roots_in_cyclotomic(w, d - 1)
-    if not decisive:
-        unknown = True
-    cert = _try_candidates(h, roots, v, MODEL_CHEBYSHEV, d)
-    if cert:
-        return SpecialVerdict(STATUS_SPECIAL, cert)
-
     return SpecialVerdict(STATUS_UNKNOWN if unknown else STATUS_NOT_SPECIAL)
-
-
-def _try_candidates(h, roots, v, kind, d) -> SpecialCertificate | None:
-    for u in roots:
-        m = Mobius.affine(u, v)
-        cert = SpecialCertificate(m, kind, d)
-        if mobius_conjugate(h, m) == cert.model():
-            return cert
-    return None
 
 
 def _special_rational(h: RatFunc) -> SpecialVerdict:
@@ -335,12 +331,13 @@ def _certify_via_fixed_point(h: RatFunc, gamma: CycNum, d: int):
     target = Poly([-gamma, CycNum.one]).pow(d).scale(c)
     if head != target:
         return STATUS_NOT_SPECIAL
-    mu = Mobius(gamma, CycNum.one, CycNum.one, CycNum.zero)  # x -> gamma + 1/x
-    g = mobius_conjugate(h, mu)
-    if not g.is_poly():
-        return STATUS_NOT_SPECIAL
+    # h(gamma + 1/x) - gamma = c x^-d / den(gamma + 1/x), so the conjugate is
+    # den's Taylor coefficients at gamma over c, reversed; den(gamma) != 0.
+    shifted = h.den.taylor_shift(gamma).scale(c.inverse())
+    g = Poly([shifted[d - k] for k in range(d + 1)])
     sub = _special_polynomial(g)
     if sub.status == STATUS_SPECIAL:
+        mu = Mobius(gamma, CycNum.one, CycNum.one, CycNum.zero)  # x -> gamma + 1/x
         m_full = mu.compose(sub.certificate.mobius)
         cert = SpecialCertificate(m_full, sub.certificate.model_kind, d)
         if mobius_conjugate(h, m_full) == cert.model():

@@ -508,3 +508,11 @@ class TestVerdict:
     def test_constant_rejected(self):
         with pytest.raises(DomainError):
             avoidance_verdict(RatFunc.const(1), 1, LoxtonProfile.default(1))
+
+    def test_negative_budget_rejected(self):
+        # (2*budget+1)^2 would read 1 and claim a search that never ran
+        with pytest.raises(DomainError):
+            LoxtonProfile.default(-1)
+        with pytest.raises(DomainError):
+            LoxtonProfile(Fraction(1), (CycNum.one,), ((Fraction(0), 2), (Fraction(5), -3)))
+        assert LoxtonProfile.default(0).budget_value(1) == 0

@@ -188,3 +188,32 @@ def test_unexpected_exception_is_internal_error(monkeypatch):
     doc = json.loads(out)
     assert doc["error"]["type"] == "internal"
     assert "simulated failure" in doc["error"]["message"]
+
+
+WITNESS_CHECK = ["witness-check", "x^2 - 2", "--S", "x + x^-1", "--terms"]
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        "[1]",
+        '{"a":1}',
+        '[{"beta":{"order":"a","exp":0},"n":2}]',
+        '[{"beta":{"order":1,"exp":0},"n":1.5}]',
+        '[{"beta":{"order":1,"exp":0}}]',
+        '[{"beta":{"order":1},"n":2}]',
+        '[{"beta":{"order":1,"exp":true},"n":2}]',
+        '[{"beta":{"order":1,"exp":0},"e":1,"n":2}]',
+        '[{"n":2}]',
+    ],
+)
+def test_malformed_witness_terms_are_domain_errors(terms):
+    code, out = _run(WITNESS_CHECK + [terms])
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "domain"
+
+
+def test_negative_budget_is_a_domain_error():
+    code, out = _run(["verdict", "x^3 + 2", "--A", "2", "--budget", "-1"])
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "domain"

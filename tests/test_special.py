@@ -24,13 +24,15 @@ from cyclohouse import (
     mobius_conjugate,
     ratfunc_new,
 )
+from cyclohouse.cyclotomic import euler_phi
 from cyclohouse.special import (
     exact_nth_root_fraction,
     nth_roots_in_cyclotomic,
     sqrt_rational_cyc,
 )
 
-from .conftest import random_cycnum
+from .conftest import random_cycnum, random_poly, random_ratfunc
+from .special_reference import reference_is_special
 
 
 def z(n, k=1):
@@ -283,3 +285,83 @@ class TestCompletenessCrossCheck:
             oracle = _oracle_affine_special(p)
             assert verdict.status in ("special", "not_special")
             assert (verdict.status == "special") == bool(oracle), p
+
+
+def _sweep_element(rng, n):
+    """A nonzero element of Q(zeta_n): mostly a rational times a root of unity."""
+    if rng.random() < 0.6:
+        scale = Fraction(rng.choice([1, -1, 2, -3]), rng.randint(1, 2))
+        return CycNum.zeta(n, rng.randrange(n)) * scale
+    while True:
+        coords = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(euler_phi(n))]
+        v = CycNum(n, coords)
+        if v:
+            return v
+
+
+def _sweep_maps(rng):
+    """x^d, -x^d and T_d for d = 2..6 under affine and non-affine conjugation
+    over Q and five cyclotomic fields, each also perturbed by + x, plus
+    random polynomials and rational maps."""
+    maps = []
+    for d in range(2, 7):
+        for model in (Poly.x().pow(d), Poly.x().pow(d).scale(-1), chebyshev(d)):
+            for n in (1, 3, 4, 5, 8, 12):
+                affine = Mobius.affine(_sweep_element(rng, n), _sweep_element(rng, n))
+                while True:
+                    a, b, c, e = (_sweep_element(rng, n) for _ in range(4))
+                    if a * e != b * c:
+                        break
+                for m in (affine, Mobius(a, b, c, e)):
+                    h = mobius_conjugate(RatFunc.from_poly(model), m)
+                    maps.append(h)
+                    # A degree-2 map off the polynomials has a quadratic
+                    # Wronskian; perturbed, its root can need a Gauss sum
+                    # at a large prime, which both searches take minutes on.
+                    if h.is_poly() or d > 2:
+                        maps.append(RatFunc(h.num + Poly.x(), h.den))
+    for d in range(2, 7):
+        maps.append(RatFunc.from_poly(random_poly(rng, d, height=3)))
+        maps.append(random_ratfunc(rng, d + 1, d, height=3))
+    return maps
+
+
+class TestAgainstTrialComposition:
+    """The closed-form conjugates give the verdicts of the trial compositions."""
+
+    def test_seeded_sweep_matches_reference(self, rng):
+        seen = set()
+        for h in _sweep_maps(rng):
+            verdict = is_special(h)
+            want = reference_is_special(h)
+            assert verdict.status == want.status, h
+            assert verdict.certificate == want.certificate, h
+            if verdict.certificate is not None:
+                cert = verdict.certificate
+                assert mobius_conjugate(h, cert.mobius) == cert.model(), h
+            seen.add((verdict.status, h.is_poly()))
+        layers = {(s, poly) for s in ("special", "not_special", "unknown") for poly in (True, False)}
+        assert seen == layers
+
+    def _compose_calls(self, monkeypatch, text):
+        import cyclohouse.ratfunc as ratfunc_mod
+        from cyclohouse.parser import parse_ratfunc
+
+        h = parse_ratfunc(text)
+        calls = []
+        real = ratfunc_mod.compose
+
+        def counting(h1, h2):
+            calls.append(1)
+            return real(h1, h2)
+
+        monkeypatch.setattr(ratfunc_mod, "compose", counting)
+        verdict = is_special(h)
+        return verdict.status, len(calls)
+
+    def test_no_composition_for_a_non_special_polynomial(self, monkeypatch):
+        assert self._compose_calls(monkeypatch, "x^8 + x + 1") == ("not_special", 0)
+
+    def test_one_check_for_a_special_polynomial(self, monkeypatch):
+        status, calls = self._compose_calls(monkeypatch, "x^4 - 4*x^2 + 2")
+        assert status == "special" and calls <= 2
