@@ -24,8 +24,11 @@ the standard embedding zeta_n -> exp(2*pi*i/n) with the fixed-point
 interval machinery from ``intervals``; every bound it reports is a
 rigorous enclosure.  ``house`` and ``compare_house`` (behind ``in_PA``)
 climb one precision ladder (``_rungs``) of integer bounds on the largest
-squared conjugate modulus, which an element keeps per working precision;
-the boundary house(a) = A is decided exactly, from a * conj(a) = A^2.
+squared conjugate modulus.  An element keeps those bounds per working
+precision, its ``HouseResult`` per accuracy, and a screen from its first
+rung, so that a higher rung evaluates only the conjugates that can hold
+the house (``_max_square_bounds``); the boundary house(a) = A is decided
+exactly, from a * conj(a) = A^2.
 Root-of-unity tests read a torsion table at rad(n), not at n.
 """
 
@@ -401,12 +404,15 @@ class CycNum:
     constructor accepts coordinates at any conductor (including ones
     congruent to 2 mod 4) and normalizes them.  ``num`` holds the
     integer numerators and ``den`` the positive common denominator;
-    ``coords`` gives the same values as Fractions.  ``_squares``, set on
-    the first ``house`` call, keeps the conjugate bounds per working
-    precision (``_max_square_bounds``).
+    ``coords`` gives the same values as Fractions.  ``_house``, set on
+    the first ``house`` or ``compare_house`` call, keeps what the element
+    has learnt of its house (``_HouseMemo``): the conjugate bounds per
+    working precision, the screen that lets a higher rung evaluate only
+    the conjugates that can hold the house, and the ``HouseResult`` per
+    accuracy.
     """
 
-    __slots__ = ("n", "num", "den", "_squares")
+    __slots__ = ("n", "num", "den", "_house")
 
     def __init__(self, n: int, coords):
         if n < 1:
@@ -636,7 +642,7 @@ class CycNum:
 _set_n = CycNum.n.__set__
 _set_num = CycNum.num.__set__
 _set_den = CycNum.den.__set__
-_set_squares = CycNum._squares.__set__
+_set_house = CycNum._house.__set__
 
 
 def _new(n: int, num: tuple[int, ...], den: int = 1) -> CycNum:
@@ -778,28 +784,44 @@ class HouseResult:
         }
 
 
+class _HouseMemo:
+    """What one element keeps of its house computations.
+
+    ``squares`` maps a working precision to the bounds of
+    ``_max_square_bounds``; ``screen`` is (prec0, survivors, thr) from the
+    first rung computed, or None; ``results`` maps accuracy bits to the
+    ``HouseResult`` that ``house`` returned.
+    """
+
+    __slots__ = ("squares", "screen", "results")
+
+    def __init__(self):
+        self.squares: dict[int, tuple[int, int]] = {}
+        self.screen: tuple[int, tuple[int, ...], int | None] | None = None
+        self.results: dict[int, HouseResult] = {}
+
+
+def _house_memo(a: CycNum) -> _HouseMemo:
+    memo = getattr(a, "_house", None)
+    if memo is None:
+        memo = _HouseMemo()
+        _set_house(a, memo)
+    return memo
+
+
 @lru_cache(maxsize=None)
 def _units_half(n: int) -> tuple[int, ...]:
     """Units t <= n/2; sigma_t and sigma_{n-t} give conjugate values."""
     return tuple(t for t in range(1, n // 2 + 1) if math.gcd(t, n) == 1)
 
 
-def _max_square_bounds(a: CycNum, prec: int) -> tuple[int, int]:
-    """Integer bounds on max_t |sigma_t(a)|^2 at scale (2^prec * a.den)^2.
-
-    Computed once per element and working precision: the result is kept
-    on the element itself and goes with it.
-    """
-    memo = getattr(a, "_squares", None)
-    if memo is not None:
-        hit = memo.get(prec)
-        if hit is not None:
-            return hit
-    n = a.n
-    nz = [(j, w) for j, w in enumerate(a.num) if w]
-    tab = root_table(n, prec)
+def _square_bounds(tab, n: int, nz, units) -> tuple[int, int, list[int]]:
+    """(max lo, max hi, [hi per t]) of integer bounds lo <= |sigma_t(a)|^2
+    <= hi over t in units, from the root table tab; nz holds the nonzero
+    (j, numerator) pairs of a."""
     best_lo = best_hi = 0
-    for t in _units_half(n):
+    his = []
+    for t in units:
         rl = rh = il = ih = 0
         for j, w in nz:
             e1, e2, e3, e4 = tab[(t * j) % n]
@@ -821,22 +843,76 @@ def _max_square_bounds(a: CycNum, prec: int) -> tuple[int, int]:
             best_lo = lo2
         if hi2 > best_hi:
             best_hi = hi2
-    bounds = (best_lo, best_hi)
-    if memo is None:
-        _set_squares(a, {prec: bounds})
-    else:
-        memo[prec] = bounds
+        his.append(hi2)
+    return best_lo, best_hi, his
+
+
+def _screened_bounds(tab, n: int, nz, screen, d: int) -> tuple[int, int] | None:
+    """(max lo, max hi) over the survivors of a screen made d bits lower,
+    or None when a screened-out conjugate might reach their max lo.
+
+    Every table entry is at most 2 units wide, so at this rung the real
+    and imaginary parts of each conjugate lie within W = 2 * sum |w_j| of
+    their exact scaled values, and its hi is at most
+    |z|^2 + 2W(|Re z| + |Im z|) + 2W^2 <= (thr << 2d) + 2W sqrt(2 thr) 2^d
+    + 2W^2, |z|^2 <= thr << 2d for a screened-out t.  When that is at
+    most the survivors' max lo, no screened-out t reaches either maximum,
+    and the pair equals the full loop's.
+    """
+    _, survivors, thr = screen
+    best_lo, best_hi, _ = _square_bounds(tab, n, nz, survivors)
+    if thr is not None:
+        w = 2 * sum(abs(c) for _, c in nz)
+        if (thr << 2 * d) + 2 * w * (isqrt_ceil(2 * thr) << d) + 2 * w * w > best_lo:
+            return None
+    return best_lo, best_hi
+
+
+def _max_square_bounds(a: CycNum, prec: int) -> tuple[int, int]:
+    """Integer bounds on max_t |sigma_t(a)|^2 at scale (2^prec * a.den)^2.
+
+    Computed once per element and working precision and kept on the
+    element (``_HouseMemo``).  The first rung computed evaluates every
+    unit t <= n/2 and records a screen: the survivors t with
+    hi_t >= best_lo and thr, the largest hi_t of the others.  A higher
+    rung evaluates the survivors only, unless ``_screened_bounds`` cannot
+    rule the others out; then it evaluates every t.  Either way the bounds
+    are those of the full loop.
+    """
+    memo = _house_memo(a)
+    hit = memo.squares.get(prec)
+    if hit is not None:
+        return hit
+    n = a.n
+    nz = [(j, w) for j, w in enumerate(a.num) if w]
+    tab = root_table(n, prec)
+    screen = memo.screen
+    bounds = None
+    if screen is not None and screen[0] < prec:
+        bounds = _screened_bounds(tab, n, nz, screen, prec - screen[0])
+    if bounds is None:
+        units = _units_half(n)
+        best_lo, best_hi, his = _square_bounds(tab, n, nz, units)
+        bounds = (best_lo, best_hi)
+        if screen is None:
+            survivors = []
+            thr = None
+            for t, hi in zip(units, his):
+                if hi >= best_lo:
+                    survivors.append(t)
+                elif thr is None or hi > thr:
+                    thr = hi
+            memo.screen = (prec, tuple(survivors), thr)
+    memo.squares[prec] = bounds
     return bounds
 
 
-def _rungs(a: CycNum, accuracy_bits: int):
+def _rungs(a: CycNum, accuracy_bits: int, cap: int):
     """The precision ladder of an irrational a, as (prec, lo, hi, scale).
 
     lo <= scale^2 * max_t |sigma_t(a)|^2 <= hi with scale = 2^prec * a.den;
-    prec starts at a 64-bit bucket and doubles while it is at most
-    ``precision_cap()``.
+    prec starts at a 64-bit bucket and doubles while it is at most cap.
     """
-    cap = precision_cap()
     den = a.den
     nnz = len(a.num) - a.num.count(0)
     # Round the working precision up to a coarse bucket so the cached
@@ -855,7 +931,9 @@ def house(a: CycNum, accuracy_bits: int = DEFAULT_ACCURACY_BITS) -> HouseResult:
     Each conjugate sigma_t(a) is evaluated at zeta_n = exp(2*pi*i/n)
     with outward-rounded fixed-point intervals; the working precision
     climbs the ladder (``_rungs``) until the enclosure of the maximum is
-    narrow enough.
+    narrow enough.  The result for an irrational a is kept on the
+    element, and a repeated call returns the same object while its
+    precision is within the cap.
 
     Raises UndecidedError if the precision cap is exhausted first.
     """
@@ -864,15 +942,20 @@ def house(a: CycNum, accuracy_bits: int = DEFAULT_ACCURACY_BITS) -> HouseResult:
     if a.n == 1:
         v = abs(a.as_rational())
         return HouseResult(v, v, accuracy_bits)
-    for prec, lo2, hi2, scale in _rungs(a, accuracy_bits):
+    cap = precision_cap()
+    results = _house_memo(a).results
+    hit = results.get(accuracy_bits)
+    if hit is not None and hit.precision_bits <= cap:
+        return hit
+    for prec, lo2, hi2, scale in _rungs(a, accuracy_bits, cap):
         lo = isqrt_floor(lo2)
         hi = isqrt_ceil(hi2)
         # width (hi - lo) / scale <= 2^-accuracy_bits, compared on integers
         if (hi - lo) << accuracy_bits <= scale:
-            return HouseResult(Fraction(lo, scale), Fraction(hi, scale), prec)
-    raise UndecidedError(
-        f"house computation needs more than the {precision_cap()}-bit precision cap"
-    )
+            hit = HouseResult(Fraction(lo, scale), Fraction(hi, scale), prec)
+            results[accuracy_bits] = hit
+            return hit
+    raise UndecidedError(f"house computation needs more than the {cap}-bit precision cap")
 
 
 @dataclass(frozen=True, slots=True)
@@ -960,7 +1043,7 @@ def compare_house(a: CycNum, A) -> bool | None:
     if A == 1 and is_algebraic_integer(a):
         return is_root_of_unity(a) is not None
     p, q2 = A.numerator, A.denominator**2
-    for _, lo, hi, scale in _rungs(a, DEFAULT_ACCURACY_BITS):
+    for _, lo, hi, scale in _rungs(a, DEFAULT_ACCURACY_BITS, precision_cap()):
         # lo/scale^2 <= house^2 <= hi/scale^2 against A^2 = p^2/q2
         bound = (p * scale) ** 2
         if hi * q2 <= bound:

@@ -27,12 +27,12 @@ def _cycnum_term_strings(a: CycNum) -> list[tuple[int, str]]:
         if not c:
             continue
         sign = 1 if c > 0 else -1
-        mag = Fraction(abs(c), den)
+        mag = abs(c) if den == 1 else Fraction(abs(c), den)
         if j == 0:
-            body = _format_rational(mag)
+            body = str(mag)
         else:
             zeta = f"z{n}" if j == 1 else f"z{n}^{j}"
-            body = zeta if mag == 1 else f"{_format_rational(mag)}*{zeta}"
+            body = zeta if mag == 1 else f"{mag}*{zeta}"
         out.append((sign, body))
     return out
 
@@ -133,11 +133,11 @@ _DECIMAL_PLACES = 15
 
 
 def _decimal_directed(q: Fraction, round_up: bool, places: int = _DECIMAL_PLACES) -> str:
-    scaled = q * 10**places
+    scaled = q.numerator * 10**places
     if round_up:
-        iv = -((-scaled.numerator) // scaled.denominator)
+        iv = -((-scaled) // q.denominator)
     else:
-        iv = scaled.numerator // scaled.denominator
+        iv = scaled // q.denominator
     sign = "-" if iv < 0 else ""
     digits = str(abs(iv)).rjust(places + 1, "0")
     return f"{sign}{digits[:-places]}.{digits[-places:]}"

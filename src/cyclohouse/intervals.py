@@ -20,6 +20,7 @@ import threading
 from functools import lru_cache
 
 import mpmath
+from mpmath.libmp import mpi_cos_sin
 
 # mpmath's interval context carries global precision state; serialize
 # table construction so callers may parallelize freely above us.
@@ -64,30 +65,32 @@ def root_table(n: int, scale_bits: int) -> tuple[tuple[int, int, int, int], ...]
     """Rigorous enclosures of the n-th roots of unity.
 
     Entry k is ``(re_lo, re_hi, im_lo, im_hi)`` at scale ``2^scale_bits``
-    enclosing ``exp(2*pi*i*k/n)``.  The mpmath interval context supplies
-    certified trig bounds; conversion to scaled integers rounds outward.
+    enclosing ``exp(2*pi*i*k/n)``.  One certified ``mpi_cos_sin`` call
+    per entry gives both trig bounds; conversion to scaled integers rounds
+    outward.  Every entry is at most 2 units wide, which the screen of
+    ``cyclotomic._max_square_bounds`` relies on; a wider entry raises
+    ArithmeticError.
     """
     iv = mpmath.iv
     with _TABLE_LOCK:
         old_prec = iv.prec
         try:
-            iv.prec = scale_bits + 20
+            prec = iv.prec = scale_bits + 20
             two_pi = 2 * iv.pi
             out = []
             for k in range(n):
-                theta = two_pi * k / n
-                c = iv.cos(theta)
-                s = iv.sin(theta)
-                c_lo, c_hi = c._mpi_
-                s_lo, s_hi = s._mpi_
-                out.append(
-                    (
-                        _mpf_to_scaled(c_lo, scale_bits, round_up=False),
-                        _mpf_to_scaled(c_hi, scale_bits, round_up=True),
-                        _mpf_to_scaled(s_lo, scale_bits, round_up=False),
-                        _mpf_to_scaled(s_hi, scale_bits, round_up=True),
-                    )
+                (c_lo, c_hi), (s_lo, s_hi) = mpi_cos_sin((two_pi * k / n)._mpi_, prec)
+                entry = (
+                    _mpf_to_scaled(c_lo, scale_bits, round_up=False),
+                    _mpf_to_scaled(c_hi, scale_bits, round_up=True),
+                    _mpf_to_scaled(s_lo, scale_bits, round_up=False),
+                    _mpf_to_scaled(s_hi, scale_bits, round_up=True),
                 )
+                if entry[1] - entry[0] > 2 or entry[3] - entry[2] > 2:
+                    raise ArithmeticError(
+                        f"root table entry {k} of {n} at {scale_bits} bits is over 2 units wide"
+                    )
+                out.append(entry)
             return tuple(out)
         finally:
             iv.prec = old_prec

@@ -1,0 +1,90 @@
+"""Reference house kernels, kept as oracles for the screened ladder.
+
+``square_bounds_per_unit`` is the unscreened accumulator: every unit
+t <= n/2 over the library's root table, no memo on the element;
+``max_square_bounds`` and ``screen`` read the rung bounds and the screen
+off it.
+``root_table`` builds the table with one ``iv.cos`` and one ``iv.sin``
+call per entry.  The library's ``cyclotomic._max_square_bounds`` and
+``intervals.root_table`` must give exactly the same integers.
+"""
+
+from __future__ import annotations
+
+import math
+
+import mpmath
+
+from cyclohouse import intervals
+from cyclohouse.cyclotomic import CycNum
+from cyclohouse.intervals import _mpf_to_scaled, square_interval
+
+
+def root_table(n: int, scale_bits: int) -> tuple[tuple[int, int, int, int], ...]:
+    """Enclosures of exp(2*pi*i*k/n) at scale 2^scale_bits, from iv.cos and iv.sin."""
+    iv = mpmath.iv
+    old_prec = iv.prec
+    try:
+        iv.prec = scale_bits + 20
+        two_pi = 2 * iv.pi
+        out = []
+        for k in range(n):
+            theta = two_pi * k / n
+            c_lo, c_hi = iv.cos(theta)._mpi_
+            s_lo, s_hi = iv.sin(theta)._mpi_
+            out.append(
+                (
+                    _mpf_to_scaled(c_lo, scale_bits, round_up=False),
+                    _mpf_to_scaled(c_hi, scale_bits, round_up=True),
+                    _mpf_to_scaled(s_lo, scale_bits, round_up=False),
+                    _mpf_to_scaled(s_hi, scale_bits, round_up=True),
+                )
+            )
+        return tuple(out)
+    finally:
+        iv.prec = old_prec
+
+
+def square_bounds_per_unit(a: CycNum, prec: int) -> dict[int, tuple[int, int]]:
+    """{t: (lo, hi)} bounds on |sigma_t(a)|^2 for every unit t <= n/2, at
+    scale (2^prec * a.den)^2, with no screen and no memo."""
+    n = a.n
+    nz = [(j, w) for j, w in enumerate(a.num) if w]
+    tab = intervals.root_table(n, prec)
+    out = {}
+    for t in range(1, n // 2 + 1):
+        if math.gcd(t, n) != 1:
+            continue
+        rl = rh = il = ih = 0
+        for j, w in nz:
+            e1, e2, e3, e4 = tab[(t * j) % n]
+            if w >= 0:
+                rl += w * e1
+                rh += w * e2
+                il += w * e3
+                ih += w * e4
+            else:
+                rl += w * e2
+                rh += w * e1
+                il += w * e4
+                ih += w * e3
+        s1_lo, s1_hi = square_interval(rl, rh)
+        s2_lo, s2_hi = square_interval(il, ih)
+        out[t] = (s1_lo + s2_lo, s1_hi + s2_hi)
+    return out
+
+
+def max_square_bounds(a: CycNum, prec: int) -> tuple[int, int]:
+    """(max lo, max hi) over ``square_bounds_per_unit``."""
+    pairs = square_bounds_per_unit(a, prec).values()
+    return max(lo for lo, _ in pairs), max(hi for _, hi in pairs)
+
+
+def screen(a: CycNum, prec: int) -> tuple[int, tuple[int, ...], int | None]:
+    """(prec, survivors, thr): the units t whose hi reaches the best lo, and
+    the largest hi of the others (None if there are none)."""
+    pairs = square_bounds_per_unit(a, prec)
+    best_lo = max(lo for lo, _ in pairs.values())
+    survivors = tuple(t for t, (_, hi) in pairs.items() if hi >= best_lo)
+    others = [hi for _, hi in pairs.values() if hi < best_lo]
+    return prec, survivors, max(others) if others else None

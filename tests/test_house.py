@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -17,6 +18,7 @@ from cyclohouse.avoidance import scan_roots_of_unity
 from cyclohouse.cyclotomic import compare_house, is_algebraic_integer
 from cyclohouse.ratfunc import Poly, RatFunc
 
+from . import house_reference
 from .conftest import random_cycnum
 
 
@@ -291,3 +293,100 @@ def test_near_boundary_matches_mpmath(a):
             truth = h <= mpmath.mpf(A.numerator) / A.denominator
         assert compare_house(a, A) is truth
         assert in_PA(a, A) == ("member" if truth else "nonmember")
+
+
+# -- the screened ladder and the house memo ---------------------------------------
+
+SCREEN_CONDUCTORS = (3, 4, 5, 7, 8, 12, 15, 20, 60, 420, 2520)
+
+
+def _sweep_elements(rng, n):
+    """Dense, sparse, den > 1, real and several-maxima elements at conductor n."""
+    phi = cyc.euler_phi(n)
+    sparse = sum((z(n, rng.randrange(n)) * rng.choice((1, -1, 2)) for _ in range(3)), z(n))
+    fractional = CycNum(n, [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(phi)])
+    real = sparse + cyc.conjugate(sparse, -1)
+    out = [sparse, fractional, real]
+    if n <= 420:  # dense integers; at 2520 the fractional element is dense already
+        out.append(CycNum(n, [rng.randint(-5, 5) for _ in range(phi)]))
+    # b * zeta_m with b in Q(zeta_5) or Q(i): |sigma_t| depends on t mod 5 or 4
+    # only, so the house is attained at several units t <= lcm / 2
+    for base, m in ((1 + z(5) * 2, 7), (z(4) + 3, 15), (z(5) - z(5, 2) + 1, n)):
+        out.append(base * z(m, rng.randrange(1, m)))
+    return [a for a in out if not a.is_rational]
+
+
+def _fresh(a):
+    return CycNum(a.n, a.coords)
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """(number of units evaluated, number of units t <= n/2) per kernel call."""
+    calls = []
+    real = cyc._square_bounds
+
+    def recording(tab, n, nz, units):
+        calls.append((len(units), len(cyc._units_half(n))))
+        return real(tab, n, nz, units)
+
+    monkeypatch.setattr(cyc, "_square_bounds", recording)
+    return calls
+
+
+def test_screened_rungs_equal_the_unscreened_loop(kernel_calls):
+    rng = random.Random(20261018)
+    screened = 0
+    for n in SCREEN_CONDUCTORS:
+        for a in _sweep_elements(rng, n):
+            kernel_calls.clear()
+            assert house(a, 64).width <= Fraction(1, 2**64)
+            near = house(a, 256)
+            gap = Fraction(1, 2**240)
+            assert compare_house(a, near.upper + gap) is True
+            assert compare_house(a, near.lower - gap) is False
+            if is_algebraic_integer(a) and near.lower - gap >= 1:
+                assert in_PA(a, near.upper + gap) == "member"
+                assert in_PA(a, near.lower - gap) == "nonmember"
+            screened += sum(done < total for done, total in kernel_calls)
+            memo = a._house
+            assert len(memo.squares) >= 2
+            for prec, bounds in memo.squares.items():
+                assert bounds == house_reference.max_square_bounds(_fresh(a), prec), (a, prec)
+            assert memo.screen == house_reference.screen(_fresh(a), memo.screen[0])
+    assert screened > 20
+
+
+def test_near_tie_takes_the_full_loop(kernel_calls):
+    # the conjugates of 2^320 + z7 differ in modulus by about 2^-320 of it, and
+    # W = 2 * (2^320 + 1) counts the rational coordinate, whose table entry is
+    # exact, so the test's slack exceeds that gap and the 320-bit rung cannot
+    # rule out the screened-out conjugates
+    a = z(7) + 2**320
+    house(a, 64)
+    assert kernel_calls == [(3, 3)]
+    assert a._house.screen[1] == (1,)
+    house(a, 256)
+    assert kernel_calls == [(3, 3), (1, 3), (3, 3)]
+    for prec, bounds in a._house.squares.items():
+        assert bounds == house_reference.max_square_bounds(_fresh(a), prec)
+
+
+def test_house_result_kept_on_the_element():
+    a = _sample()
+    assert house(a) is house(a)
+    assert house(a, 256) is house(a, 256)
+    assert house(a) is not house(a, 256)
+    b = _fresh(a)
+    assert house(b) == house(a) and house(b) is not house(a)
+
+
+def test_kept_result_above_a_lowered_cap_is_not_returned(monkeypatch):
+    a = z(7) * 2**80 + z(7, 2)  # house(a, 64) needs the 256-bit rung
+    kept = house(a, 64)
+    assert kept.precision_bits == 256
+    monkeypatch.setenv("CYCLOHOUSE_PRECISION_CAP", "128")
+    with pytest.raises(UndecidedError, match="128-bit precision cap"):
+        house(a, 64)
+    monkeypatch.delenv("CYCLOHOUSE_PRECISION_CAP")
+    assert house(a, 64) is kept

@@ -1,11 +1,16 @@
 import math
 from fractions import Fraction
 
+import mpmath
+
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cyclohouse import intervals
 from cyclohouse.intervals import isqrt_ceil, isqrt_floor, root_table, square_interval
 
+from . import house_reference
 from .interval_boxes import ComplexBox, RealInterval
 
 
@@ -33,6 +38,27 @@ def test_root_table_special_angles_exact():
     assert rl <= 0 <= rh and il <= 1 << 80 <= ih
     rl, rh, il, ih = tab[2]  # -1
     assert rl <= -(1 << 80) <= rh
+
+
+@pytest.mark.parametrize(
+    "n, bits", [(2520, 320), (1260, 128), (999, 256), (7, 4096), (1, 64), (4, 80)]
+)
+def test_root_table_matches_separate_cos_and_sin(n, bits):
+    tab = root_table(n, bits)
+    assert tab == house_reference.root_table(n, bits)
+    assert all(e[1] - e[0] <= 2 and e[3] - e[2] <= 2 for e in tab)
+
+
+def test_root_table_refuses_a_wide_entry(monkeypatch):
+    real = intervals.mpi_cos_sin
+
+    def widened(theta, prec):
+        (c_lo, c_hi), s = real(theta, prec)
+        return (c_lo, mpmath.libmp.mpf_add(c_hi, mpmath.libmp.from_int(1), prec)), s
+
+    monkeypatch.setattr(intervals, "mpi_cos_sin", widened)
+    with pytest.raises(ArithmeticError, match="over 2 units wide"):
+        root_table.__wrapped__(5, 64)
 
 
 @given(st.integers(-1000, 1000), st.integers(-1000, 1000))
