@@ -633,10 +633,6 @@ class CycNum:
     def to_dict(self) -> dict:
         return {"conductor": self.n, "coords": [str(c) for c in self.coords]}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "CycNum":
-        return cls(int(d["conductor"]), [Fraction(c) for c in d["coords"]])
-
 
 # Slot setters bypass CycNum.__setattr__, which refuses every assignment.
 _set_n = CycNum.n.__set__
@@ -1089,10 +1085,6 @@ class LoxtonProfile:
             E=(CycNum.one,),
             budget=((Fraction(0), int(d_max)),),
         )
-
-    @classmethod
-    def empty(cls, B=1) -> "LoxtonProfile":
-        return cls(B=Fraction(B), E=(CycNum.one,), budget=())
 
     def budget_value(self, x) -> int:
         x = Fraction(x)

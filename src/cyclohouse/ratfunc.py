@@ -585,9 +585,6 @@ class Mobius:
     def as_ratfunc(self) -> RatFunc:
         return RatFunc(Poly([self.b, self.a]), Poly([self.d, self.c]))
 
-    def is_affine(self) -> bool:
-        return not self.c
-
     def to_dict(self) -> dict:
         return {
             "a": self.a.to_dict(),

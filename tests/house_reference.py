@@ -5,8 +5,10 @@ t <= n/2 over the library's root table, no memo on the element;
 ``max_square_bounds`` and ``screen`` read the rung bounds and the screen
 off it.
 ``root_table`` builds the table with one ``iv.cos`` and one ``iv.sin``
-call per entry.  The library's ``cyclotomic._max_square_bounds`` and
-``intervals.root_table`` must give exactly the same integers.
+call per entry, and ``root_points`` gives point values of the same roots
+at twice the scale.  The library's ``cyclotomic._max_square_bounds``
+must give exactly the integers of ``max_square_bounds``, and each entry
+of ``intervals.root_table`` must contain its point.
 """
 
 from __future__ import annotations
@@ -43,6 +45,18 @@ def root_table(n: int, scale_bits: int) -> tuple[tuple[int, int, int, int], ...]
         return tuple(out)
     finally:
         iv.prec = old_prec
+
+
+def root_points(n: int, scale_bits: int) -> list[tuple[int, int]]:
+    """Nearest Gaussian integers to 2^(2 scale_bits) exp(2*pi*i*k/n), by mpmath
+    at 2 scale_bits + 20 bits for k <= n/2 and by conjugation above."""
+    with mpmath.workprec(2 * scale_bits + 20):
+        scale = mpmath.mpf(2) ** (2 * scale_bits)
+        out = []
+        for k in range(n // 2 + 1):
+            w = mpmath.expjpi(mpmath.mpf(2 * k) / n) * scale
+            out.append((int(mpmath.nint(w.real)), int(mpmath.nint(w.imag))))
+    return out + [(re, -im) for re, im in reversed(out[1 : (n + 1) // 2])]
 
 
 def square_bounds_per_unit(a: CycNum, prec: int) -> dict[int, tuple[int, int]]:

@@ -24,6 +24,7 @@ from .util import (
     circle_sample_boxes,
     coefficient_embeddings,
     embedding_abs_squared,
+    empty_profile,
     poly_box_at,
 )
 
@@ -494,7 +495,7 @@ class TestVerdict:
 
     def test_rational_threshold_rule_cited(self):
         h = ratfunc_new(P(0, 0, 1), P(1, 1))
-        v = avoidance_verdict(h, 1, LoxtonProfile.empty())
+        v = avoidance_verdict(h, 1, empty_profile())
         assert v.kind == "unknown"
         assert v.diagnostics["threshold_rule"] == "rational:2016*5^(budget+1)"
 

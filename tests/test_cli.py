@@ -7,6 +7,9 @@ A CASES entry is (argv, exit code) or (argv, exit code, environment);
 import io
 import json
 import contextlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -217,3 +220,26 @@ def test_negative_budget_is_a_domain_error():
     code, out = _run(["verdict", "x^3 + 2", "--A", "2", "--budget", "-1"])
     assert code == 1
     assert json.loads(out)["error"]["type"] == "domain"
+
+
+def test_mpmath_is_imported_only_by_a_table_build():
+    # a cold process that imports the CLI and runs a command that builds no
+    # root table must not pay for importing mpmath
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = [str(src), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    script = (
+        "import sys, io, contextlib\n"
+        "import cyclohouse.cli\n"
+        "assert 'mpmath' not in sys.modules, 'import'\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cyclohouse.cli.main(['cheb', '3']) == 0\n"
+        "assert 'mpmath' not in sys.modules, 'cheb'\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cyclohouse.cli.main(['house', '1 + z5']) == 0\n"
+        "assert 'mpmath' in sys.modules, 'house'\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr

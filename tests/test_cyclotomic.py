@@ -24,6 +24,7 @@ from cyclohouse import (
 from cyclohouse.cyclotomic import euler_phi, residue_mod_p
 
 from .conftest import random_cycnum
+from .util import cycnum_from_dict, empty_profile
 
 
 def z(n, k=1):
@@ -312,7 +313,7 @@ class TestCanonicalForm:
 
         rng = _r.Random(seed)
         a = random_cycnum(rng)
-        assert CycNum.from_dict(a.to_dict()) == a
+        assert cycnum_from_dict(a.to_dict()) == a
 
 
 @st.composite
@@ -358,7 +359,7 @@ class TestLoxtonProfile:
         assert p.budget_value(100) == 4
 
     def test_empty_budget(self):
-        p = LoxtonProfile.empty()
+        p = empty_profile()
         assert p.budget_value(10) == 0
 
     def test_step_budget_monotone(self):

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import mpmath
@@ -16,6 +17,7 @@ from cyclohouse import (
 from cyclohouse import cyclotomic as cyc
 from cyclohouse.avoidance import scan_roots_of_unity
 from cyclohouse.cyclotomic import compare_house, is_algebraic_integer
+from cyclohouse.intervals import root_table
 from cyclohouse.ratfunc import Poly, RatFunc
 
 from . import house_reference
@@ -281,6 +283,16 @@ def test_boundary_is_decided_exactly(a, A, monkeypatch):
     eps = Fraction(1, 2**200)
     assert compare_house(a, A + eps) is True
     assert compare_house(a, A - eps) is False
+
+
+def test_cold_boundary_at_a_large_conductor():
+    # compare_house climbs every rung to the 4096-bit cap before its exact
+    # boundary test, so a cold boundary builds a root table at each rung
+    a = (z(4) * 4 + 3) * z(2520)
+    root_table.cache_clear()
+    start = time.process_time()
+    assert compare_house(a, 5) is True
+    assert time.process_time() - start < 3.0
 
 
 @pytest.mark.parametrize("a", [z(5) + 1, z(7) + z(7, 3) + 1])

@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import mpmath
@@ -7,7 +10,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cyclohouse import intervals
 from cyclohouse.intervals import isqrt_ceil, isqrt_floor, root_table, square_interval
 
 from . import house_reference
@@ -41,6 +43,17 @@ def test_root_table_special_angles_exact():
 
 
 @pytest.mark.parametrize(
+    "n, bits", [(27720, 128), (2520, 320), (7, 4096), (1, 64), (2, 64), (4, 80)]
+)
+def test_root_table_contains_points_at_twice_the_precision(n, bits):
+    tab = root_table(n, bits)
+    assert len(tab) == n
+    for (rl, rh, il, ih), (re, im) in zip(tab, house_reference.root_points(n, bits)):
+        assert rl << bits <= re <= rh << bits and il << bits <= im <= ih << bits
+        assert rh - rl <= 2 and ih - il <= 2
+
+
+@pytest.mark.parametrize(
     "n, bits", [(2520, 320), (1260, 128), (999, 256), (7, 4096), (1, 64), (4, 80)]
 )
 def test_root_table_matches_separate_cos_and_sin(n, bits):
@@ -49,14 +62,35 @@ def test_root_table_matches_separate_cos_and_sin(n, bits):
     assert all(e[1] - e[0] <= 2 and e[3] - e[2] <= 2 for e in tab)
 
 
+def test_threads_build_the_same_table():
+    n, bits = 3001, 72  # a precision no library rung uses, so the table is not cached
+    start = threading.Barrier(4)
+
+    def build(_):
+        start.wait(timeout=30)
+        return root_table(n, bits)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            tables = list(pool.map(build, range(4), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(t == tables[0] for t in tables)
+    assert tables[0] == root_table.__wrapped__(n, bits)
+
+
 def test_root_table_refuses_a_wide_entry(monkeypatch):
-    real = intervals.mpi_cos_sin
+    # widen the one certified enclosure of zeta_n: the walk's error bound
+    # grows with it, and the first entry past it must be refused
+    real = mpmath.libmp.mpi_cos_sin
 
     def widened(theta, prec):
         (c_lo, c_hi), s = real(theta, prec)
         return (c_lo, mpmath.libmp.mpf_add(c_hi, mpmath.libmp.from_int(1), prec)), s
 
-    monkeypatch.setattr(intervals, "mpi_cos_sin", widened)
+    monkeypatch.setattr(mpmath.libmp, "mpi_cos_sin", widened)
     with pytest.raises(ArithmeticError, match="over 2 units wide"):
         root_table.__wrapped__(5, 64)
 

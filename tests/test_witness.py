@@ -52,6 +52,7 @@ from cyclohouse.witness import (
 )
 
 from .conftest import random_cycnum, random_poly
+from .util import empty_profile
 
 ONE = CycNum.one
 R1 = RootOfUnity(1, 0)
@@ -127,7 +128,7 @@ class TestAShort:
 
     def test_empty_budget_always_false(self):
         w = Witness(((R1, ONE, 2),), RatFunc.x())
-        assert not is_A_short(w, 1, LoxtonProfile.empty())
+        assert not is_A_short(w, 1, empty_profile())
 
     def test_coefficient_outside_E_rejected(self):
         w = Witness(((R1, CycNum.from_rational(2), 1),), RatFunc.x())

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from cyclohouse import CycNum, Poly
+from cyclohouse import CycNum, LoxtonProfile, Poly
 from cyclohouse.cyclotomic import _units_half
 
 from .interval_boxes import ComplexBox, RealInterval, embedding_box
@@ -50,3 +50,13 @@ def modulus_squared_upper(box: ComplexBox) -> Fraction:
 
 def embedding_abs_squared(v: CycNum, sigma_t: int, scale_bits: int = 96) -> RealInterval:
     return embedding_box(v, sigma_t, scale_bits).abs_squared()
+
+
+def cycnum_from_dict(d: dict) -> CycNum:
+    """Inverse of ``CycNum.to_dict``."""
+    return CycNum(int(d["conductor"]), [Fraction(c) for c in d["coords"]])
+
+
+def empty_profile() -> LoxtonProfile:
+    """A Loxton profile whose budget allows no terms at any house."""
+    return LoxtonProfile(B=Fraction(1), E=(CycNum.one,), budget=())
