@@ -32,6 +32,7 @@ from .cyclotomic import (
     is_algebraic_integer,
     is_root_of_unity,
     loxton_decompose,
+    torsion_order,
 )
 from .errors import (
     CyclohouseError,
@@ -69,11 +70,24 @@ EXIT_INTERNAL = 5
 
 
 def _real(text: str) -> Fraction:
-    """Exact rational from a decimal string or p/q form."""
+    """Exact rational from a decimal string or p/q form.
+
+    Its numerator and denominator must print back, so each has at most
+    ``sys.get_int_max_str_digits()`` digits (0, or a Python before 3.10.7,
+    means no limit); a decimal exponent beyond that is refused before
+    10^exponent is built.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    _, e, exponent = text.lower().partition("e")
     try:
-        return Fraction(text)
+        if limit and e and abs(int(exponent)) > limit:
+            raise ValueError(f"decimal exponent beyond {limit} digits")
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"cannot parse real parameter {text!r}: {exc}") from exc
+    if limit and max(abs(value.numerator), value.denominator) >= 10**limit:
+        raise DomainError(f"real parameter {text!r} has more than {limit} digits")
+    return value
 
 
 def _emit(obj) -> None:
@@ -127,7 +141,6 @@ def _cmd_pa(args) -> int:
 def _cmd_decompose(args) -> int:
     a = parse_scalar(args.expr)
     result = loxton_decompose(a, args.dmax)
-    m_tor = a.n if a.n % 2 == 0 else 2 * a.n
     _emit(
         {
             "decomposition": (
@@ -136,7 +149,7 @@ def _cmd_decompose(args) -> int:
                 else None
             ),
             "length": len(result) if result is not None else None,
-            "search_conductor": m_tor,
+            "search_conductor": torsion_order(a.n),
         }
     )
     return EXIT_OK

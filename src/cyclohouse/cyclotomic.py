@@ -29,7 +29,9 @@ precision, its ``HouseResult`` per accuracy, and a screen from its first
 rung, so that a higher rung evaluates only the conjugates that can hold
 the house (``_max_square_bounds``); the boundary house(a) = A is decided
 exactly, from a * conj(a) = A^2.
-Root-of-unity tests read a torsion table at rad(n), not at n.
+A root-of-unity test maps the element into F_p with zeta_M -> g, reads
+the exponent k with g^k equal to its image and checks zeta_M^k = a
+exactly.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -156,10 +157,15 @@ def canonical_conductor(m: int) -> int:
     return m // 2 if m % 4 == 2 else m
 
 
-class _Cyclotomy:
-    """Cached per-conductor data: Phi_n, reduced power rows, torsion table."""
+def torsion_order(n: int) -> int:
+    """M = lcm(2, n): the roots of unity in Q(zeta_n) are exactly mu_M."""
+    return n if n % 2 == 0 else 2 * n
 
-    __slots__ = ("n", "rad", "phi", "cyclo", "low", "_rows", "_torsion", "_units", "_lock")
+
+class _Cyclotomy:
+    """Cached per-conductor data: Phi_n and its reduction terms, rad(n), the units."""
+
+    __slots__ = ("n", "rad", "phi", "cyclo", "low", "_units")
 
     def __init__(self, n: int):
         self.n = n
@@ -168,12 +174,7 @@ class _Cyclotomy:
         self.cyclo = cyclotomic_polynomial(n)
         # Nonzero (r, c_r) of Phi_n below its leading term, for reduction.
         self.low = tuple((r, c) for r, c in enumerate(self.cyclo[:-1]) if c)
-        # _rows[i] holds the power-basis coordinates of zeta^(phi+i);
-        # exponents below phi are basis vectors and never materialized.
-        self._rows: list[tuple[int, ...]] = []
-        self._torsion: dict | None = None
         self._units: tuple[int, ...] | None = None
-        self._lock = threading.Lock()
 
     @property
     def units(self) -> tuple[int, ...]:
@@ -181,29 +182,6 @@ class _Cyclotomy:
             n = self.n
             self._units = tuple(t for t in range(1, n) if math.gcd(t, n) == 1)
         return self._units
-
-    def _ensure_rows(self, e: int) -> None:
-        if len(self._rows) > e - self.phi:
-            return
-        with self._lock:
-            phi, c = self.phi, self.cyclo
-            if not self._rows:
-                # zeta^phi = -(c_0 + c_1 x + ... + c_{phi-1} x^{phi-1})
-                self._rows.append(tuple(-c[r] for r in range(phi)))
-            cur = list(self._rows[-1])
-            while len(self._rows) <= e - phi:
-                top = cur[phi - 1]
-                nxt = [0] * phi
-                for r in range(phi - 1, 0, -1):
-                    nxt[r] = cur[r - 1] - top * c[r]
-                nxt[0] = -top * c[0]
-                self._rows.append(tuple(nxt))
-                cur = nxt
-
-    def row(self, e: int) -> tuple[int, ...]:
-        """Coordinates of zeta^e for phi <= e < n (or beyond)."""
-        self._ensure_rows(e)
-        return self._rows[e - self.phi]
 
     def reduce(self, acc: list[int]) -> list[int]:
         """Reduce integer exponent coefficients modulo Phi_n, in place.
@@ -222,66 +200,43 @@ class _Cyclotomy:
         return acc
 
     def torsion_vectors(self) -> list[tuple[int, ...]]:
-        """Coordinates of zeta_M^k for k < M, M = lcm(2, n); built per call."""
-        n = self.n
+        """Coordinates of zeta_M^k for k < M, M = lcm(2, n); built per call.
+
+        The powers of zeta_n come from a walk: multiplying by zeta shifts
+        the coordinates up and folds the top one back through Phi_n.
+        """
+        n, phi = self.n, self.phi
+        vec = [1] + [0] * (phi - 1)
+        powers = []
+        for _ in range(n):
+            powers.append(tuple(vec))
+            top = vec[-1]
+            vec = [0] + vec[:-1]
+            if top:
+                for r, c in self.low:
+                    vec[r] -= top * c
         if n % 2 == 0:
-            return [self._int_power_vec(k) for k in range(n)]
-        vecs = []
-        for k in range(2 * n):
-            # zeta_{2n}^k = (-1)^k * zeta_n^(k*(n+1)/2 mod n)
-            vec = self._int_power_vec(k * ((n + 1) // 2))
-            vecs.append(tuple(-v for v in vec) if k % 2 else vec)
-        return vecs
-
-    def torsion_table(self) -> dict:
-        """Map from int-coordinate tuples to k, covering all mu_M, M = lcm(2, n).
-
-        Dense in n; ``root_of_unity`` reads it at rad(n) only.
-        """
-        if self._torsion is None:
-            table: dict[tuple[int, ...], int] = {}
-            for k, vec in enumerate(self.torsion_vectors()):
-                table.setdefault(vec, k)
-            self._torsion = table
-        return self._torsion
-
-    def root_of_unity(self, num: tuple[int, ...]) -> RootOfUnity | None:
-        """The root of unity with integer coordinates num at n, if any.
-
-        Phi_n(x) = Phi_rad(x^s) with s = n/rad, so zeta_n^(q*s + r) has the
-        coordinates of zeta_rad^q in the slots r, r+s, r+2s, ...: a root of
-        unity is nonzero in exactly one residue class r mod s, and that
-        class is a torsion vector at rad(n).
-        """
-        n, rad = self.n, self.rad
-        m_tor = n if n % 2 == 0 else 2 * n  # the torsion of Q(zeta_n) is mu_m_tor
-        s = n // rad
-        r = next((j for j, c in enumerate(num) if c), 0) % s
-        part = num[r::s]
-        if len(num) - num.count(0) != len(part) - part.count(0):
-            return None
-        k = _cyclotomy(rad).torsion_table().get(part)
-        if k is None:
-            return None
-        # the value is zeta_n^r * zeta_m_rad^k
-        m_rad = rad if rad % 2 == 0 else 2 * rad
-        return RootOfUnity.make(m_tor, r * (m_tor // n) + k * (m_tor // m_rad))
+            return powers
+        # zeta_{2n}^k = (-1)^k * zeta_n^(k*(n+1)/2 mod n)
+        half = (n + 1) // 2
+        return [
+            tuple(-v for v in powers[k * half % n]) if k % 2 else powers[k * half % n]
+            for k in range(2 * n)
+        ]
 
     def _int_power_vec(self, e: int) -> tuple[int, ...]:
-        e %= self.n
-        if e < self.phi:
-            vec = [0] * self.phi
-            vec[e] = 1
-            return tuple(vec)
-        rad = self.rad
-        if rad == self.n:
-            return self.row(e)
-        # Phi_n(x) = Phi_rad(x^s), so zeta^e = (zeta^s)^q * zeta^r reads
-        # the row of y^q at conductor rad into the slots r, r+s, r+2s, ...
-        s = self.n // rad
-        q, r = divmod(e, s)
+        """Coordinates of zeta^e, from one reduction at rad(n).
+
+        Phi_n(x) = Phi_rad(x^s) with s = n/rad(n), so zeta^(q*s + r) has
+        the coordinates of y^q at rad(n) in the slots r, r+s, r+2s, ...
+        """
+        s = self.n // self.rad
+        q, r = divmod(e % self.n, s)
+        base = _cyclotomy(self.rad)
+        acc = [0] * max(q + 1, base.phi)
+        acc[q] = 1
         vec = [0] * self.phi
-        vec[r::s] = _cyclotomy(rad).row(q)
+        vec[r::s] = base.reduce(acc)
         return tuple(vec)
 
 
@@ -721,12 +676,66 @@ def residue_mod_p(a: CycNum, p: int, g: int, big_n: int) -> int:
     a nonzero value.
     """
     w = pow(g, big_n // a.n, p)
-    acc, wj = 0, 1
-    for c in a.num:
+    acc = 0
+    for j, c in enumerate(a.num):
         if c:
-            acc += c * wj
-        wj = wj * w % p
+            acc += c * pow(w, j, p)
     return acc * pow(a.den, -1, p) % p
+
+
+_SCREEN_PRIME_FLOOR = 1 << 24
+
+#: Miller-Rabin on the first 13 prime bases decides primality below this
+#: bound (Sorenson and Webster, "Strong pseudoprimes to twelve prime
+#: bases", Math. Comp. 2017).
+_PRIME_TEST_BOUND = 3_317_044_064_679_887_385_961_981
+_PRIME_TEST_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for 1 <= n < ``_PRIME_TEST_BOUND``."""
+    if n < 2:
+        return False
+    for q in _PRIME_TEST_BASES:
+        if n % q == 0:
+            return n == q
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s * d, d odd
+    d = (n - 1) >> s
+    for q in _PRIME_TEST_BASES:
+        x = pow(q, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _screen_field(big_n: int) -> tuple[int, int]:
+    """The least prime p = 1 (mod N) above 2^24, and g of exact order N mod p.
+
+    The field of ``residue_mod_p`` for the witness screen (N a multiple
+    of the grid's orders) and for ``is_root_of_unity`` (N = lcm(2, n)).
+    Raises ResourceLimitError when no such p lies below the bound of the
+    deterministic primality test.
+    """
+    p = big_n * (_SCREEN_PRIME_FLOOR // big_n + 1) + 1
+    while p < _PRIME_TEST_BOUND and not _is_prime(p):
+        p += big_n
+    if p >= _PRIME_TEST_BOUND:
+        raise ResourceLimitError(
+            f"the F_p screen needs a prime p = 1 (mod {big_n}) below "
+            f"{_PRIME_TEST_BOUND}; use a smaller root-of-unity grid"
+        )
+    qs = [q for q, _ in factorize(big_n)]
+    for r in itertools.count(2):
+        g = pow(r, (p - 1) // big_n, p)
+        if all(pow(g, big_n // q, p) != 1 for q in qs):
+            return p, g
 
 
 def conjugates(a: CycNum) -> list[CycNum]:
@@ -990,14 +999,35 @@ class RootOfUnity:
 def is_root_of_unity(a: CycNum) -> RootOfUnity | None:
     """Exact torsion test: the canonical root of unity equal to a, if any.
 
-    Equivalent to testing a^M = 1 for M = lcm(2, n): the torsion of
-    Q(zeta_n)^x is exactly mu_M, realized here as a table lookup at
-    rad(n) of the one nonzero residue class of the coordinates mod
-    n/rad(n) (see ``_Cyclotomy.root_of_unity``).
+    The torsion of Q(zeta_n)^x is exactly mu_M, M = lcm(2, n).  A root of
+    unity is an algebraic integer, and since Phi_n(x) = Phi_rad(x^s) with
+    s = n/rad(n), its coordinates are nonzero in one residue class mod s
+    only.  The ring map zeta_M -> g into F_p (``_screen_field``,
+    ``residue_mod_p``) sends zeta_M^j to g^j, so a with image v,
+    v^M != 1, is no root of unity; otherwise the unique k < M with
+    g^k = v is the only candidate, and zeta_M^k = a is checked exactly.
     """
     if not is_algebraic_integer(a):
         return None
-    return _cyclotomy(a.n).root_of_unity(a.num)
+    n, num = a.n, a.num
+    s = n // _cyclotomy(n).rad
+    r = next((j for j, c in enumerate(num) if c), 0) % s
+    part = num[r::s]
+    if len(num) - num.count(0) != len(part) - part.count(0):
+        return None
+    big_m = torsion_order(n)
+    p, g = _screen_field(big_m)
+    v = residue_mod_p(a, p, g, big_m)
+    if pow(v, big_m, p) != 1:
+        return None
+    # baby-step giant-step: k = i*w + j with g^j = v * g^(-w*i), w^2 >= M
+    w = math.isqrt(big_m - 1) + 1
+    baby = {pow(g, j, p): j for j in range(w)}
+    step, i = pow(g, -w, p), 0
+    while v not in baby:
+        v, i = v * step % p, i + 1
+    k = i * w + baby[v]
+    return RootOfUnity.make(big_m, k) if CycNum.zeta(big_m, k) == a else None
 
 
 def in_PA(a: CycNum, A) -> str:
@@ -1117,13 +1147,11 @@ def loxton_decompose(a: CycNum, d_max: int) -> list[tuple[CycNum, RootOfUnity]] 
         raise DomainError("loxton_decompose requires an algebraic integer")
     if not a:
         return []
-    n = a.n
-    ctx = _cyclotomy(n)
-    root = ctx.root_of_unity(a.num)
+    root = is_root_of_unity(a)
     if root is not None:
         return _loxton_result(a, [root])
-    m_tor = n if n % 2 == 0 else 2 * n
-    vecs = ctx.torsion_vectors()
+    m_tor = torsion_order(a.n)
+    vecs = _cyclotomy(a.n).torsion_vectors()
     target = a.num
     for d in range(2, d_max + 1):
         d1 = d // 2

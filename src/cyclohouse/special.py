@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclotomic import CycNum, RootOfUnity, _cyclotomy, factorize
+from .cyclotomic import CycNum, RootOfUnity, factorize, is_root_of_unity
 from .errors import DomainError
 from .ratfunc import (
     Mobius,
@@ -181,7 +181,7 @@ def as_positive_rational_times_rou(
     # Torsion vectors are primitive, so a = s * xi with s > 0 forces
     # num = (s * den) * vec(xi) with s * den = gcd(*num).
     g = math.gcd(*a.num)
-    rou = _cyclotomy(a.n).root_of_unity(tuple(c // g for c in a.num))
+    rou = is_root_of_unity(a * Fraction(a.den, g))
     if rou is None:
         return None
     return Fraction(g, a.den), rou

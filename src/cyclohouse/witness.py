@@ -22,7 +22,6 @@ hit is re-verified by the exact identity before being returned.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -32,11 +31,11 @@ from .cyclotomic import (
     CycNum,
     LoxtonProfile,
     RootOfUnity,
-    factorize,
+    _screen_field,
     is_root_of_unity,
     residue_mod_p,
 )
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError
 from .ratfunc import (
     LaurentPoly,
     Poly,
@@ -448,59 +447,6 @@ class _ModularScreen:
                 if nonzero > d_max or pow(s, order, p) != 1:
                     return False
         return nonzero <= d_max
-
-
-_SCREEN_PRIME_FLOOR = 1 << 24
-
-#: Miller-Rabin on the first 13 prime bases decides primality below this
-#: bound (Sorenson and Webster, "Strong pseudoprimes to twelve prime
-#: bases", Math. Comp. 2017).
-_PRIME_TEST_BOUND = 3_317_044_064_679_887_385_961_981
-_PRIME_TEST_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-
-
-def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for 1 <= n < ``_PRIME_TEST_BOUND``."""
-    if n < 2:
-        return False
-    for q in _PRIME_TEST_BASES:
-        if n % q == 0:
-            return n == q
-    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s * d, d odd
-    d = (n - 1) >> s
-    for q in _PRIME_TEST_BASES:
-        x = pow(q, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-@lru_cache(maxsize=8)
-def _screen_field(big_n: int) -> tuple[int, int]:
-    """The least prime p = 1 (mod N) above 2^24, and g of exact order N mod p.
-
-    Raises ResourceLimitError when no such p lies below the bound of the
-    deterministic primality test.
-    """
-    p = big_n * (_SCREEN_PRIME_FLOOR // big_n + 1) + 1
-    while p < _PRIME_TEST_BOUND and not _is_prime(p):
-        p += big_n
-    if p >= _PRIME_TEST_BOUND:
-        raise ResourceLimitError(
-            f"the F_p screen needs a prime p = 1 (mod {big_n}) below "
-            f"{_PRIME_TEST_BOUND}; use a smaller root-of-unity grid"
-        )
-    qs = [q for q, _ in factorize(big_n)]
-    for r in itertools.count(2):
-        g = pow(r, (p - 1) // big_n, p)
-        if all(pow(g, big_n // q, p) != 1 for q in qs):
-            return p, g
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import contextlib
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -220,6 +221,38 @@ def test_negative_budget_is_a_domain_error():
     code, out = _run(["verdict", "x^3 + 2", "--A", "2", "--budget", "-1"])
     assert code == 1
     assert json.loads(out)["error"]["type"] == "domain"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pa", "1", "--A", "1e999999"],
+        ["pa", "1", "--A", "1e99999999"],
+        ["pa", "1", "--A", "1e-99999999"],
+        ["orbit", "x^2 - 2", "z8 + z8^-1", "--n", "2", "--A", "1e99999999"],
+        ["scan", "x^2", "--M", "4", "--A", "1e-99999999"],
+        ["verdict", "1/(x^3 - x)", "--A", "1e999999", "--budget", "5"],
+    ],
+)
+def test_huge_decimal_exponent_is_a_domain_error(argv):
+    start = time.process_time()
+    code, out = _run(argv)
+    assert time.process_time() - start < 1
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "domain"
+
+
+def test_real_parameter_prints_back_up_to_the_digit_limit():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("no int-to-str digit limit")
+    code, out = _run(["pa", "1", "--A", f"5e{limit - 1}"])
+    assert code == 0
+    assert json.loads(out)["A"] == "5" + "0" * (limit - 1)
+    for text in (f"55e{limit - 1}", f"1e-{limit}"):
+        code, out = _run(["pa", "1", "--A", text])
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "domain"
 
 
 def test_mpmath_is_imported_only_by_a_table_build():

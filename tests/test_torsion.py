@@ -1,26 +1,42 @@
-"""Root-of-unity lookup at rad(n) against the dense table at n.
+"""The root-of-unity test and the torsion-vector list against dense tables.
 
-``is_root_of_unity`` and ``as_positive_rational_times_rou`` look the one
-nonzero residue class of the coordinates mod n/rad(n) up in the torsion
-table at rad(n).  ``torsion_reference`` keeps the earlier dense table
-over all of mu_M at n and its linear scan; both must give the same
-answers on roots of unity, their rational multiples and sums that are
-not roots of unity.  Conductors: odd and 0 mod 4, squarefree and not,
-a seeded sample up to 400 and the large ones the house workload meets.
+``is_root_of_unity`` (and through it ``as_positive_rational_times_rou``)
+maps an element into F_p, reads the one candidate exponent off its image
+and checks zeta_M^k = a exactly; ``_Cyclotomy.torsion_vectors`` walks the
+powers of zeta_n.  ``torsion_reference`` keeps the earlier dense table
+over all of mu_M at n, built from ``fraction_reference``'s rows, and its
+linear scan; both must give the same answers on roots of unity, their
+rational multiples and sums that are not roots of unity.  Conductors:
+odd and 0 mod 4, squarefree and not, with Phi_n coefficients of +-1
+only and larger ones (1155), a seeded sample up to 400 and the large
+ones the house and cli workloads meet.  The last tests bound the time
+and memory of the test at large squarefree conductors, where a dense
+table per conductor would hold 2n vectors of phi(n) ints.
 """
 
+import json
 import math
+import os
 import random
+import subprocess
+import sys
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
-from cyclohouse import CycNum, is_root_of_unity
-from cyclohouse.cyclotomic import factorize
+import pytest
+
+from cyclohouse import CycNum, RootOfUnity, is_root_of_unity
+from cyclohouse.cyclotomic import _cyclotomy, euler_phi, factorize
 from cyclohouse.special import as_positive_rational_times_rou
 
+from . import fraction_reference
 from . import torsion_reference as ref
 
 FIXED_ORDERS = (1, 2, 3, 4, 8, 9, 12, 25, 27, 36, 105, 225, 256, 385, 400)
-LARGE_ORDERS = (420, 504, 630, 840, 1260, 2520)
+LARGE_ORDERS = (420, 504, 630, 840, 1155, 1260, 2520, 3960)
+# Orders checked at 40 sampled exponents only, not at every root.
+SAMPLED_ORDERS = (1155, 3960)
 # Exponents per order checked through the reference's linear scan.
 SCAN_SAMPLES = 12
 
@@ -59,10 +75,15 @@ def test_is_root_of_unity_matches_dense_table():
     rng = random.Random(7)
     checked = roots = 0
     for m in _orders():
-        # every root of unity of order m, and the other variants at up
-        # to 120 exponents
-        sample = set(rng.sample(range(m), min(m, 120)))
-        for k in range(m):
+        # every root of unity of order m (40 of them at the sampled
+        # orders), and the other variants at up to 120 exponents
+        if m in SAMPLED_ORDERS:
+            sample = set(rng.sample(range(m), 40))
+            exponents = sorted(sample)
+        else:
+            sample = set(rng.sample(range(m), min(m, 120)))
+            exponents = range(m)
+        for k in exponents:
             z = CycNum.zeta(m, k)
             values = _variants(m, k) if k in sample else [z, -z]
             for v in values:
@@ -80,3 +101,71 @@ def test_rational_times_root_matches_linear_scan():
             for v in _variants(m, k):
                 assert as_positive_rational_times_rou(v) == ref.as_positive_rational_times_rou(v), (
                     m, k, v)
+
+
+@pytest.mark.parametrize("n", (1, 3, 4, 12, 15, 36, 105, 225, 385, 1155, 3960))
+def test_torsion_vectors_match_dense_table(n):
+    assert _cyclotomy(n).torsion_vectors() == ref.torsion_vectors(n)
+
+
+@pytest.mark.parametrize("n", (9, 12, 105, 225, 385, 1155, 2520, 3960))
+def test_zeta_matches_reference_rows(n):
+    # a unit e keeps the conductor n, so the numerators are the row itself
+    rows = fraction_reference._cyclotomy(n)
+    for e in range(euler_phi(n), n):
+        if math.gcd(e, n) == 1:
+            z = CycNum.zeta(n, e)
+            assert (z.n, z.num, z.den) == (n, rows.row(e), 1), e
+
+
+def test_large_squarefree_conductor_holds_no_table():
+    # 4199 = 13 * 17 * 19: a dense table there holds 8398 tuples of 3456 ints
+    a = 1 + CycNum.zeta(4199)
+    b = -CycNum.zeta(4199, 3500)  # = zeta_8398^(4199 + 7000), 3500 >= phi
+    tracemalloc.start()
+    try:
+        assert is_root_of_unity(a) is None
+        assert is_root_of_unity(b) == RootOfUnity.make(8398, 11199)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
+
+
+# A child process runs the command under a 1 GB address-space and a 20 s
+# CPU limit, so that a dense table fails fast, and reports its rusage.
+# The extra process level keeps the test process's own peak out of
+# ru_maxrss, which survives exec.
+_RUSAGE_SCRIPT = """
+import json, resource, subprocess, sys
+
+def limits():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    resource.setrlimit(resource.RLIMIT_CPU, (20, 20))
+
+proc = subprocess.run([sys.executable, "-m", "cyclohouse.cli", *sys.argv[1:]],
+                      preexec_fn=limits, capture_output=True, text=True)
+ru = resource.getrusage(resource.RUSAGE_CHILDREN)
+print(json.dumps({"code": proc.returncode, "out": proc.stdout,
+                  "cpu": ru.ru_utime + ru.ru_stime, "rss_kb": ru.ru_maxrss}))
+"""
+
+
+@pytest.mark.parametrize("argv, answer", [
+    (["rootofunity", "z14807 + 1"], {"root_of_unity": None}),
+    (["pa", "1 + z14807", "--A", "1"], {"verdict": "nonmember"}),
+])
+def test_cli_at_conductor_14807_is_cheap(argv, answer):
+    # 14807 = 13 * 17 * 67, phi 12672
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = [str(src), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, "-c", _RUSAGE_SCRIPT, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["code"] == 0
+    out = json.loads(report["out"])
+    assert {key: out[key] for key in answer} == answer
+    assert report["cpu"] < 5
+    assert report["rss_kb"] < 200 * 1024

@@ -40,13 +40,12 @@ from cyclohouse import (
     witness_search_deg2,
 )
 from cyclohouse.cli import main
+from cyclohouse.cyclotomic import _is_prime, _screen_field
 from cyclohouse.witness import (
     _ZERO_VALUE,
     _identity_candidate,
-    _is_prime,
     _ModularScreen,
     _pole_laurent,
-    _screen_field,
     _targeted_candidates,
     _try_inner_map,
 )

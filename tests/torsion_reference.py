@@ -2,12 +2,13 @@
 
 This is the earlier root-of-unity machinery of ``cyclohouse``: one
 coordinate tuple per element of mu_M, M = lcm(2, n), at the minimal
-conductor n itself, and a linear scan of that table for writing an
-element as a positive rational times a root of unity.  The package now
-looks roots of unity up at rad(n); these are kept to compare against.
-Powers of zeta_n come from the rows of ``fraction_reference``, which
-divide by Phi_n at n directly, so the tables share no code with the
-package's rad(n) reduction.
+conductor n itself, a lookup in that table for the torsion test, and a
+linear scan of it for writing an element as a positive rational times a
+root of unity.  The package now reads the exponent off one F_p image
+and checks zeta_M^k = a exactly, and builds its torsion-vector list by
+walking powers of zeta_n; these are kept to compare against.  Powers of
+zeta_n come from the rows of ``fraction_reference``, which divide by
+Phi_n at n directly, so the tables share no code with the package.
 """
 
 from __future__ import annotations
@@ -31,10 +32,9 @@ def _power_vec(n: int, e: int) -> tuple[int, ...]:
     return ref._cyclotomy(n).row(e)
 
 
-@lru_cache(maxsize=None)
-def torsion_table(n: int) -> dict[tuple[int, ...], int]:
-    """Map from int-coordinate tuples to k, covering all mu_M, M = lcm(2, n)."""
-    table: dict[tuple[int, ...], int] = {}
+def torsion_vectors(n: int) -> list[tuple[int, ...]]:
+    """Int coordinates of zeta_M^k for k < M, M = lcm(2, n)."""
+    vecs = []
     m_tor = n if n % 2 == 0 else 2 * n
     for k in range(m_tor):
         if n % 2 == 0:
@@ -44,6 +44,15 @@ def torsion_table(n: int) -> dict[tuple[int, ...], int]:
             vec = _power_vec(n, k * ((n + 1) // 2))
             if k % 2 == 1:
                 vec = tuple(-v for v in vec)
+        vecs.append(vec)
+    return vecs
+
+
+@lru_cache(maxsize=None)
+def torsion_table(n: int) -> dict[tuple[int, ...], int]:
+    """Map from int-coordinate tuples to k, covering all mu_M, M = lcm(2, n)."""
+    table: dict[tuple[int, ...], int] = {}
+    for k, vec in enumerate(torsion_vectors(n)):
         table.setdefault(vec, k)
     return table
 
