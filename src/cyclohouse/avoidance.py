@@ -44,6 +44,7 @@ from .errors import DomainError, UndecidedError
 from .ratfunc import (
     Poly,
     RatFunc,
+    coefficient_conductor,
     degree,
     distinct_pole_count,
     evaluate,
@@ -426,18 +427,18 @@ def scan_roots_of_unity(h: RatFunc, order_cap: int, A) -> ScanResult:
     sigma_t(h(zeta_m^k)).  Poles, integrality, torsion and the house are
     Galois-invariant, so the pole status, the P_A verdict and the house
     enclosure of the smallest exponent of an orbit hold for the whole
-    orbit: each is computed once, there.
+    orbit: each is computed once, there, from ``evaluate`` at a
+    ``RootOfUnity`` (one exponent-shifted sum, no Horner pass).
     """
     if order_cap < 1:
         raise DomainError("order cap must be >= 1")
     A = Fraction(A)
+    if A < 1:
+        raise DomainError("A must be at least 1")
     hits = []
     undecided = []
     poles = []
-    c = 1
-    for poly in (h.num, h.den):
-        for coeff in poly.coeffs:
-            c = math.lcm(c, coeff.n)
+    c = coefficient_conductor(h)
 
     for order in range(1, order_cap + 1):
         primitive = [k for k in range(order) if math.gcd(k, order) == 1]
@@ -455,7 +456,7 @@ def scan_roots_of_unity(h: RatFunc, order_cap: int, A) -> ScanResult:
         found: dict[int, tuple] = {}
         for k in primitive:
             if k not in found:
-                value = evaluate(h, CycNum.zeta(order, k))
+                value = evaluate(h, RootOfUnity(order, k))
                 verdict = hr = None
                 if value is not None:
                     verdict = in_PA(value, A)

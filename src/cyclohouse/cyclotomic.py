@@ -637,6 +637,29 @@ def _embed_list(a: CycNum, n: int) -> list[int]:
     return ctx.reduce(acc)
 
 
+def root_power_sum(coeffs, c: int, m: int, k: int) -> CycNum:
+    """sum_j coeffs[j] * zeta_m^(j*k) as one exponent-shifted sum, no products.
+
+    c must be a multiple of every coefficient's conductor.  At N = lcm(c, m)
+    coefficient j has the numerators of sum_i zeta_N^(i*N/n_j) over its den,
+    and zeta_m^(j*k) = zeta_N^(j*k*N/m) shifts them: each numerator, scaled
+    to the common denominator D, lands in slot i*N/n_j + j*k*N/m mod N of
+    one exponent vector, which is reduced modulo Phi_N once.
+    """
+    n = math.lcm(c, m)
+    den = math.lcm(*(a.den for a in coeffs))
+    acc = [0] * n
+    unit = k * (n // m) % n
+    shift = 0
+    for a in coeffs:
+        step, scale = n // a.n, den // a.den
+        for i, v in enumerate(a.num):
+            if v:
+                acc[(shift + i * step) % n] += v * scale
+        shift = (shift + unit) % n
+    return _make(n, _cyclotomy(n).reduce(acc), den)
+
+
 # ---------------------------------------------------------------------------
 # spec operations
 

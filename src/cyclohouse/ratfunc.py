@@ -11,11 +11,12 @@ construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .cyclotomic import CycNum
+from .cyclotomic import CycNum, RootOfUnity, root_power_sum
 from .errors import DomainError, ResourceLimitError
 
 #: Ceiling for iterate() expansion, in projected monomials.
@@ -432,13 +433,38 @@ def degree(h: RatFunc) -> int:
     return max(h.num.deg, h.den.deg)
 
 
+def coefficient_conductor(h: RatFunc) -> int:
+    """lcm of the conductors of h's coefficients: h is defined over Q(zeta_c)."""
+    return math.lcm(*(a.n for p in (h.num, h.den) for a in p.coeffs))
+
+
 def evaluate(h: RatFunc, a) -> CycNum | None:
-    """Exact value h(a), or None when a is a pole."""
-    a = _cyc(a)
-    dv = h.den.evaluate(a)
+    """Exact value h(a), or None when a is a pole.
+
+    At a ``RootOfUnity`` zeta_m^k the numerator and the denominator are
+    each one exponent-shifted sum and one reduction at lcm(c, m), c the
+    ``coefficient_conductor`` (``cyclotomic.root_power_sum``): no
+    products.  Any other argument is evaluated by Horner
+    (``Poly.evaluate``).  A rational map adds one inverse and one product.
+    """
+    if isinstance(a, RootOfUnity):
+        c = coefficient_conductor(h)
+
+        def at(p: Poly) -> CycNum:
+            return root_power_sum(p.coeffs, c, a.order, a.exponent)
+
+    else:
+        a = _cyc(a)
+
+        def at(p: Poly) -> CycNum:
+            return p.evaluate(a)
+
+    if h.is_poly():  # the denominator is monic, so 1
+        return at(h.num)
+    dv = at(h.den)
     if not dv:
         return None
-    return h.num.evaluate(a) * dv.inverse()
+    return at(h.num) * dv.inverse()
 
 
 def compose(h1: RatFunc, h2: RatFunc) -> RatFunc:

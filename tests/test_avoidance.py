@@ -444,6 +444,43 @@ class TestOrbitScan:
         assert [s.value for s in got.undecided] == [z(5, k) + 1 for k in (1, 2, 3, 4)]
         assert len({id(s.house) for s in got.undecided}) == 1
 
+    @pytest.mark.parametrize(
+        "h, c",
+        [
+            (RatFunc.from_poly(P(0, z(4), 1)), 4),  # x^2 + i*x
+            (ratfunc_new(P(2, 0, 1), P(-1, 0, 1)), 1),  # poles at 1 and -1
+        ],
+    )
+    def test_orbit_values_need_no_horner_pass(self, monkeypatch, h, c):
+        import math
+
+        import cyclohouse.avoidance as avoidance_mod
+        from cyclohouse import RootOfUnity, evaluate
+
+        horner, orbits = [], []
+
+        def counted_horner(p, a):
+            horner.append(a)
+            return real_horner(p, a)
+
+        def counted_evaluate(f, a):
+            orbits.append(a)
+            return evaluate(f, a)
+
+        real_horner = Poly.evaluate
+        monkeypatch.setattr(Poly, "evaluate", counted_horner)
+        monkeypatch.setattr(avoidance_mod, "evaluate", counted_evaluate)
+        scan_roots_of_unity(h, 12, 2)
+        assert horner == []
+        assert all(isinstance(a, RootOfUnity) for a in orbits)
+        # sigma_t, t = 1 (mod c), fixes h: the primitive m-th roots fall into
+        # one orbit per unit modulo g = gcd(m, c)
+        expected = sum(
+            sum(math.gcd(u, g) == 1 for u in range(g))
+            for g in (math.gcd(m, c) for m in range(1, 13))
+        )
+        assert len(orbits) == expected
+
     def test_conjugation_commutes_with_evaluation(self):
         import math
         import random
@@ -468,6 +505,19 @@ class TestOrbitScan:
                         assert lhs is None
                     else:
                         assert lhs == conjugate(value, t)
+
+
+@pytest.mark.parametrize(
+    "h, cap, A",
+    [
+        (ratfunc_new(P(1), P(-1, 1)), 1, -3),  # every root is a pole
+        (ratfunc_new(P(1), P(-1, 1)), 1, Fraction(1, 2)),
+        (RatFunc.from_poly(P(0, 0, 1)), 3, Fraction(1, 2)),
+    ],
+)
+def test_scan_checks_A_before_any_root(h, cap, A):
+    with pytest.raises(DomainError, match="A must be at least 1"):
+        scan_roots_of_unity(h, cap, A)
 
 
 class TestVerdict:

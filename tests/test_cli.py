@@ -217,6 +217,20 @@ def test_malformed_witness_terms_are_domain_errors(terms):
     assert json.loads(out)["error"]["type"] == "domain"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "1/(x-1)", "--M", "1", "--A", "-3"],
+        ["scan", "1/(x-1)", "--M", "1", "--A", "1/2"],
+        ["scan", "x^2", "--M", "3", "--A", "1/2"],
+    ],
+)
+def test_scan_rejects_A_below_1_even_when_every_root_is_a_pole(argv):
+    code, out = _run(argv)
+    assert code == 1
+    assert json.loads(out)["error"] == {"type": "domain", "message": "A must be at least 1"}
+
+
 def test_negative_budget_is_a_domain_error():
     code, out = _run(["verdict", "x^3 + 2", "--A", "2", "--budget", "-1"])
     assert code == 1

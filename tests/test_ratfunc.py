@@ -123,6 +123,55 @@ class TestEvaluate:
         assert evaluate(RatFunc.from_poly(P(0, 0, 0, 1)), z(5)) == z(5, 3)
 
 
+def _sweep_map(rng, fields, den):
+    """Seeded numerator with coefficients in Q(zeta_n), n in fields, over den."""
+    from cyclohouse.cyclotomic import euler_phi
+
+    def coeff():
+        n = rng.choice(fields)
+        coords = [Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3, 6))) for _ in range(euler_phi(n))]
+        return CycNum(n, coords)
+
+    num = [coeff() if rng.random() < 0.7 else CycNum.zero for _ in range(rng.randint(1, 3))]
+    return ratfunc_new(Poly(num + [coeff() or CycNum.one]), den)
+
+
+# Coefficient fields, and a denominator that vanishes at roots of unity.
+ROOT_SWEEP = [
+    ((1,), P(1, 1)),  # x + 1
+    ((3,), P(1, 1, 1)),  # x^2 + x + 1
+    ((4,), P(1, 0, 1)),  # x^2 + 1
+    ((5,), P(1, 1, 1, 1, 1)),  # Phi_5
+    ((3, 4), P(-z(3), 1)),  # x - zeta_3, c = 12
+]
+
+
+@pytest.mark.parametrize("fields, den", ROOT_SWEEP)
+def test_root_of_unity_sum_equals_horner(fields, den):
+    """evaluate at RootOfUnity(m, k), one exponent-shifted sum, against
+    Horner at CycNum.zeta(m, k) (None exactly where Horner's denominator
+    is 0): every order up to 60, every k < m."""
+    import random
+
+    from cyclohouse import RootOfUnity
+
+    rng = random.Random(f"root-sweep:{fields}")
+    h = _sweep_map(rng, fields, den)
+    while h.den.deg == 0:  # the numerator cancelled the denominator
+        h = _sweep_map(rng, fields, den)
+    poles = 0
+    for m in range(1, 61):
+        for k in range(m):
+            got = evaluate(h, RootOfUnity(m, k))
+            want = evaluate(h, z(m, k))
+            if want is None:
+                assert got is None, (h, m, k)
+                poles += 1
+            else:
+                assert (got.n, got.num, got.den) == (want.n, want.num, want.den), (h, m, k)
+    assert poles
+
+
 class TestPoles:
     def test_three_simple_poles(self):
         assert distinct_pole_count(ratfunc_new(P(1), P(0, -1, 0, 1))) == 3
