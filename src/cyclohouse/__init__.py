@@ -4,157 +4,61 @@ Core objects: CycNum (exact cyclotomic numbers with rigorous house
 enclosures), RatFunc/Poly/LaurentPoly (exact rational-function algebra),
 witnesses for compositions landing on short root-of-unity sums, and the
 orbit/avoidance machinery built on top of them.
+
+Names resolve on first use (PEP 562): ``import cyclohouse`` loads no
+submodule, so a cold command-line process compiles only what it runs.
 """
 
-from .cyclotomic import (
-    MEMBER,
-    NONMEMBER,
-    UNDECIDED,
-    CycNum,
-    HouseResult,
-    LoxtonProfile,
-    RootOfUnity,
-    conjugates,
-    cyc_add,
-    cyc_inv,
-    cyc_mul,
-    cyc_neg,
-    embed_at_conductor,
-    house,
-    in_PA,
-    is_algebraic_integer,
-    is_root_of_unity,
-    loxton_decompose,
-)
-from .errors import (
-    CyclohouseError,
-    DomainError,
-    ParseError,
-    ResourceLimitError,
-    UndecidedError,
-)
-from .ratfunc import (
-    BinomialShape,
-    LaurentPoly,
-    Mobius,
-    Poly,
-    RatFunc,
-    chebyshev,
-    compose,
-    degree,
-    distinct_pole_count,
-    evaluate,
-    is_binomial_shape,
-    is_trinomial_shape,
-    iterate,
-    mobius_conjugate,
-    ratfunc_new,
-    substitute_poly_laurent,
-    term_count,
-    to_laurent,
-)
-from .special import SpecialCertificate, SpecialVerdict, is_special
-from .avoidance import (
-    AvoidanceVerdict,
-    MonicNormalization,
-    OrbitLemmaReport,
-    OrbitRecord,
-    ScanResult,
-    avoidance_verdict,
-    escape_radius,
-    monic_normalize,
-    orbit,
-    scan_roots_of_unity,
-    verify_orbit_lemma,
-)
-from .witness import (
-    FZReport,
-    SearchGrid,
-    SpecialTermsReport,
-    Witness,
-    fz_degree_cap,
-    is_A_short,
-    iterate_term_lower_bound,
-    verify_fz,
-    verify_specialterms,
-    witness_check,
-    witness_laurent,
-    witness_search_deg2,
-)
-from .parser import ExprAST, parse_expr, parse_ratfunc, parse_scalar
-from .formatting import format_value
+from importlib import import_module
 
-__all__ = [
-    "MEMBER",
-    "NONMEMBER",
-    "UNDECIDED",
-    "CycNum",
-    "HouseResult",
-    "LoxtonProfile",
-    "RootOfUnity",
-    "conjugates",
-    "cyc_add",
-    "cyc_inv",
-    "cyc_mul",
-    "cyc_neg",
-    "embed_at_conductor",
-    "house",
-    "in_PA",
-    "is_algebraic_integer",
-    "is_root_of_unity",
-    "loxton_decompose",
-    "CyclohouseError",
-    "DomainError",
-    "ParseError",
-    "ResourceLimitError",
-    "UndecidedError",
-    "BinomialShape",
-    "LaurentPoly",
-    "Mobius",
-    "Poly",
-    "RatFunc",
-    "chebyshev",
-    "compose",
-    "degree",
-    "distinct_pole_count",
-    "evaluate",
-    "is_binomial_shape",
-    "is_trinomial_shape",
-    "iterate",
-    "mobius_conjugate",
-    "ratfunc_new",
-    "substitute_poly_laurent",
-    "term_count",
-    "to_laurent",
-    "SpecialCertificate",
-    "SpecialVerdict",
-    "is_special",
-    "AvoidanceVerdict",
-    "MonicNormalization",
-    "OrbitLemmaReport",
-    "OrbitRecord",
-    "ScanResult",
-    "avoidance_verdict",
-    "escape_radius",
-    "monic_normalize",
-    "orbit",
-    "scan_roots_of_unity",
-    "verify_orbit_lemma",
-    "FZReport",
-    "SearchGrid",
-    "SpecialTermsReport",
-    "Witness",
-    "fz_degree_cap",
-    "is_A_short",
-    "iterate_term_lower_bound",
-    "verify_fz",
-    "verify_specialterms",
-    "witness_check",
-    "witness_laurent",
-    "witness_search_deg2",
-    "ExprAST",
-    "parse_expr",
-    "parse_ratfunc",
-    "parse_scalar",
-    "format_value",
-]
+_EXPORTS = {
+    "cyclotomic": (
+        "MEMBER", "NONMEMBER", "UNDECIDED", "CycNum", "HouseResult", "LoxtonProfile",
+        "RootOfUnity", "conjugates", "cyc_add", "cyc_inv", "cyc_mul", "cyc_neg",
+        "embed_at_conductor", "house", "in_PA", "is_algebraic_integer",
+        "is_root_of_unity", "loxton_decompose",
+    ),
+    "errors": (
+        "CyclohouseError", "DomainError", "ParseError", "ResourceLimitError",
+        "UndecidedError",
+    ),
+    "ratfunc": (
+        "BinomialShape", "LaurentPoly", "Mobius", "Poly", "RatFunc", "chebyshev",
+        "compose", "degree", "distinct_pole_count", "evaluate", "is_binomial_shape",
+        "is_trinomial_shape", "iterate", "mobius_conjugate", "ratfunc_new",
+        "substitute_poly_laurent", "term_count", "to_laurent",
+    ),
+    "special": ("SpecialCertificate", "SpecialVerdict", "is_special"),
+    "avoidance": (
+        "AvoidanceVerdict", "MonicNormalization", "OrbitLemmaReport", "OrbitRecord",
+        "ScanResult", "avoidance_verdict", "escape_radius", "monic_normalize", "orbit",
+        "scan_roots_of_unity", "verify_orbit_lemma",
+    ),
+    "witness": (
+        "FZReport", "SearchGrid", "SpecialTermsReport", "Witness", "fz_degree_cap",
+        "is_A_short", "iterate_term_lower_bound", "verify_fz", "verify_specialterms",
+        "witness_check", "witness_laurent", "witness_search_deg2",
+    ),
+    "parser": ("ExprAST", "parse_expr", "parse_ratfunc", "parse_scalar"),
+    "formatting": ("format_value",),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = {*_EXPORTS, "cli", "intervals"}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _HOME:
+        value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    elif name in _SUBMODULES:
+        value = import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # Later lookups find the name here and never call this function again.
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

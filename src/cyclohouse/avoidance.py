@@ -25,6 +25,7 @@ import math
 import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .cyclotomic import (
     MEMBER,
@@ -50,7 +51,10 @@ from .ratfunc import (
     evaluate,
 )
 from .special import as_positive_rational_times_rou, exact_nth_root_fraction
-from .witness import SearchGrid, Witness, witness_search_deg2
+
+if TYPE_CHECKING:  # loaded at run time by avoidance_verdict alone
+    from .witness import SearchGrid, Witness
+
 
 @dataclass(frozen=True)
 class MonicNormalization:
@@ -514,6 +518,8 @@ def avoidance_verdict(
     shape-complete: any witness would have needed deg S <= 2, which the
     search family covers up to its grid.
     """
+    from .witness import SearchGrid, witness_search_deg2
+
     if h.is_constant():
         raise DomainError("avoidance verdict requires a nonconstant function")
     A = Fraction(A)

@@ -15,25 +15,6 @@ import json
 import sys
 from fractions import Fraction
 
-from .avoidance import (
-    avoidance_verdict,
-    escape_radius,
-    monic_normalize,
-    orbit,
-    scan_roots_of_unity,
-)
-from .cyclotomic import (
-    DEFAULT_ACCURACY_BITS,
-    UNDECIDED,
-    LoxtonProfile,
-    RootOfUnity,
-    house,
-    in_PA,
-    is_algebraic_integer,
-    is_root_of_unity,
-    loxton_decompose,
-    torsion_order,
-)
 from .errors import (
     CyclohouseError,
     DomainError,
@@ -41,25 +22,9 @@ from .errors import (
     ResourceLimitError,
     UndecidedError,
 )
-from .formatting import format_value, scan_to_csv
-from .parser import parse_ratfunc, parse_scalar
-from .ratfunc import (
-    chebyshev,
-    compose,
-    degree,
-    distinct_pole_count,
-    iterate,
-)
-from .special import is_special
-from .witness import (
-    SearchGrid,
-    Witness,
-    fz_degree_cap,
-    verify_fz,
-    verify_specialterms,
-    witness_check,
-    witness_search_deg2,
-)
+
+# Each handler imports what it calls, so a cold process compiles only the
+# modules its subcommand uses.
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -95,19 +60,31 @@ def _emit(obj) -> None:
 
 
 def _cmd_house(args) -> int:
+    from .cyclotomic import house
+    from .formatting import format_value
+    from .parser import parse_scalar
+
     a = parse_scalar(args.expr)
-    hr = house(a, args.bits)
+    hr = house(a) if args.bits is None else house(a, args.bits)
     _emit({"house": hr.to_dict(), "value": format_value(a)})
     return EXIT_OK
 
 
 def _cmd_integer(args) -> int:
+    from .cyclotomic import is_algebraic_integer
+    from .formatting import format_value
+    from .parser import parse_scalar
+
     a = parse_scalar(args.expr)
     _emit({"integral": is_algebraic_integer(a), "value": format_value(a)})
     return EXIT_OK
 
 
 def _cmd_rootofunity(args) -> int:
+    from .cyclotomic import is_root_of_unity
+    from .formatting import format_value
+    from .parser import parse_scalar
+
     a = parse_scalar(args.expr)
     rou = is_root_of_unity(a)
     _emit(
@@ -120,6 +97,10 @@ def _cmd_rootofunity(args) -> int:
 
 
 def _cmd_pa(args) -> int:
+    from .cyclotomic import UNDECIDED, house, in_PA, is_algebraic_integer
+    from .formatting import format_value
+    from .parser import parse_scalar
+
     a = parse_scalar(args.expr)
     big_a = _real(args.A)
     verdict = in_PA(a, big_a)
@@ -139,6 +120,10 @@ def _cmd_pa(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    from .cyclotomic import loxton_decompose, torsion_order
+    from .formatting import format_value
+    from .parser import parse_scalar
+
     a = parse_scalar(args.expr)
     result = loxton_decompose(a, args.dmax)
     _emit(
@@ -156,11 +141,18 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_cheb(args) -> int:
+    from .formatting import format_value
+    from .ratfunc import chebyshev
+
     _emit({"poly": format_value(chebyshev(args.d))})
     return EXIT_OK
 
 
 def _cmd_compose(args) -> int:
+    from .formatting import format_value
+    from .parser import parse_ratfunc
+    from .ratfunc import compose
+
     h1 = parse_ratfunc(args.h)
     h2 = parse_ratfunc(args.g)
     _emit({"ratfunc": format_value(compose(h1, h2))})
@@ -168,22 +160,36 @@ def _cmd_compose(args) -> int:
 
 
 def _cmd_iterate(args) -> int:
+    from .formatting import format_value
+    from .parser import parse_ratfunc
+    from .ratfunc import iterate
+
     h = parse_ratfunc(args.h)
     _emit({"ratfunc": format_value(iterate(h, args.n))})
     return EXIT_OK
 
 
 def _cmd_degree(args) -> int:
+    from .parser import parse_ratfunc
+    from .ratfunc import degree
+
     _emit({"degree": degree(parse_ratfunc(args.h))})
     return EXIT_OK
 
 
 def _cmd_poles(args) -> int:
+    from .parser import parse_ratfunc
+    from .ratfunc import distinct_pole_count
+
     _emit({"distinct_pole_count": distinct_pole_count(parse_ratfunc(args.h))})
     return EXIT_OK
 
 
 def _cmd_special(args) -> int:
+    from .formatting import format_value
+    from .parser import parse_ratfunc
+    from .special import is_special
+
     verdict = is_special(parse_ratfunc(args.h))
     cert = None
     if verdict.certificate is not None:
@@ -196,6 +202,9 @@ def _cmd_special(args) -> int:
 
 
 def _cmd_normalize(args) -> int:
+    from .avoidance import escape_radius, monic_normalize
+    from .parser import parse_ratfunc
+
     norm = monic_normalize(parse_ratfunc(args.h))
     out = norm.to_dict()
     out["escape_radius_verified"] = str(escape_radius(norm))
@@ -204,6 +213,9 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_orbit(args) -> int:
+    from .avoidance import orbit
+    from .parser import parse_ratfunc, parse_scalar
+
     h = parse_ratfunc(args.h)
     alpha = parse_scalar(args.alpha)
     record = orbit(h, alpha, args.n, _real(args.A))
@@ -212,6 +224,10 @@ def _cmd_orbit(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    from .avoidance import scan_roots_of_unity
+    from .formatting import scan_to_csv
+    from .parser import parse_ratfunc
+
     h = parse_ratfunc(args.h)
     result = scan_roots_of_unity(h, args.M, _real(args.A))
     if args.csv:
@@ -222,6 +238,9 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_witness_check(args) -> int:
+    from .parser import parse_ratfunc
+    from .witness import Witness, witness_check
+
     h = parse_ratfunc(args.h)
     s_map = parse_ratfunc(args.S)
     w = Witness(tuple(_witness_terms(args.terms)), s_map)
@@ -231,6 +250,9 @@ def _cmd_witness_check(args) -> int:
 
 def _witness_terms(text: str) -> list:
     """--terms: a JSON list of {"beta": {"order", "exp"}, "e", "n"} objects."""
+    from .cyclotomic import RootOfUnity
+    from .parser import parse_scalar
+
     try:
         raw_terms = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -258,6 +280,9 @@ def _json_int(obj: dict, key: str) -> int:
 
 
 def _cmd_witness_search(args) -> int:
+    from .parser import parse_ratfunc
+    from .witness import SearchGrid, witness_search_deg2
+
     h = parse_ratfunc(args.h)
     grid = SearchGrid(rou_order_cap=args.gridM, rational_height_cap=args.gridH)
     w = witness_search_deg2(h, args.dmax, grid)
@@ -266,6 +291,10 @@ def _cmd_witness_search(args) -> int:
 
 
 def _cmd_verdict(args) -> int:
+    from .avoidance import avoidance_verdict
+    from .cyclotomic import LoxtonProfile
+    from .parser import parse_ratfunc
+
     h = parse_ratfunc(args.h)
     profile = LoxtonProfile.default(args.budget)
     verdict = avoidance_verdict(h, _real(args.A), profile)
@@ -274,6 +303,8 @@ def _cmd_verdict(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    from .witness import fz_degree_cap
+
     rational_cap, laurent_cap = fz_degree_cap(args.l)
     _emit(
         {"l": args.l, "rational_cap": rational_cap, "laurent_poly_cap": laurent_cap}
@@ -282,12 +313,18 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_fz_verify(args) -> int:
+    from .parser import parse_ratfunc
+    from .witness import verify_fz
+
     report = verify_fz(parse_ratfunc(args.h), parse_ratfunc(args.q))
     _emit(report.to_dict())
     return EXIT_OK
 
 
 def _cmd_specialterms(args) -> int:
+    from .parser import parse_ratfunc
+    from .witness import verify_specialterms
+
     report = verify_specialterms(parse_ratfunc(args.h), parse_ratfunc(args.q), args.n)
     _emit(report.to_dict())
     return EXIT_OK
@@ -302,7 +339,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("house", help="rigorous house enclosure of a scalar")
     p.add_argument("expr")
-    p.add_argument("--bits", type=int, default=DEFAULT_ACCURACY_BITS)
+    p.add_argument("--bits", type=int)  # None: house's DEFAULT_ACCURACY_BITS
     p.set_defaults(func=_cmd_house)
 
     p = sub.add_parser("integer", help="algebraic integrality test")

@@ -188,8 +188,16 @@ class _Cyclotomy:
 
         acc[e] is the coefficient of zeta^e (len(acc) >= phi); the
         returned list is acc cut to its phi power-basis coordinates.
+        Phi_n divides x^n - 1, so exponents n and up fold onto e - n
+        first, by additions; only the n - phi rows below n remain.
         """
-        phi, low = self.phi, self.low
+        n, phi, low = self.n, self.phi, self.low
+        if len(acc) > n:
+            for e in range(len(acc) - 1, n - 1, -1):
+                c = acc[e]
+                if c:
+                    acc[e - n] += c
+            del acc[n:]
         for e in range(len(acc) - 1, phi - 1, -1):
             c = acc[e]
             if c:

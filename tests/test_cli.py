@@ -18,6 +18,7 @@ import pytest
 from cyclohouse.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 CASES = {
     "house": (["house", "1 + z5", "--bits", "128"], 0),
@@ -269,24 +270,80 @@ def test_real_parameter_prints_back_up_to_the_digit_limit():
         assert json.loads(out)["error"]["type"] == "domain"
 
 
-def test_mpmath_is_imported_only_by_a_table_build():
-    # a cold process that imports the CLI and runs a command that builds no
-    # root table must not pay for importing mpmath
-    src = Path(__file__).resolve().parents[1] / "src"
-    path = [str(src), os.environ.get("PYTHONPATH")]
+def _fresh_python(script: str) -> str:
+    """stdout of ``python -c script`` in a new process that imports ./src."""
+    path = [str(SRC), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    script = (
-        "import sys, io, contextlib\n"
-        "import cyclohouse.cli\n"
-        "assert 'mpmath' not in sys.modules, 'import'\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert cyclohouse.cli.main(['cheb', '3']) == 0\n"
-        "assert 'mpmath' not in sys.modules, 'cheb'\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert cyclohouse.cli.main(['house', '1 + z5']) == 0\n"
-        "assert 'mpmath' in sys.modules, 'house'\n"
-    )
     proc = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+_PACKAGE = {f"cyclohouse.{p.stem}" for p in (SRC / "cyclohouse").glob("[!_]*.py")}
+_UPPER_LAYERS = {"cyclohouse.special", "cyclohouse.witness", "cyclohouse.avoidance"}
+
+# A cold process that imports the CLI and runs one command: (argv, or None
+# for the import alone; modules it must load; modules it must leave out).
+# Each subcommand imports only what it uses, and only a root-table build
+# imports mpmath.
+COLD_IMPORTS = {
+    "import": (
+        None,
+        {"cyclohouse", "cyclohouse.cli", "cyclohouse.errors"},
+        _PACKAGE - {"cyclohouse.cli", "cyclohouse.errors"} | {"mpmath"},
+    ),
+    "cheb": (["cheb", "3"], set(), _UPPER_LAYERS | {"mpmath"}),
+    "degree": (["degree", "2*x^3/(x + 1)"], set(), _UPPER_LAYERS),
+    "house": (["house", "1 + z5"], {"mpmath"}, _UPPER_LAYERS),
+    "scan": (
+        ["scan", "x^2", "--M", "4", "--A", "1"],
+        {"cyclohouse.avoidance"},
+        {"cyclohouse.witness"},
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, loaded, absent", COLD_IMPORTS.values(), ids=list(COLD_IMPORTS))
+def test_cold_process_loads_only_what_it_uses(argv, loaded, absent):
+    script = (
+        "import contextlib, io, json, sys\n"
+        "import cyclohouse.cli\n"
+        f"argv = {argv!r}\n"
+        "if argv is not None:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cyclohouse.cli.main(argv) == 0\n"
+        "ours = [m for m in sys.modules if m.partition('.')[0] in ('cyclohouse', 'mpmath')]\n"
+        "print(json.dumps(ours))\n"
+    )
+    modules = set(json.loads(_fresh_python(script)))
+    assert loaded <= modules
+    assert not absent & modules
+
+
+def test_lazy_package_resolves_every_public_name():
+    # a bare import loads no submodule; every name resolves on first use to
+    # the object its submodule binds, and stays bound in the package
+    _fresh_python(
+        "import importlib, pkgutil, sys\n"
+        "import cyclohouse\n"
+        "assert not [m for m in sys.modules if m.startswith('cyclohouse.')]\n"
+        "assert set(cyclohouse.__all__) <= set(dir(cyclohouse))\n"
+        "assert cyclohouse.cyclotomic is sys.modules['cyclohouse.cyclotomic']\n"
+        "star = {}\n"
+        "exec('from cyclohouse import *', star)\n"
+        "subs = [importlib.import_module(f'cyclohouse.{m.name}')\n"
+        "        for m in pkgutil.iter_modules(cyclohouse.__path__)]\n"
+        "for name in cyclohouse.__all__:\n"
+        "    value = getattr(cyclohouse, name)\n"
+        "    homes = [vars(m)[name] for m in subs if name in vars(m)]\n"
+        "    assert homes and all(v is value for v in homes), name\n"
+        "    assert vars(cyclohouse)[name] is value, name\n"
+        "    assert star[name] is value, name\n"
+        "assert not hasattr(cyclohouse, 'no_such_name')\n"
+    )
+
+
+def test_house_default_bits_is_64():
+    assert _run(["house", "1 + z5"]) == _run(["house", "1 + z5", "--bits", "64"])

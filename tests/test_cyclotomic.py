@@ -283,6 +283,20 @@ class TestCyclotomicPolynomials:
             expected = [-1] + [0] * (n - 1) + [1]
             assert prod == expected
 
+    def test_reduce_folds_exponents_past_n(self):
+        # reduce is linear, so the monomials x^e, e < 3n, cover every input
+        # up to that length; the reference is the power walk through Phi_n
+        from cyclohouse.cyclotomic import _cyclotomy
+
+        for n in (1, 2, 5, 12, 15, 59, 105):
+            ctx = _cyclotomy(n)
+            walk = ctx.torsion_vectors()
+            step = len(walk) // n
+            for e in range(3 * n):
+                acc = [0] * max(e + 1, ctx.phi)
+                acc[e] = 1
+                assert tuple(ctx.reduce(acc)) == walk[step * e % len(walk)], (n, e)
+
 
 class TestCanonicalForm:
     def test_constructor_accepts_2_mod_4(self):
