@@ -2,10 +2,10 @@
 
 Every command emits a single JSON object on stdout (or CSV for tabular
 commands under --csv).  Exit codes: 0 success, 1 domain error, 2 syntax
-error, 3 resource ceiling, 4 undecided at the precision cap, 5 internal
-error (an unexpected exception).  Errors
-are reported as {"error": {"type": ..., "message": ...}} and identical
-invocations produce byte-identical output.
+error, 3 resource ceiling (a number too long to print included), 4
+undecided at the precision cap, 5 internal error (an unexpected
+exception).  Errors are reported as {"error": {"type": ..., "message":
+...}} and identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ from .errors import (
     ParseError,
     ResourceLimitError,
     UndecidedError,
+    int_digit_limit,
+    printable,
 )
 
 # Each handler imports what it calls, so a cold process compiles only the
@@ -38,11 +40,10 @@ def _real(text: str) -> Fraction:
     """Exact rational from a decimal string or p/q form.
 
     Its numerator and denominator must print back, so each has at most
-    ``sys.get_int_max_str_digits()`` digits (0, or a Python before 3.10.7,
-    means no limit); a decimal exponent beyond that is refused before
-    10^exponent is built.
+    ``int_digit_limit()`` digits; a decimal exponent beyond that is
+    refused before 10^exponent is built.
     """
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = int_digit_limit()
     _, e, exponent = text.lower().partition("e")
     try:
         if limit and e and abs(int(exponent)) > limit:
@@ -305,10 +306,8 @@ def _cmd_verdict(args) -> int:
 def _cmd_bounds(args) -> int:
     from .witness import fz_degree_cap
 
-    rational_cap, laurent_cap = fz_degree_cap(args.l)
-    _emit(
-        {"l": args.l, "rational_cap": rational_cap, "laurent_poly_cap": laurent_cap}
-    )
+    rational, laurent = map(printable, fz_degree_cap(args.l))
+    _emit({"l": args.l, "rational_cap": rational, "laurent_poly_cap": laurent})
     return EXIT_OK
 
 

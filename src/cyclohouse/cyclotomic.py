@@ -26,7 +26,7 @@ rigorous enclosure.  ``house`` and ``compare_house`` (behind ``in_PA``)
 climb one precision ladder (``_rungs``) of integer bounds on the largest
 squared conjugate modulus.  An element keeps those bounds per working
 precision, its ``HouseResult`` per accuracy, and a screen from its first
-rung, so that a higher rung evaluates only the conjugates that can hold
+rung, so that any other rung evaluates only the conjugates that can hold
 the house (``_max_square_bounds``); the boundary house(a) = A is decided
 exactly, from a * conj(a) = A^2.
 A root-of-unity test maps the element into F_p with zeta_M -> g, reads
@@ -883,23 +883,27 @@ def _square_bounds(tab, n: int, nz, units) -> tuple[int, int, list[int]]:
     return best_lo, best_hi, his
 
 
-def _screened_bounds(tab, n: int, nz, screen, d: int) -> tuple[int, int] | None:
-    """(max lo, max hi) over the survivors of a screen made d bits lower,
-    or None when a screened-out conjugate might reach their max lo.
+def _screened_bounds(tab, n: int, nz, screen, prec: int) -> tuple[int, int] | None:
+    """(max lo, max hi) over the survivors of a screen, at working
+    precision prec, or None when a screened-out conjugate might reach
+    their max lo.
 
-    Every table entry is at most 2 units wide, so at this rung the real
-    and imaginary parts of each conjugate lie within W = 2 * sum |w_j| of
-    their exact scaled values, and its hi is at most
-    |z|^2 + 2W(|Re z| + |Im z|) + 2W^2 <= (thr << 2d) + 2W sqrt(2 thr) 2^d
-    + 2W^2, |z|^2 <= thr << 2d for a screened-out t.  When that is at
-    most the survivors' max lo, no screened-out t reaches either maximum,
-    and the pair equals the full loop's.
+    A screened-out t had hi <= thr at the screen's precision prec0, so at
+    prec its exact scaled |z|^2 is at most T = thr << 2e with e = prec -
+    prec0, or T = ceil(thr / 4^-e) when e < 0.  Every table entry is at
+    most 2 units wide, so the real and imaginary parts lie within
+    W = 2 * sum |w_j| of their exact scaled values, and its hi is at most
+    T + 2W(|Re z| + |Im z|) + 2W^2 <= T + 2W isqrt_ceil(2T) + 2W^2.  When
+    that is at most the survivors' max lo, no screened-out t reaches either
+    maximum, and the pair equals the full loop's.
     """
-    _, survivors, thr = screen
+    prec0, survivors, thr = screen
     best_lo, best_hi, _ = _square_bounds(tab, n, nz, survivors)
     if thr is not None:
+        e = prec - prec0
+        t = thr << 2 * e if e >= 0 else -(-thr >> -2 * e)
         w = 2 * sum(abs(c) for _, c in nz)
-        if (thr << 2 * d) + 2 * w * (isqrt_ceil(2 * thr) << d) + 2 * w * w > best_lo:
+        if t + 2 * w * isqrt_ceil(2 * t) + 2 * w * w > best_lo:
             return None
     return best_lo, best_hi
 
@@ -910,9 +914,10 @@ def _max_square_bounds(a: CycNum, prec: int) -> tuple[int, int]:
     Computed once per element and working precision and kept on the
     element (``_HouseMemo``).  The first rung computed evaluates every
     unit t <= n/2 and records a screen: the survivors t with
-    hi_t >= best_lo and thr, the largest hi_t of the others.  A higher
-    rung evaluates the survivors only, unless ``_screened_bounds`` cannot
-    rule the others out; then it evaluates every t.  Either way the bounds
+    hi_t >= best_lo and thr, the largest hi_t of the others.  Any other
+    rung, above or below it, evaluates the survivors only, unless
+    ``_screened_bounds`` cannot rule the others out; then it evaluates
+    every t.  Either way the bounds
     are those of the full loop.
     """
     memo = _house_memo(a)
@@ -924,8 +929,8 @@ def _max_square_bounds(a: CycNum, prec: int) -> tuple[int, int]:
     tab = root_table(n, prec)
     screen = memo.screen
     bounds = None
-    if screen is not None and screen[0] < prec:
-        bounds = _screened_bounds(tab, n, nz, screen, prec - screen[0])
+    if screen is not None:
+        bounds = _screened_bounds(tab, n, nz, screen, prec)
     if bounds is None:
         units = _units_half(n)
         best_lo, best_hi, his = _square_bounds(tab, n, nz, units)

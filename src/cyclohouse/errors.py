@@ -1,9 +1,12 @@
-"""Exception hierarchy shared by every module.
+"""Exception hierarchy shared by every module, and the check that a
+number prints within the interpreter's int-to-text limit.
 
 The CLI maps these onto process exit codes, so new error conditions
 should reuse one of the classes below rather than raising bare
 ValueError/ZeroDivisionError.
 """
+
+import sys
 
 
 class CyclohouseError(Exception):
@@ -32,3 +35,21 @@ class ResourceLimitError(CyclohouseError):
 
 class UndecidedError(CyclohouseError):
     """Precision cap reached before the question could be decided (exit code 4)."""
+
+
+def int_digit_limit() -> int:
+    """The interpreter's int-to-text limit in digits (0: none, as before
+    Python 3.10.7)."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def printable(v):
+    """v, an int or Fraction whose numerator and denominator each print
+    within ``int_digit_limit()`` digits; else ResourceLimitError, raised
+    before the conversion that would fail."""
+    limit = int_digit_limit()
+    for part in (v.numerator, v.denominator):
+        # below 2^(3 * limit) < 10^limit the exact comparison is skipped
+        if limit and part.bit_length() > 3 * limit and abs(part) >= 10**limit:
+            raise ResourceLimitError(f"a number of more than {limit} digits cannot be printed")
+    return v

@@ -11,12 +11,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cyclotomic import CycNum
-from .errors import DomainError
+from .errors import DomainError, printable
 from .ratfunc import LaurentPoly, Poly, RatFunc
 
 
 def _format_rational(q: Fraction) -> str:
-    return str(q)
+    return str(printable(q))
 
 
 def _cycnum_term_strings(a: CycNum) -> list[tuple[int, str]]:
@@ -29,10 +29,10 @@ def _cycnum_term_strings(a: CycNum) -> list[tuple[int, str]]:
         sign = 1 if c > 0 else -1
         mag = abs(c) if den == 1 else Fraction(abs(c), den)
         if j == 0:
-            body = str(mag)
+            body = str(printable(mag))
         else:
             zeta = f"z{n}" if j == 1 else f"z{n}^{j}"
-            body = zeta if mag == 1 else f"{mag}*{zeta}"
+            body = zeta if mag == 1 else f"{printable(mag)}*{zeta}"
         out.append((sign, body))
     return out
 
@@ -139,7 +139,7 @@ def _decimal_directed(q: Fraction, round_up: bool, places: int = _DECIMAL_PLACES
     else:
         iv = scaled // q.denominator
     sign = "-" if iv < 0 else ""
-    digits = str(abs(iv)).rjust(places + 1, "0")
+    digits = str(printable(abs(iv))).rjust(places + 1, "0")
     return f"{sign}{digits[:-places]}.{digits[-places:]}"
 
 

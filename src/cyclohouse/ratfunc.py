@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .cyclotomic import CycNum, RootOfUnity, root_power_sum
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError, int_digit_limit
 
 #: Ceiling for iterate() expansion, in projected monomials.
 DEFAULT_ITERATE_CEILING = 1_000_000
@@ -184,17 +184,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     if a.is_zero():
         return a
     return a.monic()
-
-
-def squarefree_part(p: Poly) -> Poly:
-    """p / gcd(p, p'): each distinct root exactly once (char 0)."""
-    if p.is_zero() or p.is_constant():
-        return p.monic() if not p.is_zero() else p
-    g = poly_gcd(p, p.derivative())
-    q, r = p.divmod(g)
-    if not r.is_zero():
-        raise AssertionError("gcd failed to divide")
-    return q.monic()
 
 
 class LaurentPoly:
@@ -505,13 +494,17 @@ def iterate(h: RatFunc, n: int) -> RatFunc:
     if n == 0:
         return RatFunc.x()
     d = degree(h)
-    if d >= 2:
-        projected = d**n
-        if 2 * (projected + 1) > DEFAULT_ITERATE_CEILING:
-            raise ResourceLimitError(
-                f"iterate would expand to about {projected} monomials "
-                f"(ceiling {DEFAULT_ITERATE_CEILING})"
-            )
+    # d^n >= 2^(n * (bits(d) - 1)), so d^n is built only when it may be small
+    if d >= 2 and (
+        n * (d.bit_length() - 1) >= DEFAULT_ITERATE_CEILING.bit_length()
+        or 2 * (d**n + 1) > DEFAULT_ITERATE_CEILING
+    ):
+        # d^n < 2^(n * bits(d)) is spelled out only when that surely prints
+        about = d**n if n * d.bit_length() <= 3 * int_digit_limit() else f"{d}^{n}"
+        raise ResourceLimitError(
+            f"iterate would expand to about {about} monomials "
+            f"(ceiling {DEFAULT_ITERATE_CEILING})"
+        )
     out = h
     for _ in range(n - 1):
         out = compose(h, out)

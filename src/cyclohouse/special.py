@@ -14,11 +14,11 @@ T_d has no totally ramified fixed point besides infinity.
 
 Rational layer: a non-polynomial special map must have a finite totally
 ramified fixed point gamma (the image of infinity under the
-conjugation).  Such points are roots of multiplicity d-1 of the
-Wronskian num'*den - num*den', of which there are at most two, located
-by gcd/derivative computations alone; each candidate is checked by the
-exact shape identity num - gamma*den = c*(x-gamma)^d and, on success,
-conjugated to the polynomial layer by gamma + 1/x.  That conjugate,
+conjugation), that is, num - gamma*den = c*(x - gamma)^d for some c.
+Read coefficientwise in x, that identity is d polynomial equations in
+gamma; their gcd has degree at most 2, so its roots come in closed form
+and each satisfies the identity exactly.  Each candidate is conjugated
+to the polynomial layer by gamma + 1/x; that conjugate,
 x^d den(gamma + 1/x)/c, comes from one Taylor shift of the denominator.
 
 Root extraction stays inside the cyclotomic closure: for rational s > 0
@@ -44,7 +44,6 @@ from .ratfunc import (
     degree,
     mobius_conjugate,
     poly_gcd,
-    squarefree_part,
 )
 
 STATUS_SPECIAL = "special"
@@ -281,66 +280,51 @@ def _special_polynomial(p: Poly) -> SpecialVerdict:
 def _special_rational(h: RatFunc) -> SpecialVerdict:
     d = degree(h)
     num, den = h.num, h.den
-    wronskian = num.derivative() * den - num * den.derivative()
-    # Roots of multiplicity >= d-1: gcd of W with its first d-2 derivatives.
-    g = wronskian
-    deriv = wronskian
-    for _ in range(d - 2):
-        if g.deg <= 0:
-            break
-        deriv = deriv.derivative()
-        g = poly_gcd(g, deriv)
-    if g.deg < 1:
-        return SpecialVerdict(STATUS_NOT_SPECIAL)
-    rad = squarefree_part(g)
-    candidates, decisive = _roots_of_low_degree(rad)
+    # E_k(gamma), the x^k coefficient of num - gamma*den - c*(x - gamma)^d
+    # with c = num_d - gamma*den_d, vanishes for every k exactly at the
+    # finite totally ramified fixed points.  E_(d-1), or E_(d-2) when
+    # den_d = 0, has degree 2 in gamma, so their gcd G has degree <= 2.
+    g = Poly()
+    for k in range(d - 1, -1, -1):
+        b = math.comb(d, k) * (-1) ** (d - k)
+        shape = Poly([CycNum.zero] * (d - k) + [num[d] * b, den[d] * -b])
+        g = poly_gcd(g, Poly([num[k], -den[k]]) - shape)
+        if g.deg == 0:
+            return SpecialVerdict(STATUS_NOT_SPECIAL)
+    candidates, decisive = _roots_of_low_degree(g)
     unknown = not decisive
     for gamma in candidates:
-        cert = _certify_via_fixed_point(h, gamma, d)
-        if isinstance(cert, SpecialCertificate):
-            return SpecialVerdict(STATUS_SPECIAL, cert)
-        if cert == STATUS_UNKNOWN:
-            unknown = True
+        verdict = _certify_via_fixed_point(h, gamma, d)
+        if verdict.status == STATUS_SPECIAL:
+            return verdict
+        unknown = unknown or verdict.status == STATUS_UNKNOWN
     return SpecialVerdict(STATUS_UNKNOWN if unknown else STATUS_NOT_SPECIAL)
 
 
-def _roots_of_low_degree(rad: Poly) -> tuple[list[CycNum], bool]:
-    """Roots of a squarefree polynomial of degree <= 2, in closed form."""
-    if rad.deg == 1:
-        return [(-rad[0]) * rad[1].inverse()], True
-    if rad.deg == 2:
-        a, b, c = rad[2], rad[1], rad[0]
-        disc = b * b - a * c * CycNum.from_rational(4)
-        sqrts, decisive = nth_roots_in_cyclotomic(disc, 2)
-        if not sqrts:
-            return [], decisive
-        s = sqrts[0]
-        inv = (a * CycNum.from_rational(2)).inverse()
-        return [(-b + s) * inv, (-b - s) * inv], True
-    # The theory bounds the candidate locus by a quadratic; anything
-    # else is treated as indecisive rather than silently ignored.
-    return [], rad.deg < 1
+def _roots_of_low_degree(g: Poly) -> tuple[list[CycNum], bool]:
+    """Roots of a polynomial of degree 1 or 2, in closed form."""
+    if g.deg == 1:
+        return [(-g[0]) * g[1].inverse()], True
+    a, b, c = g[2], g[1], g[0]
+    sqrts, decisive = nth_roots_in_cyclotomic(b * b - a * c * 4, 2)
+    if not sqrts:
+        return [], decisive
+    inv = (a * 2).inverse()
+    return [(-b + sqrts[0]) * inv, (-b - sqrts[0]) * inv], True
 
 
-def _certify_via_fixed_point(h: RatFunc, gamma: CycNum, d: int):
-    """Try to certify h as special via a totally ramified fixed point gamma."""
-    head = h.num - h.den.scale(gamma)
-    if head.deg != d:
-        return STATUS_NOT_SPECIAL
-    c = head.leading()
-    target = Poly([-gamma, CycNum.one]).pow(d).scale(c)
-    if head != target:
-        return STATUS_NOT_SPECIAL
-    # h(gamma + 1/x) - gamma = c x^-d / den(gamma + 1/x), so the conjugate is
-    # den's Taylor coefficients at gamma over c, reversed; den(gamma) != 0.
+def _certify_via_fixed_point(h: RatFunc, gamma: CycNum, d: int) -> SpecialVerdict:
+    """Decide h through a root gamma of G: num - gamma*den = c*(x - gamma)^d
+    with c != 0 (h is not constant), so the conjugate by gamma + 1/x is
+    den's Taylor coefficients at gamma over c, reversed (den(gamma) != 0)."""
+    c = h.num[d] - gamma * h.den[d]
     shifted = h.den.taylor_shift(gamma).scale(c.inverse())
-    g = Poly([shifted[d - k] for k in range(d + 1)])
-    sub = _special_polynomial(g)
-    if sub.status == STATUS_SPECIAL:
-        mu = Mobius(gamma, CycNum.one, CycNum.one, CycNum.zero)  # x -> gamma + 1/x
-        m_full = mu.compose(sub.certificate.mobius)
-        cert = SpecialCertificate(m_full, sub.certificate.model_kind, d)
-        if mobius_conjugate(h, m_full) == cert.model():
-            return cert
-        return STATUS_UNKNOWN
-    return sub.status
+    sub = _special_polynomial(Poly([shifted[d - k] for k in range(d + 1)]))
+    if sub.status != STATUS_SPECIAL:
+        return sub
+    mu = Mobius(gamma, CycNum.one, CycNum.one, CycNum.zero)  # x -> gamma + 1/x
+    m_full = mu.compose(sub.certificate.mobius)
+    cert = SpecialCertificate(m_full, sub.certificate.model_kind, d)
+    if mobius_conjugate(h, m_full) == cert.model():
+        return SpecialVerdict(STATUS_SPECIAL, cert)
+    return SpecialVerdict(STATUS_UNKNOWN)

@@ -308,37 +308,30 @@ def _grid_search_polynomial(
     or be a root of unity.  Two are tested first: h_d a^d, which picks
     a (and c, by symmetry), and p_(d-1)(b) a^(d-1), which picks b, with
     p_(d-1)(b) = d h_d b + h_(d-1).  For a root of unity a the second
-    does not depend on a.  ``_ModularScreen`` tests both in F_p before
-    the exact test, then walks the remaining coefficients in F_p; it
-    rejects no witness, and the survivors are expanded and verified
-    exactly.
+    does not depend on a.  ``_ModularScreen`` is the only pre-filter: it
+    tests both in F_p, then walks the remaining coefficients there.  It
+    rejects no witness; a coefficient that is neither 0 nor a root of
+    unity survives it with probability about lcm(2, L)/p, and every
+    survivor is expanded and verified exactly.
     """
     poly = h.num
     d = poly.deg
-    h_d, h_dm1 = poly[d], poly[d - 1]
     screen = _ModularScreen(poly, grid)
     a_values = [
-        gv
-        for gv in grid.entries()
-        if screen.may_be_root(screen.lead(gv.value), gv.value.n)
-        and is_root_of_unity(h_d * gv.value**d) is not None
+        gv for gv in grid.entries() if screen.may_be_root(screen.lead(gv.value), gv.value.n)
     ]
     if not a_values:
         return None
     b_values = [_ZERO_VALUE, *grid.entries()]
 
     def b_survivors(a: CycNum) -> list[tuple[_GridValue, list[int]]]:
-        """The b with p_(d-1)(b) a^(d-1) zero or a root of unity."""
-        scale, a_top = screen.powers(a)[d - 1], a ** (d - 1)
-        out = []
-        for gv in b_values:
-            b = gv.value
-            if not screen.may_be_root(screen.next_to_lead(b) * scale % screen.p, b.n):
-                continue
-            top = ((d * h_d) * b + h_dm1) * a_top
-            if not top or is_root_of_unity(top) is not None:
-                out.append((gv, screen.taylor(b)))
-        return out
+        """The b whose image of p_(d-1)(b) a^(d-1) may be zero or a root of unity."""
+        scale = screen.powers(a)[d - 1]
+        return [
+            (gv, screen.taylor(gv.value))
+            for gv in b_values
+            if screen.may_be_root(screen.next_to_lead(gv.value) * scale % screen.p, gv.value.n)
+        ]
 
     cs = [(gv, screen.powers(gv.value)) for gv in [_ZERO_VALUE, *a_values]]
     root_bs = b_survivors(CycNum.one)
@@ -428,10 +421,11 @@ class _ModularScreen:
         """False only if h(a x + b + c/x) is no witness within d_max terms.
 
         ap and cp are the ``powers`` of a and c, t is ``taylor`` at b and
-        order is lcm(2, L), L the conductor of h, a, b and c.  The x^d and
-        x^(d-1) coefficients are taken as tested; the walk starts at
-        x^(d-2) and stops at the first image that is neither 0 nor of
-        order dividing lcm(2, L), or once more than d_max are nonzero.
+        order is lcm(2, L), L the conductor of h, a, b and c.  The images
+        of the x^d and x^(d-1) coefficients were screened already (``lead``
+        and ``next_to_lead``); the walk starts at x^(d-2) and stops at the
+        first image that is neither 0 nor of order dividing lcm(2, L), or
+        once more than d_max are nonzero.
         """
         p, d, binom = self.p, self.d, self.binom
         nonzero = 1 + (t[d - 1] != 0)

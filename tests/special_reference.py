@@ -5,14 +5,18 @@ scaling u is tested by forming the conjugate m^-1 (h (m(x))) with two
 general compositions, and a non-polynomial map is carried to the
 polynomial layer by composing with gamma + 1/x.  The package now reads
 each conjugate off one Taylor shift; this is kept to compare against.
-It shares the root extraction and the Wronskian candidate locus with
-the package, which the change to closed-form conjugates left alone.
+It shares the root extraction with the package.  Its rational
+candidates are the roots of multiplicity d - 1 of the Wronskian
+num'*den - num*den', found by a chain of derivative gcds and a
+squarefree part; the package reads them off one gcd of the shape
+identity's coefficients instead, and where the Wronskian locus is too
+wide to extract this reference answers "unknown".
 """
 
 from __future__ import annotations
 
 from cyclohouse import CycNum, Mobius, Poly, RatFunc, mobius_conjugate
-from cyclohouse.ratfunc import degree, poly_gcd, squarefree_part
+from cyclohouse.ratfunc import degree, poly_gcd
 from cyclohouse.special import (
     MODEL_CHEBYSHEV,
     MODEL_NEG_POWER,
@@ -86,7 +90,9 @@ def _special_rational(h: RatFunc) -> SpecialVerdict:
         g = poly_gcd(g, deriv)
     if g.deg < 1:
         return SpecialVerdict(STATUS_NOT_SPECIAL)
-    candidates, decisive = _roots_of_low_degree(squarefree_part(g))
+    rad = squarefree_part(g)
+    # a locus wider than a quadratic is reported indecisive
+    candidates, decisive = _roots_of_low_degree(rad) if rad.deg <= 2 else ([], False)
     unknown = not decisive
     for gamma in candidates:
         cert = _certify_via_fixed_point(h, gamma, d)
@@ -95,6 +101,17 @@ def _special_rational(h: RatFunc) -> SpecialVerdict:
         if cert == STATUS_UNKNOWN:
             unknown = True
     return SpecialVerdict(STATUS_UNKNOWN if unknown else STATUS_NOT_SPECIAL)
+
+
+def squarefree_part(p: Poly) -> Poly:
+    """p / gcd(p, p'): each distinct root exactly once (char 0)."""
+    if p.is_zero() or p.is_constant():
+        return p.monic() if not p.is_zero() else p
+    g = poly_gcd(p, p.derivative())
+    q, r = p.divmod(g)
+    if not r.is_zero():
+        raise AssertionError("gcd failed to divide")
+    return q.monic()
 
 
 def _certify_via_fixed_point(h: RatFunc, gamma: CycNum, d: int):

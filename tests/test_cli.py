@@ -270,6 +270,37 @@ def test_real_parameter_prints_back_up_to_the_digit_limit():
         assert json.loads(out)["error"]["type"] == "domain"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["integer", "2^20000"],
+        ["iterate", "x^2", "20000"],  # its ceiling message would print 2^20000
+        ["bounds", "--l", "7000"],
+    ],
+)
+def test_number_too_long_to_print_is_a_resource_error(argv):
+    code, out = _run(argv)
+    assert code == 3
+    assert json.loads(out)["error"]["type"] == "resource"
+
+
+def test_iterate_ceiling_does_not_build_d_to_the_n():
+    start = time.process_time()
+    code, out = _run(["iterate", "x^3", "1000000000000"])
+    assert time.process_time() - start < 1
+    assert code == 3
+    assert "3^1000000000000" in json.loads(out)["error"]["message"]
+
+
+def test_quadratic_rational_map_is_decided_without_a_large_gauss_sum():
+    # its Wronskian's discriminant needs sqrt(19 * 15643), at conductor 4 * 19 * 15643
+    start = time.process_time()
+    code, out = _run(["special", "(11/18*x^2 + 1/3*x + 5/27)/(x^2 - 10/9*x + 17/54)"])
+    assert time.process_time() - start < 2
+    assert code == 0
+    assert out == '{"status": "not_special", "certificate": null}\n'
+
+
 def _fresh_python(script: str) -> str:
     """stdout of ``python -c script`` in a new process that imports ./src."""
     path = [str(SRC), os.environ.get("PYTHONPATH")]

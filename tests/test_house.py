@@ -346,11 +346,20 @@ def kernel_calls(monkeypatch):
     return calls
 
 
+def _assert_rungs_match_the_reference(a):
+    memo = a._house
+    for prec, bounds in memo.squares.items():
+        assert bounds == house_reference.max_square_bounds(_fresh(a), prec), (a, prec)
+    assert memo.screen == house_reference.screen(_fresh(a), memo.screen[0])
+
+
 def test_screened_rungs_equal_the_unscreened_loop(kernel_calls):
     rng = random.Random(20261018)
     screened = 0
+    elements = []
     for n in SCREEN_CONDUCTORS:
         for a in _sweep_elements(rng, n):
+            elements.append(a)
             kernel_calls.clear()
             assert house(a, 64).width <= Fraction(1, 2**64)
             near = house(a, 256)
@@ -361,11 +370,17 @@ def test_screened_rungs_equal_the_unscreened_loop(kernel_calls):
                 assert in_PA(a, near.upper + gap) == "member"
                 assert in_PA(a, near.lower - gap) == "nonmember"
             screened += sum(done < total for done, total in kernel_calls)
-            memo = a._house
-            assert len(memo.squares) >= 2
-            for prec, bounds in memo.squares.items():
-                assert bounds == house_reference.max_square_bounds(_fresh(a), prec), (a, prec)
-            assert memo.screen == house_reference.screen(_fresh(a), memo.screen[0])
+            assert len(a._house.squares) >= 2
+            _assert_rungs_match_the_reference(a)
+    assert screened > 20
+    # the highest rung first: its screen serves the lower rungs
+    screened = 0
+    for a in map(_fresh, elements):
+        kernel_calls.clear()
+        for bits in (256, 64, 128):
+            house(a, bits)
+        screened += sum(done < total for done, total in kernel_calls)
+        _assert_rungs_match_the_reference(a)
     assert screened > 20
 
 
