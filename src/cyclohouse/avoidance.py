@@ -40,6 +40,7 @@ from .cyclotomic import (
     house,
     in_PA,
     is_algebraic_integer,
+    quotient_house_exceeds,
 )
 from .errors import DomainError, UndecidedError
 from .ratfunc import (
@@ -49,6 +50,7 @@ from .ratfunc import (
     degree,
     distinct_pole_count,
     evaluate,
+    root_vectors,
 )
 from .special import as_positive_rational_times_rou, exact_nth_root_fraction
 
@@ -431,8 +433,19 @@ def scan_roots_of_unity(h: RatFunc, order_cap: int, A) -> ScanResult:
     sigma_t(h(zeta_m^k)).  Poles, integrality, torsion and the house are
     Galois-invariant, so the pole status, the P_A verdict and the house
     enclosure of the smallest exponent of an orbit hold for the whole
-    orbit: each is computed once, there, from ``evaluate`` at a
-    ``RootOfUnity`` (one exponent-shifted sum, no Horner pass).
+    orbit: each is decided once, there.
+
+    A value whose house is above A is outside P_A, integral or not.  So
+    the exponent vectors of num and den at the orbit's root
+    (``root_vectors``, one exponent-shifted sum each) are first bounded
+    at every conjugate from the 64-bit root table
+    (``quotient_house_exceeds``).  An orbit is a nonmember without an
+    exact value when at one conjugate the bounds prove both that den is
+    nonzero and that |num| > A * |den|.  Any other orbit is valued from
+    the same vectors by ``evaluate`` (one reduction each, no Horner
+    pass; a rational map adds one inverse and one product) and decided
+    by ``in_PA``.  The test is skipped for a map whose values provably
+    have house at most A everywhere (``_house_bounded_by``).
     """
     if order_cap < 1:
         raise DomainError("order cap must be >= 1")
@@ -443,6 +456,7 @@ def scan_roots_of_unity(h: RatFunc, order_cap: int, A) -> ScanResult:
     undecided = []
     poles = []
     c = coefficient_conductor(h)
+    bound_test = not _house_bounded_by(h, A)
 
     for order in range(1, order_cap + 1):
         primitive = [k for k in range(order) if math.gcd(k, order) == 1]
@@ -455,28 +469,56 @@ def scan_roots_of_unity(h: RatFunc, order_cap: int, A) -> ScanResult:
             for u in range(1, order + 1)
             if math.gcd(u, order) == 1 and (u - 1) % g == 0
         ]
-        # exponent -> (value at the orbit representative, t, verdict, house);
-        # the representative is the smallest exponent, so it is met first
+        test = bound_test and math.lcm(c, order) > 2
+        # exponent -> (verdict or None at a pole, value, t, house); the
+        # representative is the smallest exponent, so it is met first
         found: dict[int, tuple] = {}
         for k in primitive:
             if k not in found:
-                value = evaluate(h, RootOfUnity(order, k))
-                verdict = hr = None
-                if value is not None:
-                    verdict = in_PA(value, A)
-                    if verdict != NONMEMBER:
+                root = RootOfUnity(order, k)
+                vectors = root_vectors(h, root)
+                value = hr = None
+                if test and quotient_house_exceeds(*vectors, A):
+                    verdict = NONMEMBER
+                else:
+                    value = evaluate(h, root, vectors)
+                    verdict = None if value is None else in_PA(value, A)
+                    if verdict not in (None, NONMEMBER):
                         hr = house(value)
                 for u, t in lifts:
-                    found[k * u % order] = (value, t, verdict, hr)
-            value, t, verdict, hr = found[k]
+                    found[k * u % order] = (verdict, value, t, hr)
+            verdict, value, t, hr = found[k]
             xi = RootOfUnity.make(order, k)
-            if value is None:
+            if verdict is None:
                 poles.append(xi)
             elif verdict != NONMEMBER:
                 hit = ScanHit(xi, conjugate(value, t), hr)
                 (hits if verdict == MEMBER else undecided).append(hit)
     result = ScanResult(tuple(hits), tuple(undecided), tuple(poles))
     return _SCAN_RESULTS.setdefault((result.hits, result.undecided, result.poles_skipped), result)
+
+
+def _house_bounded_by(h: RatFunc, A: Fraction) -> bool:
+    """True when |num| <= A * |den| at every conjugate of every root of unity.
+
+    By the triangle inequality |num| <= U, the sum of the coefficients'
+    coordinate sums (each bounds a house), and |den| >= L, the largest
+    |d_i| - (the coordinate sums of the other coefficients) over the
+    rational coefficients d_i.  L > 0 and U <= A * L bound the house of
+    every value, so ``quotient_house_exceeds`` cannot fire.  All sizes
+    are scaled by the common denominator D of the coefficients.
+    """
+    num, den = h.num.coeffs, h.den.coeffs
+    big_d = math.lcm(*(a.den for a in num + den))
+
+    def size(a: CycNum) -> int:
+        return sum(map(abs, a.num)) * (big_d // a.den)
+
+    upper = sum(map(size, num))
+    sizes = [size(d) for d in den]
+    total = sum(sizes)
+    lower = max((2 * s - total for s, d in zip(sizes, den) if d.n == 1), default=0)
+    return lower > 0 and upper * A.denominator <= A.numerator * lower
 
 
 CERTIFIED_AVOIDING = "certified_avoiding"

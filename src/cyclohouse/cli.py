@@ -23,6 +23,7 @@ from .errors import (
     UndecidedError,
     int_digit_limit,
     printable,
+    too_long_to_print,
 )
 
 # Each handler imports what it calls, so a cold process compiles only the
@@ -306,6 +307,10 @@ def _cmd_verdict(args) -> int:
 def _cmd_bounds(args) -> int:
     from .witness import fz_degree_cap
 
+    limit = int_digit_limit()
+    if limit and args.l > 2 * limit:
+        # 2016 * 5^l has more than 0.69 * l digits: refused before it is built
+        raise too_long_to_print(limit)
     rational, laurent = map(printable, fz_degree_cap(args.l))
     _emit({"l": args.l, "rational_cap": rational, "laurent_poly_cap": laurent})
     return EXIT_OK

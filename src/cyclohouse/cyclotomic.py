@@ -28,7 +28,10 @@ squared conjugate modulus.  An element keeps those bounds per working
 precision, its ``HouseResult`` per accuracy, and a screen from its first
 rung, so that any other rung evaluates only the conjugates that can hold
 the house (``_max_square_bounds``); the boundary house(a) = A is decided
-exactly, from a * conj(a) = A^2.
+exactly, from a * conj(a) = A^2.  The same kernel (``_square_bounds``),
+run at 64 bits on the unreduced exponent vectors of a numerator and a
+denominator, proves a quotient's house above A without its exact value
+(``quotient_house_exceeds``).
 A root-of-unity test maps the element into F_p with zeta_M -> g, reads
 the exponent k with g^k equal to its image and checks zeta_M^k = a
 exactly.
@@ -645,14 +648,15 @@ def _embed_list(a: CycNum, n: int) -> list[int]:
     return ctx.reduce(acc)
 
 
-def root_power_sum(coeffs, c: int, m: int, k: int) -> CycNum:
-    """sum_j coeffs[j] * zeta_m^(j*k) as one exponent-shifted sum, no products.
+def root_power_vector(coeffs, c: int, m: int, k: int) -> tuple[list[int], int]:
+    """sum_j coeffs[j] * zeta_m^(j*k) as (v, D): sum_e v[e] * zeta_N^e / D.
 
-    c must be a multiple of every coefficient's conductor.  At N = lcm(c, m)
-    coefficient j has the numerators of sum_i zeta_N^(i*N/n_j) over its den,
-    and zeta_m^(j*k) = zeta_N^(j*k*N/m) shifts them: each numerator, scaled
-    to the common denominator D, lands in slot i*N/n_j + j*k*N/m mod N of
-    one exponent vector, which is reduced modulo Phi_N once.
+    An exponent-shifted sum, with no products and no reduction.  c must
+    be a multiple of every coefficient's conductor.  At N = lcm(c, m),
+    so len(v) == N, coefficient j has the numerators of
+    sum_i zeta_N^(i*N/n_j) over its den, and zeta_m^(j*k) =
+    zeta_N^(j*k*N/m) shifts them: each numerator, scaled to the common
+    denominator D, lands in slot i*N/n_j + j*k*N/m mod N.
     """
     n = math.lcm(c, m)
     den = math.lcm(*(a.den for a in coeffs))
@@ -665,6 +669,14 @@ def root_power_sum(coeffs, c: int, m: int, k: int) -> CycNum:
             if v:
                 acc[(shift + i * step) % n] += v * scale
         shift = (shift + unit) % n
+    return acc, den
+
+
+def vector_value(vec: tuple[list[int], int]) -> CycNum:
+    """The element of an exponent vector (v, D), by one reduction modulo
+    Phi_N (N = len(v)); v is reduced in place."""
+    acc, den = vec
+    n = len(acc)
     return _make(n, _cyclotomy(n).reduce(acc), den)
 
 
@@ -851,12 +863,10 @@ def _units_half(n: int) -> tuple[int, ...]:
     return tuple(t for t in range(1, n // 2 + 1) if math.gcd(t, n) == 1)
 
 
-def _square_bounds(tab, n: int, nz, units) -> tuple[int, int, list[int]]:
-    """(max lo, max hi, [hi per t]) of integer bounds lo <= |sigma_t(a)|^2
-    <= hi over t in units, from the root table tab; nz holds the nonzero
+def _square_bounds(tab, n: int, nz, units):
+    """Yield integer bounds (lo, hi), lo <= |sigma_t(a)|^2 <= hi, for each t
+    in units in turn, from the root table tab; nz holds the nonzero
     (j, numerator) pairs of a."""
-    best_lo = best_hi = 0
-    his = []
     for t in units:
         rl = rh = il = ih = 0
         for j, w in nz:
@@ -873,14 +883,7 @@ def _square_bounds(tab, n: int, nz, units) -> tuple[int, int, list[int]]:
                 ih += w * e3
         s1_lo, s1_hi = square_interval(rl, rh)
         s2_lo, s2_hi = square_interval(il, ih)
-        lo2 = s1_lo + s2_lo
-        hi2 = s1_hi + s2_hi
-        if lo2 > best_lo:
-            best_lo = lo2
-        if hi2 > best_hi:
-            best_hi = hi2
-        his.append(hi2)
-    return best_lo, best_hi, his
+        yield s1_lo + s2_lo, s1_hi + s2_hi
 
 
 def _screened_bounds(tab, n: int, nz, screen, prec: int) -> tuple[int, int] | None:
@@ -898,7 +901,8 @@ def _screened_bounds(tab, n: int, nz, screen, prec: int) -> tuple[int, int] | No
     maximum, and the pair equals the full loop's.
     """
     prec0, survivors, thr = screen
-    best_lo, best_hi, _ = _square_bounds(tab, n, nz, survivors)
+    los, his = zip(*_square_bounds(tab, n, nz, survivors))
+    best_lo, best_hi = max(los), max(his)
     if thr is not None:
         e = prec - prec0
         t = thr << 2 * e if e >= 0 else -(-thr >> -2 * e)
@@ -933,8 +937,9 @@ def _max_square_bounds(a: CycNum, prec: int) -> tuple[int, int]:
         bounds = _screened_bounds(tab, n, nz, screen, prec)
     if bounds is None:
         units = _units_half(n)
-        best_lo, best_hi, his = _square_bounds(tab, n, nz, units)
-        bounds = (best_lo, best_hi)
+        los, his = zip(*_square_bounds(tab, n, nz, units))
+        best_lo = max(los)
+        bounds = (best_lo, max(his))
         if screen is None:
             survivors = []
             thr = None
@@ -997,6 +1002,35 @@ def house(a: CycNum, accuracy_bits: int = DEFAULT_ACCURACY_BITS) -> HouseResult:
             results[accuracy_bits] = hit
             return hit
     raise UndecidedError(f"house computation needs more than the {cap}-bit precision cap")
+
+
+def quotient_house_exceeds(num, den, A: Fraction) -> bool:
+    """True when some conjugate proves |num| > A * |den| > 0 there.
+
+    num and den are exponent vectors (v, D) at one N > 2
+    (``root_power_vector``), den None for 1.  For each unit t <= N/2 the
+    house kernel (``_square_bounds``) on ``root_table(N, 64)`` gives
+    lo_t <= 2^128 D^2 |sigma_t(x)|^2 <= hi_t.  With A = p/q, a t with
+    lo_t(den) > 0 and lo_t(num) * D_den^2 * q^2 > p^2 * hi_t(den) * D_num^2
+    proves both that den != 0 and that the house of num/den is above A;
+    the first such t ends the loop.  False proves nothing.
+    """
+    acc, d_num = num
+    n = len(acc)
+    tab = root_table(n, 64)
+    units = _units_half(n)
+    p2, q2 = A.numerator**2, A.denominator**2
+    num_bounds = _square_bounds(tab, n, [(e, w) for e, w in enumerate(acc) if w], units)
+    if den is None:
+        bound = (p2 * d_num * d_num) << 128
+        return any(lo * q2 > bound for lo, _ in num_bounds)
+    acc, d_den = den
+    den_bounds = list(_square_bounds(tab, n, [(e, w) for e, w in enumerate(acc) if w], units))
+    left, right = d_den * d_den * q2, p2 * d_num * d_num
+    return any(
+        dlo > 0 and lo * left > dhi * right
+        for (lo, _), (dlo, dhi) in zip(num_bounds, den_bounds)
+    )
 
 
 @dataclass(frozen=True, slots=True)

@@ -43,6 +43,11 @@ def int_digit_limit() -> int:
     return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
+def too_long_to_print(limit: int) -> ResourceLimitError:
+    """The error for a number of more than ``limit`` digits."""
+    return ResourceLimitError(f"a number of more than {limit} digits cannot be printed")
+
+
 def printable(v):
     """v, an int or Fraction whose numerator and denominator each print
     within ``int_digit_limit()`` digits; else ResourceLimitError, raised
@@ -51,5 +56,5 @@ def printable(v):
     for part in (v.numerator, v.denominator):
         # below 2^(3 * limit) < 10^limit the exact comparison is skipped
         if limit and part.bit_length() > 3 * limit and abs(part) >= 10**limit:
-            raise ResourceLimitError(f"a number of more than {limit} digits cannot be printed")
+            raise too_long_to_print(limit)
     return v

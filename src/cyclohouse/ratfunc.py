@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .cyclotomic import CycNum, RootOfUnity, root_power_sum
+from .cyclotomic import CycNum, RootOfUnity, root_power_vector, vector_value
 from .errors import DomainError, ResourceLimitError, int_digit_limit
 
 #: Ceiling for iterate() expansion, in projected monomials.
@@ -369,6 +369,8 @@ class RatFunc:
         return f"RatFunc({self.num!r}, {self.den!r})"
 
     def __add__(self, other: "RatFunc") -> "RatFunc":
+        if self.den.deg == 0 and other.den.deg == 0:  # both denominators are 1
+            return RatFunc._from_coprime(self.num + other.num, self.den)
         return RatFunc(
             self.num * other.den + other.num * self.den, self.den * other.den
         )
@@ -380,11 +382,17 @@ class RatFunc:
         return self + (-other)
 
     def __mul__(self, other: "RatFunc") -> "RatFunc":
+        if self.den.deg == 0 and other.den.deg == 0:  # both denominators are 1
+            return RatFunc._from_coprime(self.num * other.num, self.den)
         return RatFunc(self.num * other.num, self.den * other.den)
 
     def __truediv__(self, other: "RatFunc") -> "RatFunc":
         if other.num.is_zero():
             raise DomainError("division by zero")
+        if self.den.deg == 0 and other.is_constant():
+            return RatFunc._from_coprime(
+                self.num.scale(other.num.leading().inverse()), self.den
+            )
         return RatFunc(self.num * other.den, self.den * other.num)
 
     def pow(self, k: int) -> "RatFunc":
@@ -427,33 +435,46 @@ def coefficient_conductor(h: RatFunc) -> int:
     return math.lcm(*(a.n for p in (h.num, h.den) for a in p.coeffs))
 
 
-def evaluate(h: RatFunc, a) -> CycNum | None:
+def root_vectors(h: RatFunc, a: RootOfUnity):
+    """Exponent vectors of h's numerator and denominator at a, unreduced.
+
+    Each is (v, D) at N = lcm(c, m), c the ``coefficient_conductor``
+    (``cyclotomic.root_power_vector``); the denominator's is None for a
+    polynomial, whose monic denominator is 1.
+    """
+    c = coefficient_conductor(h)
+    num = root_power_vector(h.num.coeffs, c, a.order, a.exponent)
+    if h.is_poly():
+        return num, None
+    return num, root_power_vector(h.den.coeffs, c, a.order, a.exponent)
+
+
+def evaluate(h: RatFunc, a, vectors=None) -> CycNum | None:
     """Exact value h(a), or None when a is a pole.
 
     At a ``RootOfUnity`` zeta_m^k the numerator and the denominator are
-    each one exponent-shifted sum and one reduction at lcm(c, m), c the
-    ``coefficient_conductor`` (``cyclotomic.root_power_sum``): no
-    products.  Any other argument is evaluated by Horner
-    (``Poly.evaluate``).  A rational map adds one inverse and one product.
+    each one exponent-shifted sum (``root_vectors``) and one reduction:
+    no products.  ``vectors`` takes those that the caller has built
+    already, and reduces them in place.  Any other argument is evaluated
+    by Horner (``Poly.evaluate``).  A rational map adds one inverse and
+    one product.
     """
     if isinstance(a, RootOfUnity):
-        c = coefficient_conductor(h)
-
-        def at(p: Poly) -> CycNum:
-            return root_power_sum(p.coeffs, c, a.order, a.exponent)
-
+        num, den = vectors or root_vectors(h, a)
+        value = vector_value
     else:
         a = _cyc(a)
+        num, den = h.num, None if h.is_poly() else h.den  # a monic 1 is skipped
 
-        def at(p: Poly) -> CycNum:
+        def value(p: Poly) -> CycNum:
             return p.evaluate(a)
 
-    if h.is_poly():  # the denominator is monic, so 1
-        return at(h.num)
-    dv = at(h.den)
+    if den is None:
+        return value(num)
+    dv = value(den)
     if not dv:
         return None
-    return at(h.num) * dv.inverse()
+    return value(num) * dv.inverse()
 
 
 def compose(h1: RatFunc, h2: RatFunc) -> RatFunc:

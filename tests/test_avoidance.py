@@ -393,16 +393,32 @@ def _random_scan_map(rng, n):
 
 class TestOrbitScan:
     @pytest.mark.parametrize("n", [1, 3, 4, 5, 8, 12])
-    def test_matches_per_root_oracle(self, n):
+    def test_matches_per_root_oracle(self, monkeypatch, n):
         import random
 
+        import cyclohouse.avoidance as avoidance_mod
+        from cyclohouse.cyclotomic import quotient_house_exceeds
+
+        # orbits rejected on a proven house above A, and orbits tested
+        rejected = []
+
+        def counted(*args):
+            rejected.append(quotient_house_exceeds(*args))
+            return rejected[-1]
+
+        monkeypatch.setattr(avoidance_mod, "quotient_house_exceeds", counted)
         rng = random.Random(7000 + n)
+        poles = 0
         for _ in range(6):
             h = _random_scan_map(rng, n)
-            A = rng.choice((Fraction(1), Fraction(2), Fraction(5, 2)))
             cap = rng.randint(8, 13)
-            got = scan_roots_of_unity(h, cap, A).to_dict()
-            assert got == _per_root_scan(h, cap, A).to_dict(), (h, A, cap)
+            for A in (Fraction(1), Fraction(2), Fraction(5, 2), Fraction(3)):
+                got = scan_roots_of_unity(h, cap, A).to_dict()
+                assert got == _per_root_scan(h, cap, A).to_dict(), (h, A, cap)
+                poles += len(got["poles_skipped"])
+        # both sides of the bound test ran, and orbit poles were met
+        assert 0 < sum(rejected) < len(rejected)
+        assert poles > 0
 
     def test_pole_orbits_match_oracle(self):
         # poles at every primitive 12th root over Q(i): Phi_12 = x^4 - x^2 + 1
@@ -412,6 +428,83 @@ class TestOrbitScan:
             (12, 1), (12, 5), (12, 7), (12, 11)
         }
         assert got.to_dict() == _per_root_scan(h, 12, 2).to_dict()
+
+    @pytest.mark.parametrize(
+        "h, A, orbit",
+        [
+            (RatFunc.from_poly(P(0, 2)), Fraction(2), (5, 1)),  # 2x: house 2 everywhere
+            # 1 + x + x^2 is 2*z6 at z6 and i at i, while |1 + x + x^2| reaches 3
+            (RatFunc.from_poly(P(1, 1, 1)), Fraction(2), (6, 1)),
+            (RatFunc.from_poly(P(1, 1, 1)), Fraction(1), (4, 1)),
+        ],
+    )
+    def test_house_equal_to_A_stays_a_member(self, h, A, orbit):
+        got = scan_roots_of_unity(h, 12, A)
+        assert orbit in [(s.root.order, s.root.exponent) for s in got.hits]
+        assert got.to_dict() == _per_root_scan(h, 12, A).to_dict()
+
+    @pytest.mark.parametrize(
+        "text, cap, A",
+        [
+            ("(z5*x + 1/3)/(x^2 - 5)", 10, 3),  # the house is at most A: no test
+            ("x^2 + z4/3", 10, 1),  # no integral value
+            # the integral values have house above A, proven at 64 bits; the
+            # ladder starts at 128 bits, so before the bound test their
+            # verdict was undecided and their house raised UndecidedError
+            ("(z3*x^2 + 3)/(x - 2)", 10, 2),
+        ],
+    )
+    def test_scan_under_a_64_bit_cap_equals_the_default_cap(self, monkeypatch, text, cap, A):
+        from cyclohouse import parse_ratfunc
+
+        h = parse_ratfunc(text)
+        expected = scan_roots_of_unity(h, cap, A).to_dict()
+        monkeypatch.setenv("CYCLOHOUSE_PRECISION_CAP", "64")
+        assert scan_roots_of_unity(h, cap, A).to_dict() == expected
+
+    def test_member_house_past_a_64_bit_cap_still_raises(self, monkeypatch):
+        from cyclohouse import UndecidedError, parse_ratfunc
+
+        # -i at x = -i: a member, whose house enclosure needs the 128-bit rung
+        h = parse_ratfunc("z4/2*x^2 + x/2")
+        monkeypatch.setenv("CYCLOHOUSE_PRECISION_CAP", "64")
+        with pytest.raises(UndecidedError, match="64-bit precision cap"):
+            scan_roots_of_unity(h, 12, 2)
+
+    def test_most_orbits_are_rejected_without_a_value(self, monkeypatch):
+        # maps shaped like the scan benchmark's: most orbit values have a
+        # house above A, and a rational map with |num| <= A*|den| is not tested
+        import cyclohouse.avoidance as avoidance_mod
+        from cyclohouse import evaluate, parse_ratfunc
+        from cyclohouse.ratfunc import root_vectors
+
+        maps = [
+            ("x^2 + x - 2", 20, 2),
+            ("x^3 - 3*x^2 + 3*x - 1", 20, 3),
+            ("x^4 + 3*x^3 - 2*x^2 - 3*x + 2", 16, 2),
+            ("x^2 + (3 + 3*z3)*x + z3", 16, 3),
+            ("x^3 + (3 - 2*z4)*x^2 + (2 - z4)", 16, 2),
+            ("(x^2 + 3*x - 2)/(x - 3)", 16, 3),
+            ("(x^3 + 2*x - 1)/(x^2 - x - 6)", 14, 2),
+            ("(x^2 + z3*x + 3)/((x + 1)*(x - 2))", 14, 2),
+            ("(2*x^2 - x + z4)/((x - 2)^2)", 14, 3),
+        ]
+        orbits, evaluated = [], []
+
+        def counted_vectors(f, a):
+            orbits.append(a)
+            return root_vectors(f, a)
+
+        def counted_evaluate(f, a, *vectors):
+            evaluated.append(a)
+            return evaluate(f, a, *vectors)
+
+        monkeypatch.setattr(avoidance_mod, "root_vectors", counted_vectors)
+        monkeypatch.setattr(avoidance_mod, "evaluate", counted_evaluate)
+        for text, cap, A in maps:
+            scan_roots_of_unity(parse_ratfunc(text), cap, A)
+        assert len(orbits) == 162
+        assert 2 * len(evaluated) < len(orbits)
 
     def test_orbit_verdict_is_carried_to_every_root(self, monkeypatch):
         import cyclohouse.avoidance as avoidance_mod
@@ -453,23 +546,38 @@ class TestOrbitScan:
     )
     def test_orbit_values_need_no_horner_pass(self, monkeypatch, h, c):
         import math
+        from collections import Counter
 
         import cyclohouse.avoidance as avoidance_mod
         from cyclohouse import RootOfUnity, evaluate
+        from cyclohouse.cyclotomic import quotient_house_exceeds
+        from cyclohouse.ratfunc import root_vectors
 
-        horner, orbits = [], []
+        horner, orbits, built, rejected = [], [], [], []
 
         def counted_horner(p, a):
             horner.append(a)
             return real_horner(p, a)
 
-        def counted_evaluate(f, a):
+        def counted_evaluate(f, a, *vectors):
             orbits.append(a)
-            return evaluate(f, a)
+            return evaluate(f, a, *vectors)
+
+        def counted_vectors(f, a):
+            built.append(a)
+            return root_vectors(f, a)
+
+        def counted_test(*args):
+            out = quotient_house_exceeds(*args)
+            if out:
+                rejected.append(built[-1])
+            return out
 
         real_horner = Poly.evaluate
         monkeypatch.setattr(Poly, "evaluate", counted_horner)
         monkeypatch.setattr(avoidance_mod, "evaluate", counted_evaluate)
+        monkeypatch.setattr(avoidance_mod, "root_vectors", counted_vectors)
+        monkeypatch.setattr(avoidance_mod, "quotient_house_exceeds", counted_test)
         scan_roots_of_unity(h, 12, 2)
         assert horner == []
         assert all(isinstance(a, RootOfUnity) for a in orbits)
@@ -479,7 +587,9 @@ class TestOrbitScan:
             sum(math.gcd(u, g) == 1 for u in range(g))
             for g in (math.gcd(m, c) for m in range(1, 13))
         )
-        assert len(orbits) == expected
+        # each orbit is either rejected on its house or evaluated, once
+        assert len(built) == expected
+        assert Counter(rejected + orbits) == Counter(built)
 
     def test_conjugation_commutes_with_evaluation(self):
         import math

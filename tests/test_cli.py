@@ -284,6 +284,19 @@ def test_number_too_long_to_print_is_a_resource_error(argv):
     assert json.loads(out)["error"]["type"] == "resource"
 
 
+def test_bounds_refuses_an_unprintable_cap_before_building_it():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("no int-to-str digit limit")
+    start = time.process_time()
+    code, out = _run(["bounds", "--l", "10000000"])  # 2016 * 5^l: 7.7 s to build
+    assert time.process_time() - start < 0.5
+    assert code == 3
+    assert json.loads(out)["error"]["message"] == (
+        f"a number of more than {limit} digits cannot be printed"
+    )
+
+
 def test_iterate_ceiling_does_not_build_d_to_the_n():
     start = time.process_time()
     code, out = _run(["iterate", "x^3", "1000000000000"])

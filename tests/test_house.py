@@ -174,23 +174,46 @@ def _orbit_key(order, k, c):
     [
         (RatFunc.from_poly(Poly([-2, 0, 1])), 1),  # x^2 - 2: one orbit per order
         (RatFunc.from_poly(Poly([z(4), 1, 1])), 4),  # x^2 + x + i: up to two
+        # 1 + x + x^2 + x^3: members at orders 2-9, house above 3 near x = 1
+        (RatFunc.from_poly(Poly([1, 1, 1, 1])), 1),
     ],
-    ids=["over_Q", "over_Q_i"],
+    ids=["over_Q", "over_Q_i", "over_Q_rejecting"],
 )
 def test_scan_computes_verdict_and_house_once_per_orbit(monkeypatch, h, c):
+    from collections import Counter
+
     import cyclohouse.avoidance as avoidance_mod
 
     calls = {"in_PA": [], "house": []}
+    # the root of each orbit as its vectors are built, and the root of each
+    # decision: a proven house above A, or an in_PA verdict
+    built, decided = [], []
 
     def counted(name, real):
         def wrapper(value, *args, **kwargs):
             calls[name].append(value)
+            if name == "in_PA":
+                decided.append(built[-1])
             return real(value, *args, **kwargs)
 
         return wrapper
 
+    def building(f, a):
+        built.append(a)
+        return real_vectors(f, a)
+
+    def testing(*args):
+        rejected = real_test(*args)
+        if rejected:
+            decided.append(built[-1])
+        return rejected
+
+    real_vectors = avoidance_mod.root_vectors
+    real_test = avoidance_mod.quotient_house_exceeds
     monkeypatch.setattr(avoidance_mod, "in_PA", counted("in_PA", in_PA))
     monkeypatch.setattr(avoidance_mod, "house", counted("house", house))
+    monkeypatch.setattr(avoidance_mod, "root_vectors", building)
+    monkeypatch.setattr(avoidance_mod, "quotient_house_exceeds", testing)
     result = scan_roots_of_unity(h, 25, 3)
     orbits = {
         (m, _orbit_key(m, k, c))
@@ -198,7 +221,10 @@ def test_scan_computes_verdict_and_house_once_per_orbit(monkeypatch, h, c):
         for k in range(m)
         if math.gcd(k, m) == 1
     }
-    assert len(calls["in_PA"]) == len(orbits)  # a polynomial: every value is finite
+    assert len(built) == len(orbits)
+    assert {(r.order, r.exponent) for r in built} == orbits
+    # a polynomial: every value is finite, and each orbit is decided once
+    assert Counter(decided) == Counter(built)
     assert len(calls["house"]) <= len(orbits)
     shared = {}
     for hit in result.hits + result.undecided:
