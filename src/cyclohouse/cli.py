@@ -204,12 +204,12 @@ def _cmd_special(args) -> int:
 
 
 def _cmd_normalize(args) -> int:
-    from .avoidance import escape_radius, monic_normalize
+    from .avoidance import monic_normalize
     from .parser import parse_ratfunc
 
     norm = monic_normalize(parse_ratfunc(args.h))
     out = norm.to_dict()
-    out["escape_radius_verified"] = str(escape_radius(norm))
+    out["escape_radius_verified"] = str(norm.R)
     _emit(out)
     return EXIT_OK
 

@@ -957,14 +957,14 @@ def _rungs(a: CycNum, accuracy_bits: int, cap: int):
     """The precision ladder of an irrational a, as (prec, lo, hi, scale).
 
     lo <= scale^2 * max_t |sigma_t(a)|^2 <= hi with scale = 2^prec * a.den;
-    prec starts at a 64-bit bucket and doubles while it is at most cap.
+    prec starts at min(64-bit bucket, cap) and doubles while it is at most cap.
     """
     den = a.den
     nnz = len(a.num) - a.num.count(0)
     # Round the working precision up to a coarse bucket so the cached
     # root tables are shared across elements of the same conductor.
     raw = accuracy_bits + 16 + den.bit_length() + nnz.bit_length()
-    prec = ((raw + 63) // 64) * 64
+    prec = min(((raw + 63) // 64) * 64, cap)
     while prec <= cap:
         lo, hi = _max_square_bounds(a, prec)
         yield prec, lo, hi, (1 << prec) * den

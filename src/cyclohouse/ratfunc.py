@@ -6,7 +6,8 @@ Composition is built directly in coprime form: if h1 = p/q is reduced
 and h2 = r/s is reduced and nonconstant, the homogenized numerator and
 denominator of h1 o h2 share no common root, hence no gcd computation
 is needed and the degree law deg(h1 o h2) = deg h1 * deg h2 is exact by
-construction.
+construction.  A Laurent polynomial is x^low times a ``Poly`` and
+shares its arithmetic: a Laurent product is a ``Poly`` product.
 """
 
 from __future__ import annotations
@@ -187,125 +188,115 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 
 
 class LaurentPoly:
-    """Finite map from integer exponents to nonzero coefficients."""
+    """x^low * poly, with poly[0] != 0; zero is x^0 * 0.
 
-    __slots__ = ("terms",)
+    The canonical form makes equality structural, and every product,
+    power and scaling is ``Poly``'s.  ``terms`` lists the nonzero
+    (exponent, coefficient) pairs, ascending.
+    """
+
+    __slots__ = ("low", "poly")
 
     def __init__(self, terms=()):
-        if isinstance(terms, dict):
-            items = terms.items()
-        else:
-            items = terms
-        collected: dict[int, CycNum] = {}
-        for e, c in items:
-            c = _cyc(c)
-            if not c:
-                continue
-            if e in collected:
-                c = collected[e] + c
-                if not c:
-                    del collected[e]
-                    continue
-            collected[e] = c
-        object.__setattr__(
-            self, "terms", tuple(sorted(collected.items(), key=lambda t: t[0]))
-        )
+        items = terms.items() if isinstance(terms, dict) else terms
+        pairs = [(e, _cyc(c)) for e, c in items]
+        low = min((e for e, _ in pairs), default=0)
+        dense = [CycNum.zero] * (max((e for e, _ in pairs), default=low) - low + 1)
+        for e, c in pairs:
+            dense[e - low] = dense[e - low] + c
+        _set_laurent(self, low, Poly(dense))
+
+    @classmethod
+    def _of(cls, low: int, poly: Poly) -> "LaurentPoly":
+        """x^low * poly, built without a term list."""
+        obj = object.__new__(cls)
+        _set_laurent(obj, low, poly)
+        return obj
 
     def __setattr__(self, *_):
         raise AttributeError("LaurentPoly is immutable")
 
+    @property
+    def terms(self) -> tuple[tuple[int, CycNum], ...]:
+        return tuple((self.low + k, c) for k, c in enumerate(self.poly.coeffs) if c)
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return self.poly.is_zero()
 
     def is_constant(self) -> bool:
-        return all(e == 0 for e, _ in self.terms)
+        return self.low == 0 and self.poly.is_constant()
 
     def coefficient(self, e: int) -> CycNum:
-        for exp, c in self.terms:
-            if exp == e:
-                return c
-        return CycNum.zero
+        return self.poly[e - self.low]
 
     def num_terms(self) -> int:
-        return len(self.terms)
-
-    def min_exp(self) -> int:
-        if not self.terms:
-            return 0
-        return self.terms[0][0]
-
-    def max_exp(self) -> int:
-        if not self.terms:
-            return 0
-        return self.terms[-1][0]
+        return self.poly.num_terms()
 
     def __eq__(self, other):
-        return isinstance(other, LaurentPoly) and self.terms == other.terms
+        return (
+            isinstance(other, LaurentPoly)
+            and self.low == other.low
+            and self.poly == other.poly
+        )
 
     def __hash__(self):
-        return hash(self.terms)
+        return hash((self.low, self.poly))
 
     def __repr__(self):
         return f"LaurentPoly({dict((e, repr(c)) for e, c in self.terms)})"
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return LaurentPoly(list(self.terms) + list(other.terms))
+        a, b = (self, other) if self.low <= other.low else (other, self)
+        return LaurentPoly._of(a.low, a.poly + _times_x_power(b.poly, b.low - a.low))
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly([(e, -c) for e, c in self.terms])
+        return LaurentPoly._of(self.low, -self.poly)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out: dict[int, CycNum] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = e1 + e2
-                v = c1 * c2
-                if e in out:
-                    out[e] = out[e] + v
-                else:
-                    out[e] = v
-        return LaurentPoly(out)
+        return LaurentPoly._of(self.low + other.low, self.poly * other.poly)
 
     def scale(self, c) -> "LaurentPoly":
-        c = _cyc(c)
-        return LaurentPoly([(e, c * v) for e, v in self.terms])
+        return LaurentPoly._of(self.low, self.poly.scale(c))
 
     def pow(self, k: int) -> "LaurentPoly":
-        result = LaurentPoly([(0, 1)])
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        return LaurentPoly._of(self.low * k, self.poly.pow(k))
 
     def to_ratfunc(self) -> "RatFunc":
-        m = self.min_exp()
-        shift = -m if m < 0 else 0
-        coeffs = [CycNum.zero] * (self.max_exp() + shift + 1 if self.terms else 1)
-        for e, c in self.terms:
-            coeffs[e + shift] = c
-        num = Poly(coeffs)
-        den = Poly.x().pow(shift) if shift else Poly([1])
-        return RatFunc._from_coprime(num, den)
+        if self.low >= 0:
+            return RatFunc.from_poly(_times_x_power(self.poly, self.low))
+        # poly[0] != 0, so poly and x^-low are coprime
+        return RatFunc._from_coprime(self.poly, _times_x_power(Poly([1]), -self.low))
 
     @staticmethod
     def x_plus_inverse_x() -> "LaurentPoly":
         return LaurentPoly([(1, 1), (-1, 1)])
 
 
+def _set_laurent(obj: LaurentPoly, low: int, poly: Poly) -> None:
+    """Store x^low * poly on obj, moving the powers of x that divide poly into low."""
+    cs = poly.coeffs
+    if not cs:
+        low = 0
+    elif not cs[0]:
+        k = next(i for i, c in enumerate(cs) if c)
+        low, poly = low + k, Poly(cs[k:])
+    object.__setattr__(obj, "low", low)
+    object.__setattr__(obj, "poly", poly)
+
+
+def _times_x_power(p: Poly, k: int) -> Poly:
+    """x^k * p for k >= 0."""
+    return Poly((CycNum.zero,) * k + p.coeffs) if k and p.coeffs else p
+
+
 def substitute_poly_laurent(p: Poly, arg: LaurentPoly) -> LaurentPoly:
     """Exact evaluation of the polynomial p at a Laurent argument."""
     acc = LaurentPoly()
     for c in reversed(p.coeffs):
-        acc = acc * arg
-        if c:
-            acc = acc + LaurentPoly([(0, c)])
+        acc = acc * arg + LaurentPoly._of(0, Poly([c]))
     return acc
 
 
@@ -560,8 +551,7 @@ def to_laurent(h: RatFunc) -> LaurentPoly | None:
     den = h.den
     if den.num_terms() != 1:
         return None
-    k = den.deg  # den = x^k (monic)
-    return LaurentPoly([(i - k, c) for i, c in enumerate(h.num.coeffs) if c])
+    return LaurentPoly._of(-den.deg, h.num)  # den = x^k (monic)
 
 
 @lru_cache(maxsize=None)
@@ -650,9 +640,7 @@ class BinomialShape:
     n: int
 
     def inner(self) -> RatFunc:
-        # a x^n + b x^-n as a rational function
-        num = Poly([self.b] + [CycNum.zero] * (2 * self.n - 1) + [self.a])
-        return RatFunc(num, Poly.x().pow(self.n))
+        return LaurentPoly([(self.n, self.a), (-self.n, self.b)]).to_ratfunc()
 
 
 def is_binomial_shape(q: RatFunc) -> BinomialShape | None:

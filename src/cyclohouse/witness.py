@@ -246,7 +246,7 @@ def _witness_from_laurent(
     if lp.num_terms() > d_max:
         return None
     terms = []
-    for e, c in sorted(lp.terms, key=lambda t: -t[0]):
+    for e, c in reversed(lp.terms):
         rou = is_root_of_unity(c)
         if rou is None:
             return None
@@ -291,10 +291,13 @@ def _pole_matching_search(
 
 
 def _pole_laurent(shifted: Poly, e: int, a: CycNum) -> LaurentPoly:
-    """h(a x + gamma), from the numerator's Taylor coefficients at gamma."""
-    return LaurentPoly(
-        [(k - e, c * a ** (k - e)) for k, c in enumerate(shifted.coeffs) if c]
-    )
+    """h(a x + gamma) = a^-e * sum of c_k a^k x^(k-e), from the numerator's
+    Taylor coefficients c_k at gamma: one running product and one inverse."""
+    terms, power = [], CycNum.one
+    for k, c in enumerate(shifted.coeffs):
+        terms.append((k - e, c * power))
+        power = power * a
+    return LaurentPoly(terms).scale(a ** -e)
 
 
 def _grid_search_polynomial(

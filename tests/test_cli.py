@@ -159,6 +159,15 @@ def test_malformed_precision_cap_is_a_domain_error(monkeypatch, value):
     assert "CYCLOHOUSE_PRECISION_CAP" in error["message"]
 
 
+@pytest.mark.parametrize("cap", ["127", "64"])
+def test_a_cap_below_the_first_bucket_still_runs_a_rung(monkeypatch, cap):
+    # the ladder's first bucket for 2*z5 is 128 bits; a lower cap is its first rung
+    monkeypatch.setenv("CYCLOHOUSE_PRECISION_CAP", cap)
+    code, out = _run(["pa", "2*z5", "--A", "3"])
+    assert code == 0
+    assert json.loads(out)["verdict"] == "member"
+
+
 def test_no_per_call_precision_or_ceiling_parameters():
     import inspect
 

@@ -426,6 +426,24 @@ class TestPoleMatching:
             mirrored = to_laurent(compose(h, RatFunc(Poly([a, gamma]), Poly.x())))
             assert mirrored == LaurentPoly([(-k, c) for k, c in lp.terms])
 
+    def test_one_inverse_per_grid_value(self, monkeypatch):
+        inverted = []
+        inverse = CycNum.inverse
+
+        def counted(self):
+            inverted.append(self)
+            return inverse(self)
+
+        shifted = P(2, z(3), Fraction(1, 5), 0, 7)  # c_0, c_1 and c_2 nonzero
+        a = CycNum.from_rational(Fraction(3, 2))
+        monkeypatch.setattr(CycNum, "inverse", counted)
+        lp = _pole_laurent(shifted, 3, a)
+        monkeypatch.undo()
+        assert len(inverted) <= 1
+        assert lp == LaurentPoly(
+            [(k - 3, c * a ** (k - 3)) for k, c in enumerate(shifted.coeffs)]
+        )
+
     @pytest.mark.parametrize(
         "text,d_max",
         [
