@@ -52,7 +52,7 @@ from .ratfunc import (
     evaluate,
     root_vectors,
 )
-from .special import as_positive_rational_times_rou, exact_nth_root_fraction
+from .special import nth_root_in_cyclotomic
 
 if TYPE_CHECKING:  # loaded at run time by avoidance_verdict alone
     from .witness import SearchGrid, Witness
@@ -81,8 +81,9 @@ class MonicNormalization:
 def monic_normalize(h: RatFunc) -> MonicNormalization:
     """Monic model of h = p/q, requiring deg p > deg q + 1.
 
-    Solves c^(d-e-1) = lead(p) in the supported closed form (a positive
-    rational with an exact rational root, times a root of unity);
+    Solves c^(d-e-1) = lead(p) in the closed form of
+    ``special.nth_root_in_cyclotomic`` (a rational, or for an even root
+    the square root of one, times a root of unity);
     returns the monic model, the minimal integer D making D*c^-1 times
     {1} and every model coefficient integral, and the verified escape
     radius.
@@ -93,10 +94,13 @@ def monic_normalize(h: RatFunc) -> MonicNormalization:
         raise DomainError("monic normalization requires deg num > deg den + 1")
     r = d - e - 1
     lead = p[d]  # denominator is monic, so the ratio of leads is lead(p)
-    c = _solve_scaling(lead, r)
+    c, _ = nth_root_in_cyclotomic(lead, r)
+    if c is None:
+        raise DomainError(f"unsupported scaling: c^{r} = lead(p) has no closed-form solution")
     c_inv = c.inverse()
     # ht = pt/qt with pt(y) = c^(e+1) p(y/c), qt(y) = c^e q(y/c)
-    pt = Poly([p[i] * c ** (e + 1 - i) for i in range(d + 1)])
+    pt = Poly([p[i] * (c ** (e + 1 - i) if i <= e + 1 else c_inv ** (i - e - 1))
+               for i in range(d + 1)])
     qt = Poly([q[j] * c ** (e - j) for j in range(e + 1)])
     if pt.leading() != CycNum.one or qt.leading() != CycNum.one:
         raise AssertionError("normalization failed to produce monic model")
@@ -104,20 +108,6 @@ def monic_normalize(h: RatFunc) -> MonicNormalization:
     big_d = _minimal_clearing_integer(c_inv, pt, qt)
     radius = _verified_escape_radius(h_tilde)
     return MonicNormalization(c=c, h_tilde=h_tilde, D=big_d, R=radius)
-
-
-def _solve_scaling(lead: CycNum, r: int) -> CycNum:
-    dec = as_positive_rational_times_rou(lead)
-    if dec is None:
-        raise DomainError("unsupported scaling: leading ratio is not a rational "
-                          "multiple of a root of unity")
-    s, rou = dec
-    root = exact_nth_root_fraction(s, r)
-    if root is None:
-        raise DomainError(
-            f"unsupported scaling: {s} has no rational {r}-th root"
-        )
-    return CycNum.from_rational(root) * CycNum.zeta(rou.order * r, rou.exponent)
 
 
 def _minimal_clearing_integer(c_inv: CycNum, pt: Poly, qt: Poly) -> int:

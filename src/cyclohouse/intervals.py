@@ -7,12 +7,12 @@ exact integer arithmetic, and only multiplication/square root need
 directed rounding, which we get for free from floor division and
 ``math.isqrt``.
 
-The single transcendental input is one certified enclosure of
-``zeta_n = exp(2*pi*i/n)`` per (n, precision), from mpmath's interval
-trig at an explicit precision.  ``root_table`` walks the powers of its
-integer midpoint with Gaussian-integer products and a proven integer
-error bound, and caches the table; everything downstream is pure ``int``
-work.  mpmath is imported at the first table build.
+The single transcendental input is one certified point of
+``zeta_n = exp(2*pi*i/n)`` per (n, precision): ``_zeta_point`` sums
+Machin's series for pi and the Taylor series of cos and sin in
+fixed-point integers, with a proven error bound.  ``root_table`` walks
+the powers of that Gaussian integer with a proven integer error bound
+and caches the table; everything is pure ``int`` work.
 
 The house kernel in ``cyclotomic`` works on the raw integer tuples
 directly.
@@ -22,11 +22,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-
-
-def ceil_div(a: int, b: int) -> int:
-    """Exact ceil(a/b) for positive b."""
-    return -((-a) // b)
 
 
 def isqrt_floor(x: int) -> int:
@@ -43,18 +38,41 @@ def isqrt_ceil(x: int) -> int:
     return math.isqrt(x - 1) + 1
 
 
-def _mpf_to_scaled(mpf_tuple, scale_bits: int, round_up: bool) -> int:
-    """Exact conversion of an mpf endpoint to an integer at scale 2^scale_bits."""
-    sign, man, exp, _bc = mpf_tuple
-    if man == 0:
-        return 0
-    man = int(man)
-    v = -man if sign else man
-    shift = exp + scale_bits
-    if shift >= 0:
-        return v << shift
-    q = 1 << (-shift)
-    return ceil_div(v, q) if round_up else v // q
+def _zeta_point(n: int, q: int) -> tuple[int, int, int]:
+    """Gaussian integer zr + i zi within e0 = 2 of 2^q zeta_n in the 1-norm.
+
+    Fixed point at p = q + h bits, every error in units of 2^-p.
+    pi = 16 atan(1/5) - 4 atan(1/239): the term of odd k in atan(1/x) is
+    floor(floor(2^p / x^k) / k) = floor(2^p / (k x^k)), off by less than 1,
+    and the alternating tail past the first zero power is below 1.
+    theta = floor(2 pi / n) then moves cos and sin by less than
+    4 err / n + 2 together.  The Taylor terms t_k = floor(t_(k-1) x / k)
+    of exp(i x), x = theta / 2^p <= 2 pi, are each off by less than
+    e^(2 pi) < 2^10; t_k = 0 needs 2^p x^k / k! < 2^10, so k >= 2x and the
+    tail is below 2^11.  Rounding to q bits adds 1/2 per part, so the sum
+    stays below 2 while err < 2^(h - 1).
+    """
+    h = q.bit_length() + 12
+    p = q + h
+    pi, err = 0, 0
+    for x, w in ((5, 16), (239, -4)):
+        power, k = (1 << p) // x, 1
+        while power:
+            pi += w * (power // k)
+            w, power, k = -w, power // (x * x), k + 2
+        err += abs(w) * (k + 1) // 2
+    theta = 2 * pi // n
+    err = 4 * err // n + 3
+    parts, t, k = [0, 0, 0, 0], 1 << p, 0
+    while t:
+        parts[k % 4] += t
+        k += 1
+        t = (t * theta >> p) // k
+    err += (k << 10) + (1 << 11)
+    if err >= 1 << (h - 1):
+        raise ArithmeticError(f"zeta_{n} at {q} bits: error bound {err} reached 2^{h - 1}")
+    half = 1 << (h - 1)
+    return (parts[0] - parts[2] + half) >> h, (parts[1] - parts[3] + half) >> h, 2
 
 
 @lru_cache(maxsize=512)
@@ -62,10 +80,10 @@ def root_table(n: int, scale_bits: int) -> tuple[tuple[int, int, int, int], ...]
     """Rigorous enclosures of the n-th roots of unity.
 
     Entry k is ``(re_lo, re_hi, im_lo, im_hi)`` at scale ``2^scale_bits``
-    enclosing ``zeta_n^k``.  One certified ``mpi_cos_sin`` call at
-    q = scale_bits + g bits encloses zeta_n; its integer midpoint Z has
-    |Z - 2^q zeta_n| <= e0.  The walk X_0 = 2^q, X_(k+1) = (X_k Z) >> q
-    (floor on each part of the Gaussian-integer product) keeps
+    enclosing ``zeta_n^k``.  ``_zeta_point`` at q = scale_bits + g bits
+    gives a Gaussian integer Z with |Z - 2^q zeta_n| <= e0.  The walk
+    X_0 = 2^q, X_(k+1) = (X_k Z) >> q (floor on each part of the
+    Gaussian-integer product) keeps
     |X_k - 2^q zeta_n^k| <= E_k with E_0 = 0 and
     E_(k+1) = E_k + ceil(E_k e0 / 2^q) + e0 + 2, the 2 covering the two
     floors.  Entry k <= n/2 is floor((X_k - E_k) / 2^g) below and
@@ -73,27 +91,15 @@ def root_table(n: int, scale_bits: int) -> tuple[tuple[int, int, int, int], ...]
     scale (so +-1 and +-i come out exact); entry n - k is its conjugate.
 
     While E_k e0 <= 2^q, E_k <= k (e0 + 3), so with g = bitlen(4n) + 24
-    and e0 + 3 <= 128 (mpmath's enclosures give e0 <= 7),
+    and e0 + 3 <= 128 (``_zeta_point`` gives e0 = 2),
     E_(n/2) <= 64n < 2^(g - 20): the walk keeps 20 guard bits below one
     unit.  Every entry is at most 2 units wide, which the screen of
     ``cyclotomic._max_square_bounds`` relies on; a wider entry raises
     ArithmeticError.
     """
-    from mpmath.libmp import from_int, mpf_div, mpf_pi, mpf_shift, mpi_cos_sin
-    from mpmath.libmp import round_ceiling, round_floor
-
     g = (4 * n).bit_length() + 24
     q = scale_bits + g
-    theta = tuple(
-        mpf_div(mpf_shift(mpf_pi(q, rnd), 1), from_int(n), q, rnd)
-        for rnd in (round_floor, round_ceiling)
-    )
-    (c_lo, c_hi), (s_lo, s_hi) = mpi_cos_sin(theta, q)
-    c_lo, s_lo = (_mpf_to_scaled(v, q, round_up=False) for v in (c_lo, s_lo))
-    c_hi, s_hi = (_mpf_to_scaled(v, q, round_up=True) for v in (c_hi, s_hi))
-    zr = (c_lo + c_hi) >> 1
-    zi = (s_lo + s_hi) >> 1
-    e0 = max(zr - c_lo, c_hi - zr) + max(zi - s_lo, s_hi - zi)
+    zr, zi, e0 = _zeta_point(n, q)
 
     one = 1 << scale_bits
     xr, xi, err = 1 << q, 0, 0

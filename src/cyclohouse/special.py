@@ -186,8 +186,9 @@ def as_positive_rational_times_rou(
     return Fraction(g, a.den), rou
 
 
-def nth_roots_in_cyclotomic(w: CycNum, r: int) -> tuple[list[CycNum], bool]:
-    """All r-th roots of w inside the cyclotomic closure, plus decisiveness.
+def nth_root_in_cyclotomic(w: CycNum, r: int) -> tuple[CycNum | None, bool]:
+    """One r-th root of w inside the cyclotomic closure (None if there is
+    none), plus decisiveness.
 
     Decisive (second component True) whenever w is a rational multiple
     of a root of unity: s^(1/r) lies in the closure iff s^(2/r) is
@@ -196,35 +197,32 @@ def nth_roots_in_cyclotomic(w: CycNum, r: int) -> tuple[list[CycNum], bool]:
     """
     if r < 1:
         raise DomainError("root index must be positive")
-    if not w:
-        return [CycNum.zero], True
-    if r == 1:
-        return [w], True
+    if not w or r == 1:
+        return w, True
     dec = as_positive_rational_times_rou(w)
     if dec is None:
-        return [], False
+        return None, False
     s, rou = dec
-    if r % 2 == 1:
-        t = exact_nth_root_fraction(s, r)
-        if t is None:
-            return [], True
+    t = exact_nth_root_fraction(s, r)
+    if t is not None:
         base = CycNum.from_rational(t)
+    elif r % 2 == 0 and (half := exact_nth_root_fraction(s, r // 2)) is not None:
+        base = sqrt_rational_cyc(half)
     else:
-        t = exact_nth_root_fraction(s, r)
-        if t is not None:
-            base = CycNum.from_rational(t)
-        else:
-            half = exact_nth_root_fraction(s, r // 2)
-            if half is None:
-                return [], True
-            base = sqrt_rational_cyc(half)
+        return None, True
     # r-th root of the root-of-unity part: zeta_{m r}^k
-    rou_root = CycNum.zeta(rou.order * r, rou.exponent)
-    u0 = base * rou_root
-    roots = []
-    for j in range(r):
-        roots.append(u0 * CycNum.zeta(r, j))
-    return roots, True
+    return base * CycNum.zeta(rou.order * r, rou.exponent), True
+
+
+def nth_roots_in_cyclotomic(w: CycNum, r: int) -> tuple[list[CycNum], bool]:
+    """All r-th roots of w inside the cyclotomic closure, plus decisiveness
+    as in ``nth_root_in_cyclotomic``."""
+    u0, decisive = nth_root_in_cyclotomic(w, r)
+    if u0 is None:
+        return [], decisive
+    if not u0:
+        return [u0], True
+    return [u0 * CycNum.zeta(r, j) for j in range(r)], True
 
 
 # ---------------------------------------------------------------------------
@@ -306,11 +304,11 @@ def _roots_of_low_degree(g: Poly) -> tuple[list[CycNum], bool]:
     if g.deg == 1:
         return [(-g[0]) * g[1].inverse()], True
     a, b, c = g[2], g[1], g[0]
-    sqrts, decisive = nth_roots_in_cyclotomic(b * b - a * c * 4, 2)
-    if not sqrts:
+    sqrt, decisive = nth_root_in_cyclotomic(b * b - a * c * 4, 2)
+    if sqrt is None:
         return [], decisive
     inv = (a * 2).inverse()
-    return [(-b + sqrts[0]) * inv, (-b - sqrts[0]) * inv], True
+    return [(-b + sqrt) * inv, (-b - sqrt) * inv], True
 
 
 def _certify_via_fixed_point(h: RatFunc, gamma: CycNum, d: int) -> SpecialVerdict:

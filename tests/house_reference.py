@@ -19,7 +19,23 @@ import mpmath
 
 from cyclohouse import intervals
 from cyclohouse.cyclotomic import CycNum
-from cyclohouse.intervals import _mpf_to_scaled, square_interval
+from cyclohouse.intervals import square_interval
+
+from .interval_boxes import ceil_div
+
+
+def _mpf_to_scaled(mpf_tuple, scale_bits: int, round_up: bool) -> int:
+    """Exact conversion of an mpf endpoint to an integer at scale 2^scale_bits."""
+    sign, man, exp, _bc = mpf_tuple
+    if man == 0:
+        return 0
+    man = int(man)
+    v = -man if sign else man
+    shift = exp + scale_bits
+    if shift >= 0:
+        return v << shift
+    q = 1 << (-shift)
+    return ceil_div(v, q) if round_up else v // q
 
 
 def root_table(n: int, scale_bits: int) -> tuple[tuple[int, int, int, int], ...]:

@@ -13,7 +13,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from cyclohouse.cyclotomic import CycNum
-from cyclohouse.intervals import ceil_div, root_table
+from cyclohouse.intervals import root_table
+
+
+def ceil_div(a: int, b: int) -> int:
+    """Exact ceil(a/b) for positive b."""
+    return -((-a) // b)
 
 
 @dataclass(frozen=True)

@@ -60,9 +60,18 @@ class TestMonicNormalize:
             monic_normalize(ratfunc_new(P(0, 0, 1), P(1, 1)))
 
     def test_unsupported_scaling(self):
-        # leading coefficient 2 with gap 2 would need sqrt(2) rational
+        # leading coefficient 3 with gap 3 would need a cube root of 3
         with pytest.raises(DomainError):
-            monic_normalize(RatFunc.from_poly(P(0, 0, 0, 2)))
+            monic_normalize(RatFunc.from_poly(P(0, 1, 0, 0, 3)))
+
+    def test_square_root_scaling(self):
+        # leading coefficient 2 with gap 2: c = sqrt(2), a Gauss sum
+        h = RatFunc.from_poly(P(0, 0, 0, 2))
+        norm = monic_normalize(h)
+        assert norm.c ** 2 == CycNum.from_rational(2) and norm.D == 2
+        assert norm.h_tilde == RatFunc.from_poly(P(0, 0, 0, 1))
+        lhs = compose(scale_map(norm.c.inverse()), compose(norm.h_tilde, scale_map(norm.c)))
+        assert lhs == h
 
     def test_rou_multiple_scaling(self):
         # leading 4*z3 with gap 2: c = 2*z6... solvable in closed form

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cyclohouse import intervals
 from cyclohouse.intervals import isqrt_ceil, isqrt_floor, root_table, square_interval
 
 from . import house_reference
@@ -54,7 +55,8 @@ def test_root_table_contains_points_at_twice_the_precision(n, bits):
 
 
 @pytest.mark.parametrize(
-    "n, bits", [(2520, 320), (1260, 128), (999, 256), (7, 4096), (1, 64), (4, 80)]
+    "n, bits",
+    [(2520, 320), (1260, 128), (999, 256), (7, 4096), (3, 4096), (1, 64), (4, 80)],
 )
 def test_root_table_matches_separate_cos_and_sin(n, bits):
     tab = root_table(n, bits)
@@ -82,17 +84,28 @@ def test_threads_build_the_same_table():
 
 
 def test_root_table_refuses_a_wide_entry(monkeypatch):
-    # widen the one certified enclosure of zeta_n: the walk's error bound
-    # grows with it, and the first entry past it must be refused
-    real = mpmath.libmp.mpi_cos_sin
+    # widen the error bound of the one point of zeta_n: the walk's error
+    # bound grows with it, and the first entry past it must be refused
+    real = intervals._zeta_point
 
-    def widened(theta, prec):
-        (c_lo, c_hi), s = real(theta, prec)
-        return (c_lo, mpmath.libmp.mpf_add(c_hi, mpmath.libmp.from_int(1), prec)), s
+    def widened(n, q):
+        zr, zi, e0 = real(n, q)
+        return zr, zi, e0 + (1 << q)
 
-    monkeypatch.setattr(mpmath.libmp, "mpi_cos_sin", widened)
+    monkeypatch.setattr(intervals, "_zeta_point", widened)
     with pytest.raises(ArithmeticError, match="over 2 units wide"):
         root_table.__wrapped__(5, 64)
+
+
+@pytest.mark.parametrize("q", [64, 200, 1100, 4200, 8300])
+def test_zeta_point_is_within_its_bound(q):
+    # against mpmath at 80 more bits: |Z - 2^q zeta_n| in the 1-norm is
+    # at most the e0 that the walk trusts
+    for n in (1, 2, 3, 4, 5, 7, 12, 420, 27720, 1000003):
+        zr, zi, e0 = intervals._zeta_point(n, q)
+        with mpmath.workprec(q + 80):
+            z = mpmath.expjpi(mpmath.mpf(2) / n) * mpmath.mpf(2) ** q
+            assert abs(zr - z.real) + abs(zi - z.imag) <= e0 <= 7, n
 
 
 @given(st.integers(-1000, 1000), st.integers(-1000, 1000))
