@@ -43,7 +43,7 @@ _EXPORTS = {
     "formatting": ("format_value",),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = {*_EXPORTS, "cli", "intervals"}
+_SUBMODULES = {*_EXPORTS, "cli", "intervals", "record"}
 
 __all__ = list(_HOME)
 

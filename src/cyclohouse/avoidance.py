@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -52,20 +51,19 @@ from .ratfunc import (
     evaluate,
     root_vectors,
 )
-from .special import nth_root_in_cyclotomic
+from .record import Record, fill
 
 if TYPE_CHECKING:  # loaded at run time by avoidance_verdict alone
     from .witness import SearchGrid, Witness
 
 
-@dataclass(frozen=True)
-class MonicNormalization:
+class MonicNormalization(Record):
     """Scaling data (c, ht, D, R) with h(x) = c^-1 * ht(c x) exactly."""
 
-    c: CycNum
-    h_tilde: RatFunc
-    D: int
-    R: Fraction
+    __slots__ = ("c", "h_tilde", "D", "R")
+
+    def __init__(self, c: CycNum, h_tilde: RatFunc, D: int, R: Fraction):
+        fill(self, c, h_tilde, D, R)
 
     def to_dict(self) -> dict:
         from .formatting import format_value
@@ -93,10 +91,13 @@ def monic_normalize(h: RatFunc) -> MonicNormalization:
     if d <= e + 1:
         raise DomainError("monic normalization requires deg num > deg den + 1")
     r = d - e - 1
-    lead = p[d]  # denominator is monic, so the ratio of leads is lead(p)
-    c, _ = nth_root_in_cyclotomic(lead, r)
-    if c is None:
-        raise DomainError(f"unsupported scaling: c^{r} = lead(p) has no closed-form solution")
+    c = p[d]  # denominator is monic, so the ratio of leads is lead(p)
+    if r > 1:  # c = lead(p) itself for r = 1, without loading special
+        from .special import nth_root_in_cyclotomic
+
+        c, _ = nth_root_in_cyclotomic(c, r)
+        if c is None:
+            raise DomainError(f"unsupported scaling: c^{r} = lead(p) has no closed-form solution")
     c_inv = c.inverse()
     # ht = pt/qt with pt(y) = c^(e+1) p(y/c), qt(y) = c^e q(y/c)
     pt = Poly([p[i] * (c ** (e + 1 - i) if i <= e + 1 else c_inv ** (i - e - 1))
@@ -173,17 +174,24 @@ def _verified_escape_radius(h_tilde: RatFunc) -> Fraction:
     raise UndecidedError("escape radius verification failed to converge")
 
 
-@dataclass(frozen=True)
-class OrbitRecord:
+class OrbitRecord(Record):
     """Forward orbit with house enclosures, integrality flags and hits."""
 
-    points: tuple[CycNum, ...]
-    houses: tuple[HouseResult, ...]
-    integral_after_D: tuple[bool, ...] | None
-    hit_indices: tuple[int, ...]
-    undecided_indices: tuple[int, ...]
-    truncated_at: int | None
-    D: int | None
+    __slots__ = ("points", "houses", "integral_after_D", "hit_indices", "undecided_indices",
+                 "truncated_at", "D")
+
+    def __init__(
+        self,
+        points: tuple[CycNum, ...],
+        houses: tuple[HouseResult, ...],
+        integral_after_D: tuple[bool, ...] | None,
+        hit_indices: tuple[int, ...],
+        undecided_indices: tuple[int, ...],
+        truncated_at: int | None,
+        D: int | None,
+    ):
+        fill(self, points, houses, integral_after_D, hit_indices, undecided_indices,
+             truncated_at, D)
 
     def to_dict(self) -> dict:
         from .formatting import format_value
@@ -255,25 +263,34 @@ def orbit(h: RatFunc, a: CycNum, n_steps: int, A) -> OrbitRecord:
     )
 
 
-@dataclass(frozen=True)
-class OrbitLemmaReport:
+class OrbitLemmaReport(Record):
     """Outcome of checking both orbit-lemma bullets on one (h, a, n, A).
 
     substitute_bound documents the verified stand-in for the lemma's
     external constant: max(house(c^-1) * max(R, house(c)*A), A).
     """
 
-    n: int
-    A: Fraction
-    truncated: bool
-    premise_house_holds: bool | None
-    house_bound: Fraction | None
-    house_checks: tuple[dict, ...]
-    premise_integral_holds: bool | None
-    integral_checks: tuple[bool, ...]
-    counterexamples: tuple[dict, ...]
-    D: int
-    substitute_bound_formula: str = "max(house(c^-1)*max(R, house(c)*A), A)"
+    __slots__ = ("n", "A", "truncated", "premise_house_holds", "house_bound", "house_checks",
+                 "premise_integral_holds", "integral_checks", "counterexamples", "D",
+                 "substitute_bound_formula")
+
+    def __init__(
+        self,
+        n: int,
+        A: Fraction,
+        truncated: bool,
+        premise_house_holds: bool | None,
+        house_bound: Fraction | None,
+        house_checks: tuple[dict, ...],
+        premise_integral_holds: bool | None,
+        integral_checks: tuple[bool, ...],
+        counterexamples: tuple[dict, ...],
+        D: int,
+        substitute_bound_formula: str = "max(house(c^-1)*max(R, house(c)*A), A)",
+    ):
+        fill(self, n, A, truncated, premise_house_holds, house_bound, house_checks,
+             premise_integral_holds, integral_checks, counterexamples, D,
+             substitute_bound_formula)
 
     def ok(self) -> bool:
         return not self.counterexamples
@@ -374,11 +391,13 @@ def verify_orbit_lemma(h: RatFunc, a: CycNum, n: int, A) -> OrbitLemmaReport:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class ScanHit:
-    root: RootOfUnity
-    value: CycNum
-    house: HouseResult
+class ScanHit(Record):
+    __slots__ = ("root", "value", "house")
+
+    def __init__(self, root: RootOfUnity, value: CycNum, house: HouseResult):
+        _set_hit_root(self, root)
+        _set_hit_value(self, value)
+        _set_hit_house(self, house)
 
     def to_dict(self) -> dict:
         from .formatting import format_value
@@ -391,11 +410,19 @@ class ScanHit:
         }
 
 
-@dataclass(frozen=True)
-class ScanResult:
-    hits: tuple[ScanHit, ...]
-    undecided: tuple[ScanHit, ...]
-    poles_skipped: tuple[RootOfUnity, ...]
+_set_hit_root, _set_hit_value, _set_hit_house = ScanHit._setters
+
+
+class ScanResult(Record):
+    __slots__ = ("hits", "undecided", "poles_skipped", "__weakref__")
+
+    def __init__(
+        self,
+        hits: tuple[ScanHit, ...],
+        undecided: tuple[ScanHit, ...],
+        poles_skipped: tuple[RootOfUnity, ...],
+    ):
+        fill(self, hits, undecided, poles_skipped)
 
     def to_dict(self) -> dict:
         return {
@@ -516,12 +543,17 @@ WITNESS_FOUND = "witness_found"
 UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class AvoidanceVerdict:
-    kind: str
-    reason: str | None = None
-    witness: Witness | None = None
-    diagnostics: dict = field(default_factory=dict)
+class AvoidanceVerdict(Record):
+    __slots__ = ("kind", "reason", "witness", "diagnostics")
+
+    def __init__(
+        self,
+        kind: str,
+        reason: str | None = None,
+        witness: Witness | None = None,
+        diagnostics: dict | None = None,
+    ):
+        fill(self, kind, reason, witness, {} if diagnostics is None else diagnostics)
 
     def to_dict(self) -> dict:
         out = {"verdict": self.kind}

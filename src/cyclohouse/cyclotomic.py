@@ -42,7 +42,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -53,6 +52,7 @@ from .intervals import (
     root_table,
     square_interval,
 )
+from .record import Record, fill
 
 DEFAULT_ACCURACY_BITS = 64
 
@@ -191,16 +191,28 @@ class _Cyclotomy:
 
         acc[e] is the coefficient of zeta^e (len(acc) >= phi); the
         returned list is acc cut to its phi power-basis coordinates.
-        Phi_n divides x^n - 1, so exponents n and up fold onto e - n
-        first, by additions; only the n - phi rows below n remain.
+        Phi_n divides x^n - 1, so exponents n and up first fold onto
+        e - n, by additions.  At even n it also divides x^(n/2) + 1, so a
+        vector of n exponents, such as an exponent-shifted sum's, then
+        folds e >= n/2 onto e - n/2, by subtractions (a product's
+        2*phi - 1 < n exponents skip this).  Only the rows from there
+        down to phi remain.
         """
         n, phi, low = self.n, self.phi, self.low
-        if len(acc) > n:
-            for e in range(len(acc) - 1, n - 1, -1):
-                c = acc[e]
-                if c:
-                    acc[e - n] += c
-            del acc[n:]
+        if len(acc) >= n:
+            if len(acc) > n:
+                for e in range(len(acc) - 1, n - 1, -1):
+                    c = acc[e]
+                    if c:
+                        acc[e - n] += c
+                del acc[n:]
+            if n % 2 == 0:
+                h = n // 2
+                for e in range(n - 1, h - 1, -1):
+                    c = acc[e]
+                    if c:
+                        acc[e - h] -= c
+                del acc[h:]
         for e in range(len(acc) - 1, phi - 1, -1):
             c = acc[e]
             if c:
@@ -810,13 +822,15 @@ def is_algebraic_integer(a: CycNum) -> bool:
     return a.den == 1
 
 
-@dataclass(frozen=True, slots=True)
-class HouseResult:
+class HouseResult(Record):
     """Rigorous enclosure [lower, upper] of the house of an element."""
 
-    lower: Fraction
-    upper: Fraction
-    precision_bits: int
+    __slots__ = ("lower", "upper", "precision_bits")
+
+    def __init__(self, lower: Fraction, upper: Fraction, precision_bits: int):
+        _set_lower(self, lower)
+        _set_upper(self, upper)
+        _set_precision_bits(self, precision_bits)
 
     @property
     def width(self) -> Fraction:
@@ -830,6 +844,9 @@ class HouseResult:
             "upper": decimal_upper(self.upper),
             "precision_bits": self.precision_bits,
         }
+
+
+_set_lower, _set_upper, _set_precision_bits = HouseResult._setters
 
 
 class _HouseMemo:
@@ -1033,12 +1050,14 @@ def quotient_house_exceeds(num, den, A: Fraction) -> bool:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class RootOfUnity:
+class RootOfUnity(Record):
     """zeta_order^exponent in lowest terms (minimal order)."""
 
-    order: int
-    exponent: int
+    __slots__ = ("order", "exponent")
+
+    def __init__(self, order: int, exponent: int):
+        _set_order(self, order)
+        _set_exponent(self, exponent)
 
     @classmethod
     def make(cls, order: int, exponent: int) -> "RootOfUnity":
@@ -1064,6 +1083,9 @@ class RootOfUnity:
         if self.exponent == 1:
             return f"z{self.order}"
         return f"z{self.order}^{self.exponent}"
+
+
+_set_order, _set_exponent = RootOfUnity._setters
 
 
 def is_root_of_unity(a: CycNum) -> RootOfUnity | None:
@@ -1149,8 +1171,7 @@ def compare_house(a: CycNum, A) -> bool | None:
     return True if a * conjugate(a, -1) == A * A else None
 
 
-@dataclass(frozen=True)
-class LoxtonProfile:
+class LoxtonProfile(Record):
     """Stand-in for the nonconstructive short-sum machinery over Q.
 
     B scales the house argument; E is the coefficient set (always {1}
@@ -1160,23 +1181,24 @@ class LoxtonProfile:
     budget is user-supplied.
     """
 
-    B: Fraction
-    E: tuple[CycNum, ...]
-    budget: tuple[tuple[Fraction, int], ...]
+    __slots__ = ("B", "E", "budget")
 
-    def __post_init__(self):
-        if self.B <= 0:
+    def __init__(
+        self, B: Fraction, E: tuple[CycNum, ...], budget: tuple[tuple[Fraction, int], ...]
+    ):
+        if B <= 0:
             raise DomainError("B must be positive")
-        if not self.E:
+        if not E:
             raise DomainError("E must be nonempty")
         last_x = None
         last_d = None
-        for x, d in self.budget:
+        for x, d in budget:
             if d < 0:
                 raise DomainError("budget values must be nonnegative")
             if last_x is not None and (x < last_x or d < last_d):
                 raise DomainError("budget must be monotone nondecreasing")
             last_x, last_d = x, d
+        fill(self, B, E, budget)
 
     @classmethod
     def default(cls, d_max: int, B=1) -> "LoxtonProfile":

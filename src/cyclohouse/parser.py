@@ -16,12 +16,12 @@ Pow exponents are integer literals, possibly negative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 from .cyclotomic import CycNum
 from .errors import DomainError, ParseError
 from .ratfunc import RatFunc
+from .record import Record
 
 
 # -- tokens -----------------------------------------------------------------
@@ -29,11 +29,17 @@ from .ratfunc import RatFunc
 _PUNCT = set("+-*/^()")
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "int" | "x" | "zeta" | one of + - * / ^ ( ) | "end"
-    pos: int
-    value: int | None = None
+class _Token(Record):
+    # kind: "int" | "x" | "zeta" | one of + - * / ^ ( ) | "end"
+    __slots__ = ("kind", "pos", "value")
+
+    def __init__(self, kind: str, pos: int, value: int | None = None):
+        _set_token_kind(self, kind)
+        _set_token_pos(self, pos)
+        _set_token_value(self, value)
+
+
+_set_token_kind, _set_token_pos, _set_token_value = _Token._setters
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -80,13 +86,22 @@ def _tokenize(text: str) -> list[_Token]:
 # -- AST --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExprAST:
-    """Expression node: a literal, the variable, or an operator node."""
+class ExprAST(Record):
+    """Expression node: a literal, the variable, or an operator node.
 
-    kind: str  # "int" | "x" | "zeta" | "add" | "sub" | "mul" | "div" | "neg" | "pow"
-    children: tuple["ExprAST", ...] = ()
-    value: int | None = None  # int literal, zeta order, or pow exponent
+    kind is "int", "x", "zeta", "add", "sub", "mul", "div", "neg" or
+    "pow"; value is the int literal, the zeta order or the pow exponent.
+    """
+
+    __slots__ = ("kind", "children", "value")
+
+    def __init__(self, kind: str, children: tuple[ExprAST, ...] = (), value: int | None = None):
+        _set_node_kind(self, kind)
+        _set_node_children(self, children)
+        _set_node_value(self, value)
+
+
+_set_node_kind, _set_node_children, _set_node_value = ExprAST._setters
 
 
 class _Parser:

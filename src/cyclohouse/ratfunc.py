@@ -13,12 +13,12 @@ shares its arithmetic: a Laurent product is a ``Poly`` product.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .cyclotomic import CycNum, RootOfUnity, root_power_vector, vector_value
-from .errors import DomainError, ResourceLimitError, int_digit_limit
+from .errors import DomainError, ResourceLimitError, int_digit_limit, too_long_to_print
+from .record import Record, fill
 
 #: Ceiling for iterate() expansion, in projected monomials.
 DEFAULT_ITERATE_CEILING = 1_000_000
@@ -561,9 +561,18 @@ def chebyshev(d: int) -> Poly:
     Built on integers by the recurrence T_0 = 2, T_1 = x,
     T_{k+1} = x*T_k - T_{k-1}, and verified against the defining
     identity by expanding T_d(t + 1/t) on integers.
+
+    The absolute values of the coefficients sum to the Lucas number
+    L_d > phi^d - 1 > 2^(9 (d // 13)) - 1 (as phi^13 > 2^9), so the
+    largest is above L_d / (d + 1).  When bit lengths show that bound
+    above 10^limit (as 10^3 < 2^10), T_d cannot print, and
+    ``ResourceLimitError`` is raised before it is built.
     """
     if d < 1:
         raise DomainError("chebyshev index must be >= 1")
+    limit = int_digit_limit()
+    if limit and 9 * (d // 13) > -(-10 * limit // 3) + (d + 1).bit_length():
+        raise too_long_to_print(limit)
     prev, cur = [2], [0, 1]
     for _ in range(d - 1):
         prev, cur = cur, [a - b for a, b in zip([0, *cur], prev + [0, 0])]
@@ -577,20 +586,16 @@ def chebyshev(d: int) -> Poly:
     return Poly(cur)
 
 
-@dataclass(frozen=True)
-class Mobius:
+class Mobius(Record):
     """Invertible fractional-linear map (a x + b) / (c x + d)."""
 
-    a: CycNum
-    b: CycNum
-    c: CycNum
-    d: CycNum
+    __slots__ = ("a", "b", "c", "d")
 
-    def __post_init__(self):
-        for f in ("a", "b", "c", "d"):
-            object.__setattr__(self, f, _cyc(getattr(self, f)))
-        if not (self.a * self.d - self.b * self.c):
+    def __init__(self, a: CycNum, b: CycNum, c: CycNum, d: CycNum):
+        a, b, c, d = _cyc(a), _cyc(b), _cyc(c), _cyc(d)
+        if not (a * d - b * c):
             raise DomainError("degenerate Mobius map (zero determinant)")
+        fill(self, a, b, c, d)
 
     @staticmethod
     def identity() -> "Mobius":
@@ -630,14 +635,13 @@ def mobius_conjugate(h: RatFunc, m: Mobius) -> RatFunc:
     return compose(m.inverse().as_ratfunc(), inner)
 
 
-@dataclass(frozen=True)
-class BinomialShape:
+class BinomialShape(Record):
     """Witness that q(x) = lam(a x^n + b x^-n)."""
 
-    lam: Mobius
-    a: CycNum
-    b: CycNum
-    n: int
+    __slots__ = ("lam", "a", "b", "n")
+
+    def __init__(self, lam: Mobius, a: CycNum, b: CycNum, n: int):
+        fill(self, lam, a, b, n)
 
     def inner(self) -> RatFunc:
         return LaurentPoly([(self.n, self.a), (-self.n, self.b)]).to_ratfunc()

@@ -31,10 +31,9 @@ unity leave the search indecisive and the verdict reports "unknown".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclotomic import CycNum, RootOfUnity, factorize, is_root_of_unity
+from .cyclotomic import CycNum, RootOfUnity, factorize, is_root_of_unity, vector_value
 from .errors import DomainError
 from .ratfunc import (
     Mobius,
@@ -45,6 +44,7 @@ from .ratfunc import (
     mobius_conjugate,
     poly_gcd,
 )
+from .record import Record, fill
 
 STATUS_SPECIAL = "special"
 STATUS_NOT_SPECIAL = "not_special"
@@ -55,11 +55,11 @@ MODEL_NEG_POWER = "neg_power"
 MODEL_CHEBYSHEV = "chebyshev"
 
 
-@dataclass(frozen=True)
-class SpecialCertificate:
-    mobius: Mobius
-    model_kind: str
-    degree: int
+class SpecialCertificate(Record):
+    __slots__ = ("mobius", "model_kind", "degree")
+
+    def __init__(self, mobius: Mobius, model_kind: str, degree: int):
+        fill(self, mobius, model_kind, degree)
 
     def model(self) -> RatFunc:
         return RatFunc.from_poly(_model_poly(self.model_kind, self.degree))
@@ -82,12 +82,13 @@ def _model_poly(kind: str, d: int) -> Poly:
     raise DomainError(f"unknown model kind {kind}")
 
 
-@dataclass(frozen=True)
-class SpecialVerdict:
+class SpecialVerdict(Record):
     """Outcome of is_special: certified yes, exhausted no, or unknown."""
 
-    status: str
-    certificate: SpecialCertificate | None = None
+    __slots__ = ("status", "certificate")
+
+    def __init__(self, status: str, certificate: SpecialCertificate | None = None):
+        fill(self, status, certificate)
 
     def __bool__(self):
         return self.status == STATUS_SPECIAL
@@ -154,14 +155,14 @@ def sqrt_rational_cyc(s: Fraction) -> CycNum:
         if p == 2:
             result = result * (CycNum.zeta(8) + CycNum.zeta(8, 7))
             continue
-        # sum of (t/p) zeta_p^t over 0 < t < p, written in the power basis:
-        # zeta_p^(p-1) = -(1 + ... + zeta_p^(p-2)) moves its symbol to each slot
-        last = _legendre(p - 1, p)
-        gauss = CycNum(p, [_legendre(j, p) - last for j in range(p - 1)])
-        if p % 4 == 1:
-            result = result * gauss
-        else:  # gauss^2 = -p, divide by i
-            result = result * gauss * CycNum.zeta(4, 3)
+        # the Gauss sum g = sum of (t/p) zeta_p^t over 0 < t < p; for
+        # p = 3 (mod 4), g^2 = -p and the root is g/i = sum of
+        # (t/p) zeta_4p^(4t + 3p), one exponent vector at conductor 4p
+        n, shift = (p, 0) if p % 4 == 1 else (4 * p, 3 * p)
+        vec = [0] * n
+        for t in range(1, p):
+            vec[(n // p * t + shift) % n] = _legendre(t, p)
+        result = result * vector_value((vec, 1))
     result = result * CycNum.from_rational(square)
     return result
 

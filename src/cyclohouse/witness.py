@@ -23,7 +23,6 @@ hit is re-verified by the exact identity before being returned.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -49,27 +48,25 @@ from .ratfunc import (
     term_count,
     to_laurent,
 )
-from .special import STATUS_SPECIAL, STATUS_UNKNOWN, is_special
+from .record import Record, fill
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Record):
     """Terms (beta_i, e_i, n_i) plus the inner map S.
 
     Terms may repeat (the sum is a list, not a set); the collapsed
     Laurent polynomial must be nonconstant, as must S.
     """
 
-    terms: tuple[tuple[RootOfUnity, CycNum, int], ...]
-    S: RatFunc
+    __slots__ = ("terms", "S")
 
-    def __post_init__(self):
-        if not self.terms:
+    def __init__(self, terms: tuple[tuple[RootOfUnity, CycNum, int], ...], S: RatFunc):
+        if not terms:
             raise DomainError("witness needs at least one term")
-        if self.S.is_constant():
+        if S.is_constant():
             raise DomainError("witness inner map must be nonconstant")
-        lp = witness_laurent(self)
-        if lp.is_constant():
+        fill(self, terms, S)
+        if witness_laurent(self).is_constant():
             raise DomainError("witness sum must be nonconstant in x")
 
     def term_count(self) -> int:
@@ -110,12 +107,13 @@ def is_A_short(w: Witness, A, profile: LoxtonProfile) -> bool:
 # bounded witness search, deg S <= 2
 
 
-@dataclass(frozen=True)
-class SearchGrid:
+class SearchGrid(Record):
     """Finite parameter grid for the quadratic inner-map family."""
 
-    rou_order_cap: int = 12
-    rational_height_cap: int = 8
+    __slots__ = ("rou_order_cap", "rational_height_cap")
+
+    def __init__(self, rou_order_cap: int = 12, rational_height_cap: int = 8):
+        fill(self, rou_order_cap, rational_height_cap)
 
     def entries(self) -> tuple["_GridValue", ...]:
         """The grid values in search order, built once per grid."""
@@ -144,20 +142,19 @@ def _grid_entries(grid: SearchGrid) -> tuple["_GridValue", ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class _GridValue:
-    """Grid scalar: the root of unity zeta_order^k or a rational."""
+class _GridValue(Record):
+    """Grid scalar: the root of unity zeta_order^k or a rational; ``value``
+    is that scalar as a CycNum, left out of ==, hash and the repr."""
 
-    rou: tuple[int, int] | None = None
-    rational: Fraction | None = None
-    value: CycNum = field(init=False, repr=False, compare=False)
+    __slots__ = ("rou", "rational", "value")
+    _fields = ("rou", "rational")
 
-    def __post_init__(self):
-        if self.rou is not None:
-            value = CycNum.zeta(*self.rou)
+    def __init__(self, rou: tuple[int, int] | None = None, rational: Fraction | None = None):
+        if rou is not None:
+            value = CycNum.zeta(*rou)
         else:
-            value = CycNum.from_rational(self.rational)
-        object.__setattr__(self, "value", value)
+            value = CycNum.from_rational(rational)
+        fill(self, rou, rational, value)
 
     def is_root(self) -> bool:
         """True for a root of unity (1 and -1 are listed as such)."""
@@ -203,6 +200,8 @@ def _targeted_candidates(h: RatFunc) -> list[RatFunc]:
     out: list[RatFunc] = []
     d = degree(h)
     if d >= 2:
+        from .special import STATUS_SPECIAL, is_special
+
         try:
             verdict = is_special(h)
         except DomainError:
@@ -466,21 +465,31 @@ def iterate_term_lower_bound(d: int, n: int) -> float:
     return ((n - 2) * math.log(d) - math.log(2016)) / math.log(5)
 
 
-@dataclass(frozen=True)
-class FZReport:
+class FZReport(Record):
     """All intermediates of one degree-cap consistency check."""
 
-    degree_h: int
-    composition_terms: int
-    rational_cap: int
-    laurent_cap: int
-    q_binomial_shaped: bool
-    q_trinomial_shaped: bool | None
-    rational_branch_checked: bool
-    rational_bound_holds: bool | None
-    laurent_branch_checked: bool
-    laurent_bound_holds: bool | None
-    violations: tuple[str, ...] = field(default=())
+    __slots__ = ("degree_h", "composition_terms", "rational_cap", "laurent_cap",
+                 "q_binomial_shaped", "q_trinomial_shaped", "rational_branch_checked",
+                 "rational_bound_holds", "laurent_branch_checked", "laurent_bound_holds",
+                 "violations")
+
+    def __init__(
+        self,
+        degree_h: int,
+        composition_terms: int,
+        rational_cap: int,
+        laurent_cap: int,
+        q_binomial_shaped: bool,
+        q_trinomial_shaped: bool | None,
+        rational_branch_checked: bool,
+        rational_bound_holds: bool | None,
+        laurent_branch_checked: bool,
+        laurent_bound_holds: bool | None,
+        violations: tuple[str, ...] = (),
+    ):
+        fill(self, degree_h, composition_terms, rational_cap, laurent_cap, q_binomial_shaped,
+             q_trinomial_shaped, rational_branch_checked, rational_bound_holds,
+             laurent_branch_checked, laurent_bound_holds, violations)
 
     def ok(self) -> bool:
         return not self.violations
@@ -551,13 +560,18 @@ def verify_fz(h: RatFunc, q: RatFunc) -> FZReport:
     )
 
 
-@dataclass(frozen=True)
-class SpecialTermsReport:
-    degree_h: int
-    iterations: int
-    composition_terms: int
-    lower_bound: float
-    bound_holds: bool
+class SpecialTermsReport(Record):
+    __slots__ = ("degree_h", "iterations", "composition_terms", "lower_bound", "bound_holds")
+
+    def __init__(
+        self,
+        degree_h: int,
+        iterations: int,
+        composition_terms: int,
+        lower_bound: float,
+        bound_holds: bool,
+    ):
+        fill(self, degree_h, iterations, composition_terms, lower_bound, bound_holds)
 
     def to_dict(self) -> dict:
         return {
@@ -582,6 +596,8 @@ def verify_specialterms(h: RatFunc, q: RatFunc, n: int) -> SpecialTermsReport:
         raise DomainError("iteration count must be >= 3")
     if q.is_constant():
         raise DomainError("inner map must be nonconstant")
+    from .special import STATUS_SPECIAL, STATUS_UNKNOWN, is_special
+
     verdict = is_special(h)
     if verdict.status == STATUS_SPECIAL:
         raise DomainError("h is special; the bound does not apply")

@@ -306,6 +306,25 @@ def test_bounds_refuses_an_unprintable_cap_before_building_it():
     )
 
 
+def test_cheb_refuses_an_unprintable_degree_before_building_it():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("no int-to-str digit limit")
+    start = time.process_time()
+    code, out = _run(["cheb", "100000"])  # T_20000 alone ran past 20 s
+    assert time.process_time() - start < 1
+    assert code == 3
+    assert json.loads(out)["error"]["message"] == (
+        f"a number of more than {limit} digits cannot be printed"
+    )
+
+
+def test_cheb_below_the_print_limit_still_answers():
+    code, out = _run(["cheb", "2000"])
+    assert code == 0
+    assert json.loads(out)["poly"].startswith("x^2000 - 2000*x^1998 + 1997000*x^1996 - ")
+
+
 def test_iterate_ceiling_does_not_build_d_to_the_n():
     start = time.process_time()
     code, out = _run(["iterate", "x^3", "1000000000000"])
@@ -339,7 +358,10 @@ _UPPER_LAYERS = {"cyclohouse.special", "cyclohouse.witness", "cyclohouse.avoidan
 
 # A cold process that imports the CLI and runs one command: (argv, or None
 # for the import alone; modules it must load; modules it must leave out).
-# Each subcommand imports only what it uses, and none imports mpmath.
+# Each subcommand imports only what it uses, and none imports mpmath,
+# dataclasses or inspect.
+_NEVER_LOADED = {"mpmath", "dataclasses", "inspect"}
+_SPECIAL = {"cyclohouse.special"}
 COLD_IMPORTS = {
     "import": (
         None,
@@ -352,8 +374,12 @@ COLD_IMPORTS = {
     "scan": (
         ["scan", "x^2", "--M", "4", "--A", "1"],
         {"cyclohouse.avoidance"},
-        {"cyclohouse.witness"},
+        {"cyclohouse.witness"} | _SPECIAL,
     ),
+    "orbit": (CASES["orbit"][0], {"cyclohouse.avoidance"}, {"cyclohouse.witness"} | _SPECIAL),
+    "bounds": (CASES["bounds"][0], {"cyclohouse.witness"}, _SPECIAL),
+    "witness-check": (CASES["witness-check"][0], {"cyclohouse.witness"}, _SPECIAL),
+    "fz-verify": (CASES["fz-verify"][0], {"cyclohouse.witness"}, _SPECIAL),
 }
 
 
@@ -366,12 +392,11 @@ def test_cold_process_loads_only_what_it_uses(argv, loaded, absent):
         "if argv is not None:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert cyclohouse.cli.main(argv) == 0\n"
-        "ours = [m for m in sys.modules if m.partition('.')[0] in ('cyclohouse', 'mpmath')]\n"
-        "print(json.dumps(ours))\n"
+        "print(json.dumps(list(sys.modules)))\n"
     )
     modules = set(json.loads(_fresh_python(script)))
     assert loaded <= modules
-    assert not (absent | {"mpmath"}) & modules
+    assert not (absent | _NEVER_LOADED) & modules
 
 
 def test_lazy_package_resolves_every_public_name():

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -211,6 +212,22 @@ class TestChebyshev:
     def test_invalid_index(self):
         with pytest.raises(DomainError):
             chebyshev(0)
+
+    def test_unprintable_degree_is_refused_only_when_a_coefficient_is_too_long(
+        self, monkeypatch
+    ):
+        # the coefficients' absolute values sum to the Lucas number L_d
+        lucas = [2, 1]
+        while len(lucas) <= 3107:
+            lucas.append(lucas[-1] + lucas[-2])
+        for d in range(1, 41):
+            assert sum(abs(c.as_rational()) for c in chebyshev(d).coeffs) == lucas[d], d
+        # so T_3107, refused at 640 digits, has a coefficient of at least
+        # L_d / (d + 1) >= 10^640, which cannot print
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 640, raising=False)
+        with pytest.raises(ResourceLimitError, match="more than 640 digits"):
+            chebyshev(3107)
+        assert lucas[3107] >= 3108 * 10**640
 
 
 class TestMobius:

@@ -49,22 +49,40 @@ class TestRootExtraction:
         r = sqrt_rational_cyc(Fraction(s))
         assert r * r == CycNum.from_rational(Fraction(s))
 
+    @staticmethod
+    def _root_by_products(p):
+        """sqrt(p) or sqrt(-p) times i^3, for an odd prime p, from sums and products."""
+        gauss = CycNum.zero
+        for t in range(1, p):
+            symbol = 1 if pow(t, (p - 1) // 2, p) == 1 else -1
+            gauss = gauss + z(p, t) * symbol
+        return gauss if p % 4 == 1 else gauss * z(4, 3)
+
     def test_gauss_sum_matches_products(self):
-        for p in range(3, 200, 2):
+        for p in range(3, 300, 2):
             if any(p % d == 0 for d in range(3, p, 2)):
                 continue
-            gauss = CycNum.zero
-            for t in range(1, p):
-                symbol = 1 if pow(t, (p - 1) // 2, p) == 1 else -1
-                gauss = gauss + z(p, t) * symbol
-            want = gauss if p % 4 == 1 else gauss * z(4, 3)
-            assert sqrt_rational_cyc(Fraction(p)) == want, p
+            assert sqrt_rational_cyc(Fraction(p)) == self._root_by_products(p), p
+        assert sqrt_rational_cyc(Fraction(2)) == z(8) + z(8, 7)
+        # the same choice of root as the per-prime products, scaled
+        root3, root7 = self._root_by_products(3), self._root_by_products(7)
+        assert sqrt_rational_cyc(Fraction(-3)) == z(4) * root3
+        assert sqrt_rational_cyc(Fraction(3, 7)) == root3 * root7 * Fraction(1, 7)
+        assert sqrt_rational_cyc(Fraction(12)) == root3 * 2
 
     def test_gauss_sum_at_a_large_prime(self):
         start = time.process_time()
         r = sqrt_rational_cyc(Fraction(10009))
         assert time.process_time() - start < 1
         assert r.n == 10009 and r.den == 1
+
+    def test_gauss_sum_at_a_large_prime_3_mod_4(self):
+        # built at conductor 4p as one exponent vector; two products there took 5.7 s
+        start = time.process_time()
+        r = sqrt_rational_cyc(Fraction(10007))
+        assert time.process_time() - start < 1
+        assert r.n == 4 * 10007 and r.den == 1
+        assert r * r == CycNum.from_rational(10007)
 
     def test_negative_sqrt(self):
         r = sqrt_rational_cyc(Fraction(-6))
