@@ -535,15 +535,8 @@ class CycNum:
             num, den = _lowest_terms([q * c for c in other.num], self.den * other.den)
             return _new(other.n, num, den)
         n = math.lcm(self.n, other.n)
-        ctx = _cyclotomy(n)
-        a = _embed_list(self, n)
-        nzb = [(j, y) for j, y in enumerate(_embed_list(other, n)) if y]
-        conv = [0] * (2 * ctx.phi - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in nzb:
-                    conv[i + j] += x * y
-        return _make(n, ctx.reduce(conv), self.den * other.den)
+        row = _row_product(_cyclotomy(n), _embed_list(self, n), _embed_list(other, n))
+        return _make(n, row, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -658,6 +651,18 @@ def _embed_list(a: CycNum, n: int) -> list[int]:
     acc = [0] * n
     acc[: step * len(a.num) : step] = a.num
     return ctx.reduce(acc)
+
+
+def _row_product(ctx: _Cyclotomy, a, b) -> list[int]:
+    """Product of two numerator rows at conductor ctx.n, reduced modulo
+    Phi_n: one convolution over the nonzero entries of b."""
+    nzb = [(j, y) for j, y in enumerate(b) if y]
+    conv = [0] * (2 * ctx.phi - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in nzb:
+                conv[i + j] += x * y
+    return ctx.reduce(conv)
 
 
 def root_power_vector(coeffs, c: int, m: int, k: int) -> tuple[list[int], int]:

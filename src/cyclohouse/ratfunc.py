@@ -6,7 +6,10 @@ Composition is built directly in coprime form: if h1 = p/q is reduced
 and h2 = r/s is reduced and nonconstant, the homogenized numerator and
 denominator of h1 o h2 share no common root, hence no gcd computation
 is needed and the degree law deg(h1 o h2) = deg h1 * deg h2 is exact by
-construction.  A Laurent polynomial is x^low times a ``Poly`` and
+construction.  Composition with an affine inner map a x + b is one
+Taylor shift by b of the numerator and of the denominator, over integer
+rows, scaled by the powers of a (``_affine``); it forms no power and no
+``Poly`` product.  A Laurent polynomial is x^low times a ``Poly`` and
 shares its arithmetic: a Laurent product is a ``Poly`` product.
 """
 
@@ -17,6 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .cyclotomic import CycNum, RootOfUnity, root_power_vector, vector_value
+from .cyclotomic import _cyclotomy, _embed_list, _make, _row_product
 from .errors import DomainError, ResourceLimitError, int_digit_limit, too_long_to_print
 from .record import Record, fill
 
@@ -156,14 +160,9 @@ class Poly:
                 base = base * base
         return result
 
-    def taylor_shift(self, v: CycNum) -> "Poly":
-        """Coefficients of p(x + v)."""
-        cs = list(self.coeffs)
-        n = len(cs)
-        for i in range(n - 1):
-            for j in range(n - 2, i - 1, -1):
-                cs[j] = cs[j] + v * cs[j + 1]
-        return Poly(cs)
+    def taylor_shift(self, v) -> "Poly":
+        """Coefficients of p(x + v), over integer rows (``_affine``)."""
+        return _affine(self, CycNum.one, _cyc(v))
 
     def num_terms(self) -> int:
         return sum(1 for c in self.coeffs if c)
@@ -175,6 +174,53 @@ class Poly:
     @staticmethod
     def const(c) -> "Poly":
         return Poly([c])
+
+
+def _affine(p: Poly, a: CycNum, b: CycNum) -> Poly:
+    """Coefficients of p(a x + b): one Taylor shift over integer rows.
+
+    The coefficients, a and b = B/db sit at one conductor c over one
+    common denominator den.  Coefficient i times db^(m - i), m = deg p,
+    is shifted by B in integers (von zur Gathen and Gerhard, ISSAC 1997):
+    coordinate by coordinate when B is an integer, else by steps that
+    are row products modulo Phi_c.  Output k is then row k times
+    (db a)^k over den * db^m, canonicalized once.
+    """
+    cs = p.coeffs
+    m = len(cs) - 1
+    if m < 1 or (not b and a == CycNum.one):
+        return p
+    c = math.lcm(a.n, b.n, *(x.n for x in cs))
+    den, db = math.lcm(*(x.den for x in cs)), b.den
+    ctx = _cyclotomy(c)
+    rows = [
+        [y * (den // x.den) * db ** (m - i) for y in _embed_list(x, c)]
+        for i, x in enumerate(cs)
+    ]
+    if b.n == 1 and b:  # an integer B shifts each coordinate on its own
+        cols, bb = [list(col) for col in zip(*rows)], b.num[0]
+        for col in cols:
+            for i in range(m):
+                for j in range(m - 1, i - 1, -1):
+                    col[j] += bb * col[j + 1]
+        rows = list(zip(*cols))
+    elif b:
+        bb = _embed_list(b, c)
+        for i in range(m):
+            for j in range(m - 1, i - 1, -1):
+                step = _row_product(ctx, rows[j + 1], bb)
+                rows[j] = [y + z for y, z in zip(rows[j], step)]
+    ua = _embed_list(a, c) if a.n > 1 else None
+    t = db if ua else db * a.num[0]
+    s, d, out = 1, den * db**m, []
+    for k, row in enumerate(rows):
+        if ua and k:
+            w = ua if k == 1 else _row_product(ctx, w, ua)
+            row = _row_product(ctx, row, w)
+        out.append(_make(c, [y * s for y in row], d))
+        s *= t
+        d *= a.den
+    return Poly(out)
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -469,7 +515,12 @@ def evaluate(h: RatFunc, a, vectors=None) -> CycNum | None:
 
 
 def compose(h1: RatFunc, h2: RatFunc) -> RatFunc:
-    """Exact composition h1(h2(x)) in reduced form."""
+    """Exact composition h1(h2(x)) in reduced form.
+
+    An affine h2 = a x + b makes num and den each one Taylor shift
+    (``_affine``); the identity does no work.  Any other h2 = r/s is
+    homogenized: sum p_i r^i s^(D - i) over sum q_j r^j s^(D - j).
+    """
     if h1.is_constant():
         return h1
     if h2.is_constant():
@@ -479,6 +530,8 @@ def compose(h1: RatFunc, h2: RatFunc) -> RatFunc:
         return RatFunc.const(v)
     p, q = h1.num, h1.den
     r, s = h2.num, h2.den
+    if s.deg == 0 and r.deg == 1:  # h2 = a x + b: one Taylor shift each
+        return RatFunc._from_coprime(_affine(p, r[1], r[0]), _affine(q, r[1], r[0]))
     big_d = max(p.deg, q.deg)
     r_pows = [Poly([1])]
     s_pows = [Poly([1])]

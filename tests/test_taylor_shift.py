@@ -1,0 +1,119 @@
+"""Taylor shifts and affine compositions against the CycNum-loop reference."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cyclohouse import CycNum, Poly, RatFunc, compose
+from cyclohouse import cyclotomic, ratfunc
+from cyclohouse.cyclotomic import euler_phi
+
+from . import poly_reference as ref
+
+def _elements(n: int):
+    """Q(zeta_n): phi(n) numerators in [-4, 4] over one denominator up to 6."""
+    phi = euler_phi(n)
+    return st.builds(
+        lambda num, d: CycNum(n, [Fraction(k, d) for k in num]),
+        st.lists(st.integers(-4, 4), min_size=phi, max_size=phi),
+        st.integers(1, 6),
+    )
+
+
+def _polys(field, max_deg=12):
+    """Degree up to max_deg, drawn apart from the coefficients so that
+    high degrees come up as often as low ones."""
+    return st.builds(
+        lambda cs, d: Poly(cs[: d + 1]),
+        st.lists(field, min_size=max_deg + 1, max_size=max_deg + 1),
+        st.integers(0, max_deg),
+    )
+
+
+def _shifts(field):
+    """v as 0, an int, a Fraction or a field element (irrational off Q)."""
+    return st.one_of(
+        st.just(0),
+        st.integers(-5, 5),
+        st.fractions(min_value=-3, max_value=3, max_denominator=6),
+        field,
+    )
+
+
+def _outer_maps(field):
+    """A polynomial, or a rational map with poles (denominator degree 1-3)."""
+    return st.one_of(
+        _polys(field).map(RatFunc.from_poly),
+        st.builds(RatFunc, _polys(field), _polys(field, 3).filter(lambda q: q.deg >= 1)),
+    )
+
+
+# Conductors 1, 3, 4, 5, 11 and 12, and coefficients at 3 or 4 mixed in
+# one polynomial, which the shift embeds at 12.
+# The case strategies are built once, here: one built inside a draw is
+# validated again on every draw, which costs more than the tests do.
+FIELDS = {n: _elements(n) for n in (1, 3, 4, 5, 11, 12)}
+FIELDS["3.4"] = st.one_of(_elements(3), _elements(4))
+
+# a as 1, -1, a root of unity or a rational of denominator > 1.
+SLOPES = st.one_of(
+    st.sampled_from([CycNum.one, -CycNum.one]),
+    st.builds(CycNum.zeta, st.sampled_from([3, 4, 5, 12]), st.integers(1, 11)),
+    st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(2, 6))
+    .filter(lambda a: a.denominator > 1)
+    .map(CycNum.from_rational),
+)
+
+SHIFT_CASES = {n: st.tuples(_polys(f), _shifts(f)) for n, f in FIELDS.items()}
+AFFINE_CASES = {n: st.tuples(_outer_maps(f), SLOPES, _shifts(f)) for n, f in FIELDS.items()}
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@given(data=st.data())
+@settings(max_examples=15)
+def test_taylor_shift_matches_reference(field, data):
+    p, v = data.draw(SHIFT_CASES[field])
+    assert p.taylor_shift(v) == ref.taylor_shift(p, v)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@given(data=st.data())
+@settings(max_examples=10)
+def test_affine_composition_matches_reference(field, data):
+    h, a, b = data.draw(AFFINE_CASES[field])
+    inner = RatFunc.from_poly(Poly([b, a]))
+    assert compose(h, inner) == ref.compose(h, inner)
+
+
+def test_affine_composition_is_one_taylor_shift(monkeypatch):
+    """compose(h, a x + b) makes no Poly product, the identity does no
+    work, and a Taylor shift canonicalizes at most deg + 1 coefficients."""
+    z = CycNum.zeta(11)
+    p = Poly([z ** (k % 11) * (k + 1) - Fraction(k, 3) for k in range(13)])
+    h = RatFunc.from_poly(p)
+    rational = RatFunc(p, Poly([z, 2, 1]))
+    inner = RatFunc.from_poly(Poly([z ** 3 - Fraction(1, 2), Fraction(2, 3)]))
+    expected = (ref.compose(h, inner), ref.compose(rational, inner), ref.taylor_shift(p, z))
+    counts = {"mul": 0, "make": 0, "canonical": 0}
+
+    def counted(key, f):
+        def wrapper(*args):
+            counts[key] += 1
+            return f(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(Poly, "__mul__", counted("mul", Poly.__mul__))
+    monkeypatch.setattr(ratfunc, "_make", counted("make", ratfunc._make))
+    monkeypatch.setattr(cyclotomic, "_canonicalize", counted("canonical", cyclotomic._canonicalize))
+    assert compose(rational, RatFunc.x()) == rational
+    assert counts == {"mul": 0, "make": 0, "canonical": 0}
+    assert (compose(h, inner), compose(rational, inner)) == expected[:2]
+    assert counts["mul"] == 0
+
+    counts.update(make=0, canonical=0)
+    assert p.taylor_shift(z) == expected[2]
+    assert counts["make"] <= p.deg + 1
+    assert counts["canonical"] <= p.deg + 1
