@@ -12,6 +12,15 @@ be written without internal whitespace (z0 is invalid).  Implicit
 multiplication is not supported: "2x" is a syntax error.  "/" is always
 field division, so rationals are written by dividing integer literals.
 Pow exponents are integer literals, possibly negative.
+
+Evaluation stays a ``Poly`` while the subexpression is a polynomial in x
+(constants are constant polynomials): a product or a quotient by a
+constant is a scaling, and a power of a x + b is expanded by the
+binomial theorem (``Poly.pow``).  A ``RatFunc`` is made only at a
+division by a non-constant or at a negative power of one, and the
+result is wrapped as one.  A power of a non-constant whose degree would exceed
+``ratfunc.DEFAULT_ITERATE_CEILING`` raises ``ResourceLimitError`` before
+it is built.
 """
 
 from __future__ import annotations
@@ -19,8 +28,8 @@ from __future__ import annotations
 from typing import Union
 
 from .cyclotomic import CycNum
-from .errors import DomainError, ParseError
-from .ratfunc import RatFunc
+from .errors import DomainError, ParseError, ResourceLimitError
+from .ratfunc import DEFAULT_ITERATE_CEILING, Poly, RatFunc, degree
 from .record import Record
 
 
@@ -204,30 +213,75 @@ def parse_ast(text: str) -> ExprAST:
 
 
 def eval_ast(node: ExprAST) -> RatFunc:
-    if node.kind == "x":
-        return RatFunc.x()
-    if node.kind == "int":
-        return RatFunc.const(node.value)
-    if node.kind == "zeta":
-        return RatFunc.const(CycNum.zeta(node.value))
-    if node.kind == "neg":
-        return -eval_ast(node.children[0])
-    if node.kind == "pow":
-        base = node.children[0]
-        if base.kind == "zeta":  # zN^k is the root of unity zeta_N^k itself
-            return RatFunc.const(CycNum.zeta(base.value, node.value))
-        return eval_ast(base).pow(node.value)
-    lhs = eval_ast(node.children[0])
-    rhs = eval_ast(node.children[1])
-    if node.kind == "add":
+    return _ratfunc(_value(node))
+
+
+def _value(node: ExprAST) -> Union[Poly, RatFunc]:
+    """A Poly for an x-polynomial (constants included), else a RatFunc."""
+    kind = node.kind
+    if kind == "x":
+        return Poly.x()
+    if kind == "int":
+        return Poly([node.value])
+    if kind == "zeta":
+        return Poly([CycNum.zeta(node.value)])
+    if kind == "neg":
+        return -_value(node.children[0])
+    if kind == "pow":
+        return _power(node.children[0], node.value)
+    lhs = _value(node.children[0])
+    rhs = _value(node.children[1])
+    if kind == "mul" and _is_constant(lhs):
+        lhs, rhs = rhs, lhs
+    if kind in ("mul", "div") and _is_constant(rhs):
+        c = rhs.constant_value()
+        if kind == "div":
+            if not c:
+                raise DomainError("division by zero")
+            c = c.inverse()
+        return _scale(lhs, c)
+    if kind == "div" or isinstance(lhs, RatFunc) or isinstance(rhs, RatFunc):
+        lhs, rhs = _ratfunc(lhs), _ratfunc(rhs)
+    if kind == "add":
         return lhs + rhs
-    if node.kind == "sub":
+    if kind == "sub":
         return lhs - rhs
-    if node.kind == "mul":
+    if kind == "mul":
         return lhs * rhs
-    if node.kind == "div":
+    if kind == "div":
         return lhs / rhs
-    raise AssertionError(f"unknown node kind {node.kind}")
+    raise AssertionError(f"unknown node kind {kind}")
+
+
+def _power(base_node: ExprAST, k: int) -> Union[Poly, RatFunc]:
+    """base^k; a non-constant base is refused past the degree ceiling
+    before any coefficient is built."""
+    if base_node.kind == "zeta":  # zN^k is the root of unity zeta_N^k itself
+        return Poly([CycNum.zeta(base_node.value, k)])
+    base = _value(base_node)
+    if _is_constant(base):
+        return Poly([base.constant_value() ** k])
+    d = base.deg if isinstance(base, Poly) else degree(base)
+    if abs(k) * d > DEFAULT_ITERATE_CEILING:
+        raise ResourceLimitError(
+            f"power {k} of a degree-{d} expression exceeds the degree "
+            f"ceiling {DEFAULT_ITERATE_CEILING}"
+        )
+    return (_ratfunc(base) if k < 0 else base).pow(k)
+
+
+def _is_constant(value: Union[Poly, RatFunc]) -> bool:
+    return isinstance(value, Poly) and value.is_constant()
+
+
+def _scale(value: Union[Poly, RatFunc], c: CycNum) -> Union[Poly, RatFunc]:
+    if isinstance(value, Poly):
+        return value.scale(c)
+    return RatFunc._from_coprime(value.num.scale(c), value.den)
+
+
+def _ratfunc(value: Union[Poly, RatFunc]) -> RatFunc:
+    return RatFunc.from_poly(value) if isinstance(value, Poly) else value
 
 
 def parse_ratfunc(text: str) -> RatFunc:

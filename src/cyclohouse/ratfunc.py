@@ -114,7 +114,7 @@ class Poly:
         c = _cyc(c)
         if not c:
             return Poly()
-        return Poly([c * x for x in self.coeffs])
+        return _poly_of(tuple(c * x if x else x for x in self.coeffs))
 
     def monic(self) -> "Poly":
         if self.is_zero():
@@ -150,6 +150,32 @@ class Poly:
         return Poly(q), Poly(a[:db])
 
     def pow(self, k: int) -> "Poly":
+        """p^k for k >= 0.
+
+        A degree-1 base a x + b is expanded by the binomial theorem,
+        sum C(k, i) a^i b^(k - i) x^i: two running power lists and
+        k + 1 CycNum products, with no ``Poly`` product.  A monomial
+        base a x gives k shared ``CycNum.zero`` entries and a^k, and a
+        constant c gives c^k.  Any other base is squared log k times.
+        """
+        if k < 0:
+            raise DomainError("a polynomial power must be nonnegative")
+        cs = self.coeffs
+        if len(cs) == 1:
+            return Poly([cs[0] ** k])
+        if len(cs) == 2 and k:
+            b, a = cs
+            if not b:
+                return _poly_of((CycNum.zero,) * k + (a**k,))
+            a_pows, b_pows = [CycNum.one], [CycNum.one]
+            for _ in range(k):
+                a_pows.append(a_pows[-1] * a)
+                b_pows.append(b_pows[-1] * b)
+            out, binom = [], 1
+            for i in range(k + 1):
+                out.append(a_pows[i] * b_pows[k - i] * binom)
+                binom = binom * (k - i) // (i + 1)
+            return _poly_of(tuple(out))
         result = Poly([CycNum.one])
         base = self
         while k:
@@ -174,6 +200,13 @@ class Poly:
     @staticmethod
     def const(c) -> "Poly":
         return Poly([c])
+
+
+def _poly_of(coeffs: tuple[CycNum, ...]) -> Poly:
+    """Wrap CycNum coefficients whose last one is nonzero, as they are."""
+    obj = object.__new__(Poly)
+    object.__setattr__(obj, "coeffs", coeffs)
+    return obj
 
 
 def _affine(p: Poly, a: CycNum, b: CycNum) -> Poly:
@@ -335,7 +368,7 @@ def _set_laurent(obj: LaurentPoly, low: int, poly: Poly) -> None:
 
 def _times_x_power(p: Poly, k: int) -> Poly:
     """x^k * p for k >= 0."""
-    return Poly((CycNum.zero,) * k + p.coeffs) if k and p.coeffs else p
+    return _poly_of((CycNum.zero,) * k + p.coeffs) if k and p.coeffs else p
 
 
 def substitute_poly_laurent(p: Poly, arg: LaurentPoly) -> LaurentPoly:
@@ -436,7 +469,8 @@ class RatFunc:
         if k < 0:
             if self.num.is_zero():
                 raise DomainError("division by zero")
-            return RatFunc(self.den.pow(-k), self.num.pow(-k))
+            # num and den are coprime, and so are their powers
+            return RatFunc._from_coprime(self.den.pow(-k), self.num.pow(-k))
         return RatFunc._from_coprime(self.num.pow(k), self.den.pow(k))
 
 
@@ -683,9 +717,17 @@ class Mobius(Record):
 
 
 def mobius_conjugate(h: RatFunc, m: Mobius) -> RatFunc:
-    """The conjugate m^-1 (h (m(x))), exact."""
+    """The conjugate m^-1 (h (m(x))), exact.
+
+    For an affine m (c = 0), m^-1 = (d x - b)/a takes N/D to
+    (N d/a - D b/a)/D, still coprime to D: no composition and no product.
+    """
     inner = compose(h, m.as_ratfunc())
-    return compose(m.inverse().as_ratfunc(), inner)
+    if m.c:
+        return compose(m.inverse().as_ratfunc(), inner)
+    inv = m.a.inverse()
+    num, den = inner.num, inner.den
+    return RatFunc._from_coprime(num.scale(m.d * inv) - den.scale(m.b * inv), den)
 
 
 class BinomialShape(Record):

@@ -1,0 +1,58 @@
+"""Reference evaluator: one RatFunc per expression node.
+
+Every node, constants and polynomials included, becomes a ``RatFunc``
+and is combined with ``RatFunc`` arithmetic, so every product goes
+through ``Poly.__mul__`` and every quotient through the gcd.  A power is
+taken by repeated squaring of the ``RatFunc`` (a negative one of its
+reciprocal), so it shares no code with ``Poly.pow``.  The tests compare
+``cyclohouse.parser.parse_ratfunc`` with ``parse_ratfunc`` here.
+"""
+
+from __future__ import annotations
+
+from cyclohouse import CycNum, RatFunc
+from cyclohouse.parser import ExprAST, parse_ast
+
+
+def _pow(base: RatFunc, k: int) -> RatFunc:
+    if k < 0:
+        base, k = RatFunc.const(1) / base, -k
+    result = RatFunc.const(1)
+    while k:
+        if k & 1:
+            result = result * base
+        k >>= 1
+        if k:
+            base = base * base
+    return result
+
+
+def eval_ast(node: ExprAST) -> RatFunc:
+    if node.kind == "x":
+        return RatFunc.x()
+    if node.kind == "int":
+        return RatFunc.const(node.value)
+    if node.kind == "zeta":
+        return RatFunc.const(CycNum.zeta(node.value))
+    if node.kind == "neg":
+        return -eval_ast(node.children[0])
+    if node.kind == "pow":
+        base = node.children[0]
+        if base.kind == "zeta":  # zN^k is the root of unity zeta_N^k itself
+            return RatFunc.const(CycNum.zeta(base.value, node.value))
+        return _pow(eval_ast(base), node.value)
+    lhs = eval_ast(node.children[0])
+    rhs = eval_ast(node.children[1])
+    if node.kind == "add":
+        return lhs + rhs
+    if node.kind == "sub":
+        return lhs - rhs
+    if node.kind == "mul":
+        return lhs * rhs
+    if node.kind == "div":
+        return lhs / rhs
+    raise AssertionError(f"unknown node kind {node.kind}")
+
+
+def parse_ratfunc(text: str) -> RatFunc:
+    return eval_ast(parse_ast(text))

@@ -333,6 +333,23 @@ def test_iterate_ceiling_does_not_build_d_to_the_n():
     assert "3^1000000000000" in json.loads(out)["error"]["message"]
 
 
+def test_power_past_the_degree_ceiling_is_refused_before_it_is_built():
+    start = time.process_time()
+    code, out = _run(["degree", "x^100000000"])  # a list of 10^8 coefficients
+    assert time.process_time() - start < 1
+    assert code == 3
+    assert json.loads(out)["error"]["message"] == (
+        "power 100000000 of a degree-1 expression exceeds the degree ceiling 1000000"
+    )
+
+
+def test_affine_power_is_cheap():
+    start = time.process_time()
+    code, out = _run(["degree", "(x+1)^3000"])  # 11 s by repeated squaring
+    assert time.process_time() - start < 1
+    assert (code, json.loads(out)) == (0, {"degree": 3000})
+
+
 def test_quadratic_rational_map_is_decided_without_a_large_gauss_sum():
     # its Wronskian's discriminant needs sqrt(19 * 15643), at conductor 4 * 19 * 15643
     start = time.process_time()

@@ -2,19 +2,26 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cyclohouse import (
     CycNum,
+    CyclohouseError,
     DomainError,
     ParseError,
     Poly,
     RatFunc,
+    ResourceLimitError,
     format_value,
     parse_expr,
     parse_ratfunc,
     parse_scalar,
+    ratfunc,
     ratfunc_new,
 )
+
+from . import parser_reference as ref
 
 
 class TestGrammar:
@@ -160,3 +167,88 @@ class TestFuzz:
             assert reparsed == value, (text, rendered)
             assert format_value(reparsed) == rendered, (text, rendered)
             checked += 1
+
+
+def _outcome(parse, text):
+    """(repr, hash) of the parsed value, or the error's type and message."""
+    try:
+        value = parse(text)
+    except CyclohouseError as err:
+        return type(err), str(err)
+    return repr(value), hash(value)
+
+
+def _texts(n):
+    """Expressions over Q(zeta_n) up to three levels deep: sums, products,
+    quotients (by constants, by non-constants and by zero), negations
+    and powers from -3 to 4."""
+    leaves = st.sampled_from(
+        ["x", "x", "0", "2", "(x - x)", f"z{n}", f"z{n}^-2", f"(x - z{n})", f"(3*x + z{n}^2)"]
+    )
+
+    @st.composite
+    def text(draw, depth):
+        if depth == 0:
+            return draw(leaves)
+        op = draw(st.sampled_from("+-*/^-"))
+        lhs = draw(text(depth - 1))
+        if op == "^":
+            return f"({lhs})^{draw(st.integers(-3, 4))}"
+        if op == "-" and draw(st.booleans()):
+            return f"-({lhs})"
+        return f"({lhs}) {op} ({draw(text(draw(st.integers(0, depth - 1))))})"
+
+    return st.integers(1, 3).flatmap(text)
+
+
+# Built once: a strategy built inside a draw is validated on every draw.
+TEXTS = {n: _texts(n) for n in (1, 3, 4, 5, 12)}
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("n", TEXTS)
+    @given(data=st.data())
+    def test_matches_ratfunc_per_node_evaluation(self, n, data):
+        text = data.draw(TEXTS[n])
+        assert _outcome(parse_ratfunc, text) == _outcome(ref.parse_ratfunc, text)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["x^-2", "0^-1", "x/0", "(x-x)^0", "(x-x)^-1", "2^-3*x", "3/(x - x)", "x/(2*z5)",
+         "(x^2 + 1)^-3", "((x + 1)/(x - 1))^-2", "(x/x)^7", "((x^2 - 1)/(x - 1))^3",
+         "-(x + z4)^3/(2*z5)", "(1/x)^-3", "x*(1/x)", "(z12*x - 1/3)^7 / (x + z3)"],
+    )
+    def test_edge_cases(self, text):
+        assert _outcome(parse_ratfunc, text) == _outcome(ref.parse_ratfunc, text)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["(2*x+1)^12 + z12*(2*x+1)^11", "((x - z4)/z6)^9 + z3*((x - z4)/z6)^4"],
+    )
+    def test_polynomial_text_makes_no_product_and_no_gcd(self, text, monkeypatch):
+        expected = ref.parse_ratfunc(text)
+        counts = {"mul": 0, "gcd": 0}
+
+        def counted(key, f):
+            def wrapper(*args):
+                counts[key] += 1
+                return f(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(Poly, "__mul__", counted("mul", Poly.__mul__))
+        monkeypatch.setattr(ratfunc, "poly_gcd", counted("gcd", ratfunc.poly_gcd))
+        assert parse_ratfunc(text) == expected
+        assert counts == {"mul": 0, "gcd": 0}
+
+
+class TestDegreeCeiling:
+    @pytest.mark.parametrize("text", ["x^1000001", "x^-1000001", "(x^2 + 1)^500001", "(1/x^3)^-400000"])
+    def test_power_past_the_ceiling_is_refused(self, text):
+        with pytest.raises(ResourceLimitError, match="degree ceiling 1000000"):
+            parse_ratfunc(text)
+
+    def test_power_at_the_ceiling_and_of_constants_is_built(self):
+        assert parse_ratfunc("x^1000000").num.deg == 1_000_000
+        assert parse_ratfunc("(x^2 + 1)^0 * 2^30") == RatFunc.const(2**30)
+        assert parse_ratfunc("(x - x)^100000000") == RatFunc.const(0)

@@ -1,3 +1,5 @@
+import contextlib
+import signal
 import sys
 from fractions import Fraction
 
@@ -332,3 +334,45 @@ class TestPolyBasics:
     def test_fraction_coefficients(self):
         p = P(Fraction(1, 2), Fraction(3, 4))
         assert p.evaluate(CycNum.from_rational(2)) == CycNum.from_rational(2)
+
+
+@contextlib.contextmanager
+def _cpu_deadline(seconds):
+    """Raise TimeoutError in the body once it has used `seconds` of CPU."""
+
+    def expire(*_):
+        raise TimeoutError("still running")
+
+    previous = signal.signal(signal.SIGVTALRM, expire)
+    signal.setitimer(signal.ITIMER_VIRTUAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_VIRTUAL, 0)
+        signal.signal(signal.SIGVTALRM, previous)
+
+
+class TestPolyPow:
+    @pytest.mark.parametrize(
+        "base, k",
+        [(P(1, 1), -1), (P(0, 1), -3), (P(2), -1), (LaurentPoly.x_plus_inverse_x(), -2)],
+    )
+    def test_negative_power_raises_at_once(self, base, k):
+        # a negative k must not reach the squaring loop, where k >>= 1 stays -1
+        with _cpu_deadline(1), pytest.raises(DomainError):
+            base.pow(k)
+
+    def test_monomial_power_shares_the_zero(self):
+        p = Poly.x().pow(50)
+        assert p.deg == 50 and p.leading() == CycNum.one
+        assert all(c is CycNum.zero for c in p.coeffs[:-1])
+        assert all(c is CycNum.zero for c in Poly([0, z(7)]).pow(9).coeffs[:-1])
+
+    @pytest.mark.parametrize("a, b", [(1, 1), (2, -3), (z(7), Fraction(1, 3)), (z(4), z(3))])
+    @pytest.mark.parametrize("k", [0, 1, 2, 5, 12])
+    def test_affine_power_matches_repeated_product(self, a, b, k):
+        base = P(b, a)
+        expected = P(1)
+        for _ in range(k):
+            expected = expected * base
+        assert base.pow(k) == expected

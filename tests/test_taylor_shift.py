@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclohouse import CycNum, Poly, RatFunc, compose
+from cyclohouse import CycNum, Mobius, Poly, RatFunc, compose, mobius_conjugate
 from cyclohouse import cyclotomic, ratfunc
 from cyclohouse.cyclotomic import euler_phi
 
@@ -85,6 +85,18 @@ def test_affine_composition_matches_reference(field, data):
     h, a, b = data.draw(AFFINE_CASES[field])
     inner = RatFunc.from_poly(Poly([b, a]))
     assert compose(h, inner) == ref.compose(h, inner)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@given(data=st.data())
+@settings(max_examples=10)
+def test_affine_conjugate_matches_homogenized_composition(field, data):
+    h, a, b = data.draw(AFFINE_CASES[field])
+    d = data.draw(SLOPES)
+    m = Mobius(a, b, CycNum.zero, d)
+    expected = ref.compose(m.inverse().as_ratfunc(), ref.compose(h, m.as_ratfunc()))
+    got = mobius_conjugate(h, m)
+    assert got == expected and hash(got) == hash(expected)
 
 
 def test_affine_composition_is_one_taylor_shift(monkeypatch):
