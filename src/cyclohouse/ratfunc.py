@@ -26,6 +26,9 @@ from .record import Record, fill
 
 #: Ceiling for iterate() expansion, in projected monomials.
 DEFAULT_ITERATE_CEILING = 1_000_000
+#: Ceiling for the binomial expansion of (a x + b)^k, in bits: k^2 (1 + |a| + |b|),
+#: with |c| the bits of c's denominator and its numerator coordinates (one at least each).
+EXPANSION_BITS_CEILING = 1 << 32
 
 
 def _cyc(v) -> CycNum:
@@ -154,9 +157,11 @@ class Poly:
 
         A degree-1 base a x + b is expanded by the binomial theorem,
         sum C(k, i) a^i b^(k - i) x^i: two running power lists and
-        k + 1 CycNum products, with no ``Poly`` product.  A monomial
-        base a x gives k shared ``CycNum.zero`` entries and a^k, and a
-        constant c gives c^k.  Any other base is squared log k times.
+        k + 1 CycNum products, with no ``Poly`` product; a unit a or b
+        adds no product, and an expansion past ``EXPANSION_BITS_CEILING``
+        is refused before it is built.  A monomial base a x gives k
+        shared ``CycNum.zero`` entries and a^k, and a constant c gives
+        c^k.  Any other base is squared log k times.
         """
         if k < 0:
             raise DomainError("a polynomial power must be nonnegative")
@@ -167,13 +172,18 @@ class Poly:
             b, a = cs
             if not b:
                 return _poly_of((CycNum.zero,) * k + (a**k,))
-            a_pows, b_pows = [CycNum.one], [CycNum.one]
-            for _ in range(k):
-                a_pows.append(a_pows[-1] * a)
-                b_pows.append(b_pows[-1] * b)
+            bits = sum(c.den.bit_length() + sum(max(1, v.bit_length()) for v in c.num) for c in cs)
+            if k * k * (1 + bits) > EXPANSION_BITS_CEILING:
+                raise ResourceLimitError(f"power {k} of a degree-1 polynomial exceeds the "
+                                         f"expansion ceiling of {EXPANSION_BITS_CEILING} bits")
+            pows, b_pows = _powers(a, k), _powers(b, k)[::-1]  # a^i and b^(k-i)
+            if a == CycNum.one:
+                pows = b_pows
+            elif b != CycNum.one:
+                pows = [x * y for x, y in zip(pows, b_pows)]
             out, binom = [], 1
-            for i in range(k + 1):
-                out.append(a_pows[i] * b_pows[k - i] * binom)
+            for i, c in enumerate(pows):
+                out.append(c * binom)
                 binom = binom * (k - i) // (i + 1)
             return _poly_of(tuple(out))
         result = Poly([CycNum.one])
@@ -200,6 +210,16 @@ class Poly:
     @staticmethod
     def const(c) -> "Poly":
         return Poly([c])
+
+
+def _powers(c: CycNum, k: int) -> list[CycNum]:
+    """c^0, ..., c^k by running products; no product for c = 1."""
+    if c == CycNum.one:
+        return [c] * (k + 1)
+    out = [CycNum.one]
+    for _ in range(k):
+        out.append(out[-1] * c)
+    return out
 
 
 def _poly_of(coeffs: tuple[CycNum, ...]) -> Poly:

@@ -164,6 +164,12 @@ class _GridValue(Record):
 _ZERO_VALUE = _GridValue(rational=Fraction(0))
 
 
+@lru_cache(maxsize=32)
+def _grid_images(grid: SearchGrid, p: int, g: int, big_n: int) -> tuple[int, ...]:
+    """Images in the field (p, g, N) of ``residue_mod_p`` of 0 and the grid values."""
+    return tuple(residue_mod_p(gv.value, p, g, big_n) for gv in (_ZERO_VALUE, *grid.entries()))
+
+
 def witness_search_deg2(
     h: RatFunc,
     d_max: int,
@@ -307,46 +313,61 @@ def _grid_search_polynomial(
     With p_k(b) the Taylor coefficients of h at b, the coefficient of
     x^m in h(a x + b + c/x) is the sum over k = m (mod 2) of
     p_k(b) C(k, (k+m)/2) a^((k+m)/2) c^((k-m)/2), and each must vanish
-    or be a root of unity.  Two are tested first: h_d a^d, which picks
-    a (and c, by symmetry), and p_(d-1)(b) a^(d-1), which picks b, with
-    p_(d-1)(b) = d h_d b + h_(d-1).  For a root of unity a the second
-    does not depend on a.  ``_ModularScreen`` is the only pre-filter: it
-    tests both in F_p, then walks the remaining coefficients there.  It
-    rejects no witness; a coefficient that is neither 0 nor a root of
-    unity survives it with probability about lcm(2, L)/p, and every
-    survivor is expanded and verified exactly.
+    or be a root of unity.  ``_ModularScreen`` is the only pre-filter,
+    and it reads every grid value by its position.  Three coefficients
+    are tested first: h_d a^d, which picks a (and c, by symmetry);
+    p_(d-1)(b) a^(d-1), which picks b, with p_(d-1)(b) = d h_d b +
+    h_(d-1) (for a root of unity a it does not depend on a); and, once
+    per pair (a, c) over all those b, the x^(d-2) coefficient
+    p_(d-2)(b) a^(d-2) + d h_d a^(d-1) c.  ``keeps`` walks the rest.
+    The screen rejects no witness; a coefficient that is neither 0 nor
+    a root of unity survives it with probability about lcm(2, L)/p, and
+    every survivor is expanded and verified exactly.
     """
     poly = h.num
     d = poly.deg
     screen = _ModularScreen(poly, grid)
-    a_values = [
-        gv for gv in grid.entries() if screen.may_be_root(screen.lead(gv.value), gv.value.n)
+    p, images = screen.p, screen.images
+    values = (_ZERO_VALUE, *grid.entries())  # b's list; the a and c lists index it too
+    top, lead = d * screen.coeffs[-1], screen.coeffs[-1]
+    a_pos = [  # h_d a^d
+        i for i in range(1, len(values))
+        if screen.may_be_root(lead * pow(images[i], d, p) % p, values[i].value.n)
     ]
-    if not a_values:
+    if not a_pos:
         return None
-    b_values = [_ZERO_VALUE, *grid.entries()]
 
-    def b_survivors(a: CycNum) -> list[tuple[_GridValue, list[int]]]:
-        """The b whose image of p_(d-1)(b) a^(d-1) may be zero or a root of unity."""
-        scale = screen.powers(a)[d - 1]
-        return [
-            (gv, screen.taylor(gv.value))
-            for gv in b_values
-            if screen.may_be_root(screen.next_to_lead(gv.value) * scale % screen.p, gv.value.n)
-        ]
+    def b_survivors(scale: int) -> list[tuple[_GridValue, int, int, int]]:
+        """(b, image of b, terms counted at x^d and x^(d-1), image of
+        p_(d-2)(b)) for each b whose image of p_(d-1)(b) a^(d-1) may be
+        zero or a root of unity; d = 1 has no p_(d-2)."""
+        out = []
+        for gv, x in zip(values, images):
+            v = (top * x + screen.coeffs[-2]) * scale % p  # p_(d-1)(b) = d h_d b + h_(d-1)
+            if screen.may_be_root(v, gv.value.n):
+                out.append((gv, x, 1 + (v != 0), screen.taylor(x)[d - 2] if d > 1 else 0))
+        return out
 
-    cs = [(gv, screen.powers(gv.value)) for gv in [_ZERO_VALUE, *a_values]]
-    root_bs = b_survivors(CycNum.one)
-    for a_gv in a_values:
-        bs = root_bs if a_gv.is_root() else b_survivors(a_gv.value)
+    powers = {i: screen.powers(images[i]) for i in (0, *a_pos)}
+    root_bs = b_survivors(1)
+    for ia in a_pos:
+        a_gv, ap = values[ia], powers[ia]
+        bs = root_bs if a_gv.is_root() else b_survivors(ap[d - 1])
         a = a_gv.value
-        ap = screen.powers(a)
-        for c_gv, cp in cs:
-            c = c_gv.value
+        for ic in (0, *a_pos):
+            c, cp = values[ic].value, powers[ic]
             order = math.lcm(screen.order, a.n, c.n)
-            for b_gv, tb in bs:
+            # the x^(d-2) coefficient's image is u tau_b + v (tau_b = 0 for d = 1)
+            u, v = ap[d - 2], top * ap[d - 1] * cp[1] % p
+            for b_gv, x, counted, tau in bs:
+                s = (u * tau + v) % p
+                if counted + (s != 0) > d_max:
+                    continue
                 b = b_gv.value
-                if not screen.keeps(ap, tb, cp, math.lcm(order, b.n), d_max):
+                b_order = math.lcm(order, b.n)
+                if s and pow(s, b_order, p) != 1 or not screen.keeps(
+                    ap, screen.taylor(x), cp, b_order, d_max
+                ):
                     continue
                 inner = LaurentPoly([(1, a), (0, b), (-1, c)])
                 lp = substitute_poly_laurent(poly, inner)
@@ -366,7 +387,8 @@ class _ModularScreen:
     v^lcm(2, L) = 1, and a nonzero image means a nonzero coefficient, so
     the screen never rejects a witness.  A coefficient that is neither
     passes with probability about lcm(2, L)/p, p > 2^24, and each
-    survivor is verified exactly.
+    survivor is verified exactly.  ``images`` holds the images of 0 and
+    of the grid values, shared by every screen in the same field.
     """
 
     def __init__(self, poly: Poly, grid: SearchGrid):
@@ -380,23 +402,23 @@ class _ModularScreen:
             big_n *= 2
         self.p, self.g, self.big_n = p, g, big_n
         self.d = d = poly.deg
-        self.coeffs = [residue_mod_p(c, p, g, big_n) for c in poly.coeffs]
+        self.coeffs = [self.image(c) for c in poly.coeffs]
+        self.images = _grid_images(grid, p, g, big_n)
         self.binom = [[math.comb(k, i) % p for i in range(k + 1)] for k in range(d + 1)]
         self._taylor: dict[int, list[int]] = {}
 
     def image(self, v: CycNum) -> int:
         return residue_mod_p(v, self.p, self.g, self.big_n)
 
-    def powers(self, v: CycNum) -> list[int]:
-        """Images of v^0, ..., v^d."""
-        x, out = self.image(v), [1]
+    def powers(self, x: int) -> list[int]:
+        """x^0, ..., x^d for the image x of a value v: the images of its powers."""
+        out = [1]
         for _ in range(self.d):
             out.append(out[-1] * x % self.p)
         return out
 
-    def taylor(self, b: CycNum) -> list[int]:
-        """Images of the Taylor coefficients p_0(b), ..., p_d(b) of h at b."""
-        x = self.image(b)
+    def taylor(self, x: int) -> list[int]:
+        """Images of the Taylor coefficients p_0(b), ..., p_d(b) of h at b, x the image of b."""
         t = self._taylor.get(x)
         if t is None:
             t, p, d = list(self.coeffs), self.p, self.d
@@ -405,14 +427,6 @@ class _ModularScreen:
                     t[j] = (t[j] + x * t[j + 1]) % p
             self._taylor[x] = t
         return t
-
-    def lead(self, a: CycNum) -> int:
-        """Image of h_d a^d."""
-        return self.coeffs[-1] * self.powers(a)[-1] % self.p
-
-    def next_to_lead(self, b: CycNum) -> int:
-        """Image of p_(d-1)(b) = d h_d b + h_(d-1)."""
-        return (self.d * self.coeffs[-1] * self.image(b) + self.coeffs[-2]) % self.p
 
     def may_be_root(self, v: int, n: int) -> bool:
         """False only if a value of conductor dividing lcm(n, conductors
@@ -424,10 +438,10 @@ class _ModularScreen:
 
         ap and cp are the ``powers`` of a and c, t is ``taylor`` at b and
         order is lcm(2, L), L the conductor of h, a, b and c.  The images
-        of the x^d and x^(d-1) coefficients were screened already (``lead``
-        and ``next_to_lead``); the walk starts at x^(d-2) and stops at the
-        first image that is neither 0 nor of order dividing lcm(2, L), or
-        once more than d_max are nonzero.
+        of the x^d and x^(d-1) coefficients were screened already; the
+        walk starts at x^(d-2), which the search tests first per pair
+        (a, c), and stops at the first image that is neither 0 nor of
+        order dividing lcm(2, L), or once more than d_max are nonzero.
         """
         p, d, binom = self.p, self.d, self.binom
         nonzero = 1 + (t[d - 1] != 0)

@@ -350,6 +350,16 @@ def test_affine_power_is_cheap():
     assert (code, json.loads(out)) == (0, {"degree": 3000})
 
 
+def test_affine_power_past_the_size_ceiling_is_refused_before_it_is_built():
+    start = time.process_time()
+    code, out = _run(["degree", "(x+1)^1000000"])  # within the degree ceiling; ~10^11 bytes
+    assert time.process_time() - start < 1
+    assert code == 3
+    assert json.loads(out)["error"]["message"] == (
+        "power 1000000 of a degree-1 polynomial exceeds the expansion ceiling of 4294967296 bits"
+    )
+
+
 def test_quadratic_rational_map_is_decided_without_a_large_gauss_sum():
     # its Wronskian's discriminant needs sqrt(19 * 15643), at conductor 4 * 19 * 15643
     start = time.process_time()

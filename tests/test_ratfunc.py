@@ -1,4 +1,5 @@
 import contextlib
+import math
 import signal
 import sys
 from fractions import Fraction
@@ -376,3 +377,27 @@ class TestPolyPow:
         for _ in range(k):
             expected = expected * base
         assert base.pow(k) == expected
+
+    @pytest.mark.parametrize("a, b, products", [(1, 1, 13), (2, 1, 25), (1, -3, 25), (2, -3, 50)])
+    def test_unit_side_adds_no_product(self, a, b, products, monkeypatch):
+        # k + 1 binomial scalings, k for each non-unit power list, k + 1 if both are
+        counted = []
+        mul = CycNum.__mul__
+
+        def counting(self, other):
+            counted.append(other)
+            return mul(self, other)
+
+        monkeypatch.setattr(CycNum, "__mul__", counting)
+        power = P(b, a).pow(12)
+        monkeypatch.undo()
+        assert len(counted) == products
+        assert power == P(b, a) * P(b, a).pow(11)
+
+    def test_expansion_size_ceiling(self):
+        assert P(1, 1).pow(20000).coeffs[10000] == CycNum.from_rational(math.comb(20000, 10000))
+        with _cpu_deadline(1), pytest.raises(ResourceLimitError, match="expansion ceiling"):
+            P(1, 1).pow(1_000_000)
+        # a large conductor counts every coordinate: 3456 per power of zeta_4199
+        with _cpu_deadline(1), pytest.raises(ResourceLimitError, match="expansion ceiling"):
+            P(1, z(4199)).pow(2000)

@@ -5,6 +5,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -39,10 +40,13 @@ from cyclohouse import (
     witness_laurent,
     witness_search_deg2,
 )
+from cyclohouse import witness
 from cyclohouse.cli import main
 from cyclohouse.cyclotomic import _is_prime, _screen_field
+from cyclohouse.ratfunc import substitute_poly_laurent
 from cyclohouse.witness import (
     _ZERO_VALUE,
+    _grid_search_polynomial,
     _identity_candidate,
     _ModularScreen,
     _pole_laurent,
@@ -50,6 +54,7 @@ from cyclohouse.witness import (
     _try_inner_map,
 )
 
+from . import witness_reference
 from .conftest import random_cycnum, random_poly
 from .util import empty_profile
 
@@ -325,26 +330,26 @@ class TestModularScreen:
         # about 2^80 and cancel, which defeats a float screen
         assert _chebyshev_ints(8) == chebyshev(8)
         screen = _ModularScreen(_chebyshev_ints(120), SearchGrid())
-        one = screen.powers(ONE)
-        assert screen.keeps(one, screen.taylor(CycNum.zero), one, 2, 2)
+        one = screen.powers(screen.image(ONE))
+        assert screen.keeps(one, screen.taylor(screen.image(CycNum.zero)), one, 2, 2)
         # x + 1 + 1/x is no witness: the x^118 coefficient is 7140
-        assert not screen.keeps(one, screen.taylor(ONE), one, 2, 2)
+        assert not screen.keeps(one, screen.taylor(screen.image(ONE)), one, 2, 2)
 
     def test_walk_below_the_next_to_lead_coefficient(self):
         # x^d and x^(d-1) are tested before the screen; the walk starts at x^(d-2)
         screen = _ModularScreen(P(1, 2, 1, 1), SearchGrid())
-        one, zero = screen.powers(ONE), screen.powers(CycNum.zero)
+        one, zero = screen.powers(screen.image(ONE)), screen.powers(0)
         # x^3 + x^2 + 2x + 1 at S = x: x^1 has the nonunit 2
-        assert not screen.keeps(one, screen.taylor(CycNum.zero), zero, 2, 4)
+        assert not screen.keeps(one, screen.taylor(0), zero, 2, 4)
         # x^3 + x^2 + x + 1 at S = x: four unit terms, over a budget of 3
         screen = _ModularScreen(P(1, 1, 1, 1), SearchGrid())
-        one, zero = screen.powers(ONE), screen.powers(CycNum.zero)
-        assert screen.keeps(one, screen.taylor(CycNum.zero), zero, 2, 4)
-        assert not screen.keeps(one, screen.taylor(CycNum.zero), zero, 2, 3)
+        one, zero = screen.powers(screen.image(ONE)), screen.powers(0)
+        assert screen.keeps(one, screen.taylor(0), zero, 2, 4)
+        assert not screen.keeps(one, screen.taylor(0), zero, 2, 3)
         # (x + 1)^2 at S = x - 1 is x^2, one term
         screen = _ModularScreen(P(1, 2, 1), SearchGrid())
-        one, zero = screen.powers(ONE), screen.powers(CycNum.zero)
-        assert screen.keeps(one, screen.taylor(-ONE), zero, 2, 1)
+        one, zero = screen.powers(screen.image(ONE)), screen.powers(0)
+        assert screen.keeps(one, screen.taylor(screen.image(-ONE)), zero, 2, 1)
 
 
 _GRID = SearchGrid().entries()
@@ -385,9 +390,106 @@ class TestPlantedWitnesses:
         if h.is_poly() and degree(h) >= 2:
             screen = _ModularScreen(h.num, SearchGrid())
             order = math.lcm(screen.order, a.n, b.n, c.n)
-            assert screen.keeps(
-                screen.powers(a), screen.taylor(b), screen.powers(c), order, d_max
-            )
+            ap, cp = screen.powers(screen.image(a)), screen.powers(screen.image(c))
+            assert screen.keeps(ap, screen.taylor(screen.image(b)), cp, order, d_max)
+
+
+def _recorded(search, h, d_max, grid):
+    """search(h, d_max, grid) and the triples (a, b, c) it expanded, in order."""
+    expanded = []
+
+    def recording(poly, inner):
+        expanded.append(tuple(inner.coefficient(e) for e in (1, 0, -1)))
+        return substitute_poly_laurent(poly, inner)
+
+    with mock.patch.object(witness, "substitute_poly_laurent", recording):
+        return search(h, d_max, grid), expanded
+
+
+_SMALL_GRID = SearchGrid(4, 3)
+
+
+@st.composite
+def screened_maps(draw):
+    """A polynomial over Q, Q(zeta3), Q(i) or Q(zeta5) of degree 1 to 7
+    with coefficients among 0, its roots of unity and small rationals
+    (often sparse, so that many triples reach the walk), taken at x - b0
+    for a grid value b0 or not; a budget of 1 to 4 and one of two grids."""
+    n = draw(st.sampled_from((1, 3, 4, 5)))
+    units = [z(n, k) for k in range(n)] + [-z(n, k) for k in range(n)]
+    scalars = st.sampled_from(
+        [*units, *[CycNum.from_rational(q) for q in (0, 0, 0, 2, Fraction(1, 2), Fraction(-3, 4))]]
+    )
+    d = draw(st.integers(1, 7))
+    g = Poly([draw(scalars) for _ in range(d)] + [draw(st.sampled_from(units))])
+    b0 = draw(st.sampled_from((CycNum.zero, ONE, CycNum.from_rational(Fraction(-1, 2)), z(n))))
+    grid = draw(st.sampled_from((SearchGrid(), _SMALL_GRID)))
+    return RatFunc.from_poly(g.taylor_shift(-b0)), draw(st.integers(1, 4)), grid
+
+
+def _same_as_reference(h, d_max, grid):
+    new = _recorded(_grid_search_polynomial, h, d_max, grid)
+    assert new == _recorded(witness_reference.grid_search_polynomial, h, d_max, grid)
+    return new
+
+
+class TestScreenAgainstReference:
+    @given(screened_maps())
+    @settings(max_examples=40)
+    def test_expands_the_same_triples_in_the_same_order(self, case):
+        _same_as_reference(*case)
+
+    @pytest.mark.parametrize("grid", [SearchGrid(), _SMALL_GRID])
+    @pytest.mark.parametrize(
+        "text, d_max",
+        [
+            # d = 1 has no p_(d-2)(b): the x^-1 coefficient is h_1 c whatever b, 0 for c = 0
+            ("2*x + 1", 1), ("2*x + 1", 2), ("z3*x - 1/2", 3), ("3*x", 2),
+            # d = 2 with c = 0: the x^0 coefficient p_0(b) + 2 h_2 a c is p_0(b)
+            ("x^2 + 2*x", 1), ("4*x^2 - 4*x + 2", 2), ("x^2 + z4", 2),
+            # d_max = 1 with t_(d-1)(b) != 0: two terms are counted before the walk
+            ("x^3 + x^2", 1), ("x^5 + z5*x^4 + 1", 1),
+        ],
+    )
+    def test_edge_cases(self, text, d_max, grid):
+        _same_as_reference(parse_ratfunc(text), d_max, grid)
+
+    def test_chebyshev_expands_one_triple(self):
+        w, expanded = _same_as_reference(RatFunc.from_poly(chebyshev(6)), 2, SearchGrid())
+        assert w is not None and expanded == [(ONE, CycNum.zero, ONE)]
+
+    def test_field_retry_keys_the_images_by_n(self):
+        # p = 16936921 is the default grid's prime and divides a coefficient's
+        # denominator, so the screen doubles N; Q(zeta13) reaches the same
+        # p at N = 360360 with another g
+        for text, big_n in [("x^3 + x/16936921 + 1", 55440), ("x^3 + z13*x^2 + 1", 360360),
+                            ("x^3 + x^2 + 1", 27720)]:
+            h = parse_ratfunc(text)
+            screen = _ModularScreen(h.num, SearchGrid())
+            assert screen.big_n == big_n
+            values = (_ZERO_VALUE, *SearchGrid().entries())
+            assert screen.images == tuple(screen.image(gv.value) for gv in values)
+            for d_max in (1, 2, 3):
+                _same_as_reference(h, d_max, SearchGrid())
+
+    @pytest.mark.parametrize("text", ["x^6 + 2*x^4 + x + 1", "x^6 + 6*x^4 + 9*x^2 + 2"])
+    def test_keeps_runs_on_pair_survivors_only(self, text):
+        h, calls = parse_ratfunc(text), {"keeps": 0, "residue": 0}
+        keeps, residue = _ModularScreen.keeps, witness.residue_mod_p
+
+        def counting(key, f):
+            def wrapper(*args):
+                calls[key] += 1
+                return f(*args)
+
+            return wrapper
+
+        _grid_search_polynomial(h, 3, SearchGrid())  # the field's images are now cached
+        with mock.patch.object(_ModularScreen, "keeps", counting("keeps", keeps)), \
+                mock.patch.object(witness, "residue_mod_p", counting("residue", residue)):
+            _, expanded = _recorded(_grid_search_polynomial, h, 3, SearchGrid())
+        assert calls["keeps"] <= len(expanded) + 1
+        assert calls["residue"] <= len(SearchGrid().entries())
 
 
 def _compose_order_search(h, d_max, gamma):
