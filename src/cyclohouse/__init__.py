@@ -14,9 +14,8 @@ from importlib import import_module
 _EXPORTS = {
     "cyclotomic": (
         "MEMBER", "NONMEMBER", "UNDECIDED", "CycNum", "HouseResult", "LoxtonProfile",
-        "RootOfUnity", "conjugates", "cyc_add", "cyc_inv", "cyc_mul", "cyc_neg",
-        "embed_at_conductor", "house", "in_PA", "is_algebraic_integer",
-        "is_root_of_unity", "loxton_decompose",
+        "RootOfUnity", "conjugates", "embed_at_conductor", "house", "in_PA",
+        "is_algebraic_integer", "is_root_of_unity", "loxton_decompose",
     ),
     "errors": (
         "CyclohouseError", "DomainError", "ParseError", "ResourceLimitError",
@@ -39,7 +38,7 @@ _EXPORTS = {
         "is_A_short", "iterate_term_lower_bound", "verify_fz", "verify_specialterms",
         "witness_check", "witness_laurent", "witness_search_deg2",
     ),
-    "parser": ("ExprAST", "parse_expr", "parse_ratfunc", "parse_scalar"),
+    "parser": ("parse_ratfunc", "parse_scalar"),
     "formatting": ("format_value",),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

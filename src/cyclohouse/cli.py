@@ -257,7 +257,7 @@ def _witness_terms(text: str) -> list:
 
     try:
         raw_terms = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
         raise DomainError(f"terms must be JSON: {exc}") from exc
     if not isinstance(raw_terms, list):
         raise DomainError("terms must be a JSON list of objects")

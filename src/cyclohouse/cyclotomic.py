@@ -339,8 +339,6 @@ def _canonicalize(n: int, num: list[int]) -> tuple[int, list[int]]:
     while True:
         if n % 4 == 2:
             n, num = _rewrite_2mod4(n, num)
-        if n == 2:
-            n = 1
         if n == 1:
             return 1, [num[0]]
         if not any(num):
@@ -699,22 +697,6 @@ def vector_value(vec: tuple[list[int], int]) -> CycNum:
 
 # ---------------------------------------------------------------------------
 # spec operations
-
-
-def cyc_add(a: CycNum, b: CycNum) -> CycNum:
-    return a + b
-
-
-def cyc_mul(a: CycNum, b: CycNum) -> CycNum:
-    return a * b
-
-
-def cyc_neg(a: CycNum) -> CycNum:
-    return -a
-
-
-def cyc_inv(a: CycNum) -> CycNum:
-    return a.inverse()
 
 
 def embed_at_conductor(a: CycNum, m: int) -> list[Fraction]:

@@ -11,7 +11,18 @@ Grammar (whitespace between tokens is insignificant):
 be written without internal whitespace (z0 is invalid).  Implicit
 multiplication is not supported: "2x" is a syntax error.  "/" is always
 field division, so rationals are written by dividing integer literals.
-Pow exponents are integer literals, possibly negative.
+Pow exponents are integer literals, possibly negative.  An
+``unsigned_int`` is a run of decimal digits in any script that ``int()``
+reads; one of more than ``sys.get_int_max_str_digits()`` digits is a
+``DomainError``.
+
+One regular expression splits the text into ``(kind, pos, value)``
+tokens: kind is "int", "zeta", "x", one of ``+ - * / ^ ( )`` or "end",
+pos the offset of the token, and value the integer or the zeta order
+(else None).  Syntax-tree nodes are tuples ``(kind, value, *children)``:
+a leaf is its token's ``(kind, value)``, and the operator nodes are
+("add" | "sub" | "mul" | "div", None, lhs, rhs), ("neg", None, operand)
+and ("pow", exponent, base).
 
 Evaluation stays a ``Poly`` while the subexpression is a polynomial in x
 (constants are constant polynomials): a product or a quotient by a
@@ -25,92 +36,40 @@ it is built.
 
 from __future__ import annotations
 
+import re
 from typing import Union
 
 from .cyclotomic import CycNum
-from .errors import DomainError, ParseError, ResourceLimitError
+from .errors import DomainError, ParseError, ResourceLimitError, int_digit_limit
 from .ratfunc import DEFAULT_ITERATE_CEILING, Poly, RatFunc, degree
-from .record import Record
+
+# \s and \d match exactly the characters that str.isspace and int() accept
+_TOKEN = re.compile(r"\s*((\d+)|z(\d*)|([-+*/^()x])|(\S))")
+_BINARY = {"+": "add", "-": "sub", "*": "mul", "/": "div"}
 
 
-# -- tokens -----------------------------------------------------------------
-
-_PUNCT = set("+-*/^()")
-
-
-class _Token(Record):
-    # kind: "int" | "x" | "zeta" | one of + - * / ^ ( ) | "end"
-    __slots__ = ("kind", "pos", "value")
-
-    def __init__(self, kind: str, pos: int, value: int | None = None):
-        _set_token_kind(self, kind)
-        _set_token_pos(self, pos)
-        _set_token_value(self, value)
-
-
-_set_token_kind, _set_token_pos, _set_token_value = _Token._setters
-
-
-def _tokenize(text: str) -> list[_Token]:
-    out = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
+def _tokenize(text: str) -> list[tuple]:
+    limit = int_digit_limit()
+    tokens = []
+    for match in _TOKEN.finditer(text):
+        _, digits, order, punct, other = match.groups()
+        pos = match.start(1)
+        if punct:
+            tokens.append((punct, pos, None))
             continue
-        if ch in _PUNCT:
-            out.append(_Token(ch, i))
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            out.append(_Token("int", i, int(text[i:j])))
-            i = j
-            continue
-        if ch == "x":
-            out.append(_Token("x", i))
-            i += 1
-            continue
-        if ch == "z":
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            if j == i + 1:
-                raise ParseError("root-of-unity literal needs digits after 'z'", i)
-            order = int(text[i + 1 : j])
-            if order == 0:
-                raise ParseError("z0 is invalid (no zeroth root of unity)", i)
-            out.append(_Token("zeta", i, order))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    out.append(_Token("end", n))
-    return out
-
-
-# -- AST --------------------------------------------------------------------
-
-
-class ExprAST(Record):
-    """Expression node: a literal, the variable, or an operator node.
-
-    kind is "int", "x", "zeta", "add", "sub", "mul", "div", "neg" or
-    "pow"; value is the int literal, the zeta order or the pow exponent.
-    """
-
-    __slots__ = ("kind", "children", "value")
-
-    def __init__(self, kind: str, children: tuple[ExprAST, ...] = (), value: int | None = None):
-        _set_node_kind(self, kind)
-        _set_node_children(self, children)
-        _set_node_value(self, value)
-
-
-_set_node_kind, _set_node_children, _set_node_value = ExprAST._setters
+        if other:
+            raise ParseError(f"unexpected character {other!r}", pos)
+        if order == "":
+            raise ParseError("root-of-unity literal needs digits after 'z'", pos)
+        literal = digits or order
+        if limit and len(literal) > limit:
+            raise DomainError(f"integer of more than {limit} digits at position {pos}")
+        value = int(literal)
+        if not (digits or value):
+            raise ParseError("z0 is invalid (no zeroth root of unity)", pos)
+        tokens.append(("int" if digits else "zeta", pos, value))
+    tokens.append(("end", len(text), None))
+    return tokens
 
 
 class _Parser:
@@ -118,119 +77,91 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.i = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
+    def peek(self) -> str:
+        return self.tokens[self.i][0]
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.i]
+    def take(self) -> tuple:
+        token = self.tokens[self.i]
         self.i += 1
-        return tok
+        return token
 
-    def expect(self, kind: str, expected: tuple[str, ...]) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"unexpected {self._describe(tok)}", tok.pos, expected)
-        return self.advance()
+    def fail(self, expected: tuple[str, ...]):
+        kind, pos, _ = self.tokens[self.i]
+        if kind == "end":
+            found = "end of input"
+        elif kind in ("int", "zeta"):
+            found = f"'{kind}' token"
+        else:
+            found = f"'{kind}'"
+        raise ParseError(f"unexpected {found}", pos, expected)
 
-    @staticmethod
-    def _describe(tok: _Token) -> str:
-        if tok.kind == "end":
-            return "end of input"
-        if tok.kind in ("int", "zeta"):
-            return f"'{tok.kind}' token"
-        return f"'{tok.kind}'"
-
-    def parse(self) -> ExprAST:
+    def parse(self) -> tuple:
         node = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError(
-                f"unexpected {self._describe(tok)}",
-                tok.pos,
-                ("operator", "end of input"),
-            )
+        if self.peek() != "end":
+            self.fail(("operator", "end of input"))
         return node
 
-    def expr(self) -> ExprAST:
+    def expr(self) -> tuple:
         node = self.term()
-        while self.peek().kind in ("+", "-"):
-            op = self.advance().kind
-            rhs = self.term()
-            node = ExprAST("add" if op == "+" else "sub", (node, rhs))
+        while self.peek() in ("+", "-"):
+            node = (_BINARY[self.take()[0]], None, node, self.term())
         return node
 
-    def term(self) -> ExprAST:
+    def term(self) -> tuple:
         node = self.factor()
-        while self.peek().kind in ("*", "/"):
-            op = self.advance().kind
-            rhs = self.factor()
-            node = ExprAST("mul" if op == "*" else "div", (node, rhs))
+        while self.peek() in ("*", "/"):
+            node = (_BINARY[self.take()[0]], None, node, self.factor())
         return node
 
-    def factor(self) -> ExprAST:
-        negate = False
-        if self.peek().kind == "-":
-            self.advance()
-            negate = True
-        node = self.base()
-        if self.peek().kind == "^":
-            self.advance()
-            sign = 1
-            if self.peek().kind == "-":
-                self.advance()
-                sign = -1
-            tok = self.expect("int", ("integer exponent",))
-            node = ExprAST("pow", (node,), sign * tok.value)
+    def factor(self) -> tuple:
+        negate = self.peek() == "-"
         if negate:
-            node = ExprAST("neg", (node,))
+            self.i += 1
+        node = self.base()
+        if self.peek() == "^":
+            self.i += 1
+            sign = 1
+            if self.peek() == "-":
+                self.i += 1
+                sign = -1
+            if self.peek() != "int":
+                self.fail(("integer exponent",))
+            node = ("pow", sign * self.take()[2], node)
+        return ("neg", None, node) if negate else node
+
+    def base(self) -> tuple:
+        kind, _, value = self.tokens[self.i]
+        if kind not in ("x", "int", "zeta", "("):
+            self.fail(("'x'", "integer", "'zN'", "'('"))
+        self.i += 1
+        if kind != "(":
+            return (kind, value)
+        node = self.expr()
+        if self.peek() != ")":
+            self.fail(("')'",))
+        self.i += 1
         return node
 
-    def base(self) -> ExprAST:
-        tok = self.peek()
-        if tok.kind == "x":
-            self.advance()
-            return ExprAST("x")
-        if tok.kind == "int":
-            self.advance()
-            return ExprAST("int", value=tok.value)
-        if tok.kind == "zeta":
-            self.advance()
-            return ExprAST("zeta", value=tok.value)
-        if tok.kind == "(":
-            self.advance()
-            node = self.expr()
-            self.expect(")", ("')'",))
-            return node
-        raise ParseError(
-            f"unexpected {self._describe(tok)}",
-            tok.pos,
-            ("'x'", "integer", "'zN'", "'('"),
-        )
 
-
-def parse_ast(text: str) -> ExprAST:
+def parse_ast(text: str) -> tuple:
     return _Parser(text).parse()
 
 
-def eval_ast(node: ExprAST) -> RatFunc:
-    return _ratfunc(_value(node))
-
-
-def _value(node: ExprAST) -> Union[Poly, RatFunc]:
+def _value(node: tuple) -> Union[Poly, RatFunc]:
     """A Poly for an x-polynomial (constants included), else a RatFunc."""
-    kind = node.kind
+    kind = node[0]
     if kind == "x":
         return Poly.x()
     if kind == "int":
-        return Poly([node.value])
+        return Poly([node[1]])
     if kind == "zeta":
-        return Poly([CycNum.zeta(node.value)])
+        return Poly([CycNum.zeta(node[1])])
     if kind == "neg":
-        return -_value(node.children[0])
+        return -_value(node[2])
     if kind == "pow":
-        return _power(node.children[0], node.value)
-    lhs = _value(node.children[0])
-    rhs = _value(node.children[1])
+        return _power(node[2], node[1])
+    lhs = _value(node[2])
+    rhs = _value(node[3])
     if kind == "mul" and _is_constant(lhs):
         lhs, rhs = rhs, lhs
     if kind in ("mul", "div") and _is_constant(rhs):
@@ -253,11 +184,11 @@ def _value(node: ExprAST) -> Union[Poly, RatFunc]:
     raise AssertionError(f"unknown node kind {kind}")
 
 
-def _power(base_node: ExprAST, k: int) -> Union[Poly, RatFunc]:
+def _power(base_node: tuple, k: int) -> Union[Poly, RatFunc]:
     """base^k; a non-constant base is refused past the degree ceiling
     before any coefficient is built."""
-    if base_node.kind == "zeta":  # zN^k is the root of unity zeta_N^k itself
-        return Poly([CycNum.zeta(base_node.value, k)])
+    if base_node[0] == "zeta":  # zN^k is the root of unity zeta_N^k itself
+        return Poly([CycNum.zeta(base_node[1], k)])
     base = _value(base_node)
     if _is_constant(base):
         return Poly([base.constant_value() ** k])
@@ -286,7 +217,7 @@ def _ratfunc(value: Union[Poly, RatFunc]) -> RatFunc:
 
 def parse_ratfunc(text: str) -> RatFunc:
     """Parse an expression as a rational function (constants included)."""
-    return eval_ast(parse_ast(text))
+    return _ratfunc(_value(parse_ast(text)))
 
 
 def parse_scalar(text: str) -> CycNum:
@@ -296,10 +227,3 @@ def parse_scalar(text: str) -> CycNum:
         raise DomainError("expected a scalar expression without x")
     return value.constant_value()
 
-
-def parse_expr(text: str) -> Union[RatFunc, CycNum]:
-    """Parse to a RatFunc, collapsing x-free input to its CycNum value."""
-    value = parse_ratfunc(text)
-    if value.is_constant():
-        return value.constant_value()
-    return value

@@ -727,14 +727,6 @@ class Mobius(Record):
     def as_ratfunc(self) -> RatFunc:
         return RatFunc(Poly([self.b, self.a]), Poly([self.d, self.c]))
 
-    def to_dict(self) -> dict:
-        return {
-            "a": self.a.to_dict(),
-            "b": self.b.to_dict(),
-            "c": self.c.to_dict(),
-            "d": self.d.to_dict(),
-        }
-
 
 def mobius_conjugate(h: RatFunc, m: Mobius) -> RatFunc:
     """The conjugate m^-1 (h (m(x))), exact.

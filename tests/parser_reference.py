@@ -11,7 +11,7 @@ reciprocal), so it shares no code with ``Poly.pow``.  The tests compare
 from __future__ import annotations
 
 from cyclohouse import CycNum, RatFunc
-from cyclohouse.parser import ExprAST, parse_ast
+from cyclohouse.parser import parse_ast
 
 
 def _pow(base: RatFunc, k: int) -> RatFunc:
@@ -27,31 +27,31 @@ def _pow(base: RatFunc, k: int) -> RatFunc:
     return result
 
 
-def eval_ast(node: ExprAST) -> RatFunc:
-    if node.kind == "x":
+def eval_ast(node: tuple) -> RatFunc:
+    kind, value, *children = node
+    if kind == "x":
         return RatFunc.x()
-    if node.kind == "int":
-        return RatFunc.const(node.value)
-    if node.kind == "zeta":
-        return RatFunc.const(CycNum.zeta(node.value))
-    if node.kind == "neg":
-        return -eval_ast(node.children[0])
-    if node.kind == "pow":
-        base = node.children[0]
-        if base.kind == "zeta":  # zN^k is the root of unity zeta_N^k itself
-            return RatFunc.const(CycNum.zeta(base.value, node.value))
-        return _pow(eval_ast(base), node.value)
-    lhs = eval_ast(node.children[0])
-    rhs = eval_ast(node.children[1])
-    if node.kind == "add":
+    if kind == "int":
+        return RatFunc.const(value)
+    if kind == "zeta":
+        return RatFunc.const(CycNum.zeta(value))
+    if kind == "neg":
+        return -eval_ast(children[0])
+    if kind == "pow":
+        base = children[0]
+        if base[0] == "zeta":  # zN^k is the root of unity zeta_N^k itself
+            return RatFunc.const(CycNum.zeta(base[1], value))
+        return _pow(eval_ast(base), value)
+    lhs, rhs = map(eval_ast, children)
+    if kind == "add":
         return lhs + rhs
-    if node.kind == "sub":
+    if kind == "sub":
         return lhs - rhs
-    if node.kind == "mul":
+    if kind == "mul":
         return lhs * rhs
-    if node.kind == "div":
+    if kind == "div":
         return lhs / rhs
-    raise AssertionError(f"unknown node kind {node.kind}")
+    raise AssertionError(f"unknown node kind {kind}")
 
 
 def parse_ratfunc(text: str) -> RatFunc:

@@ -293,6 +293,34 @@ def test_number_too_long_to_print_is_a_resource_error(argv):
     assert json.loads(out)["error"]["type"] == "resource"
 
 
+def test_integer_literal_past_the_digit_limit_is_a_domain_error():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("no int-to-str digit limit")
+    code, out = _run(["integer", "7" * limit])
+    assert code == 0
+    assert json.loads(out)["value"] == "7" * limit
+    digits = "7" * (limit + 1)
+    for text, position in ((digits, 0), ("x + z" + digits, 4), ("x^-" + digits, 3)):
+        code, out = _run(["integer", text])
+        assert code == 1
+        assert json.loads(out)["error"] == {
+            "type": "domain",
+            "message": f"integer of more than {limit} digits at position {position}",
+        }
+
+
+def test_witness_term_order_past_the_digit_limit_is_a_domain_error():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("no int-to-str digit limit")
+    order = "1" + "0" * limit
+    terms = '[{"beta":{"order":%s,"exp":0},"n":2}]' % order
+    code, out = _run(["witness-check", "x^2", "--S", "x", "--terms", terms])
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "domain"
+
+
 def test_bounds_refuses_an_unprintable_cap_before_building_it():
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if not limit:

@@ -11,10 +11,6 @@ from cyclohouse import (
     LoxtonProfile,
     RootOfUnity,
     conjugates,
-    cyc_add,
-    cyc_inv,
-    cyc_mul,
-    cyc_neg,
     embed_at_conductor,
     in_PA,
     is_algebraic_integer,
@@ -38,20 +34,20 @@ def rat(v):
 class TestArithmetic:
     def test_add_reduces_via_cyclotomic_polynomial(self):
         # 1 + z3 + z3^2 = 0
-        assert cyc_add(z(3), z(3, 2)) == rat(-1)
+        assert z(3) + z(3, 2) == rat(-1)
 
     def test_mul_i_squared(self):
-        assert cyc_mul(z(4), z(4)) == rat(-1)
+        assert z(4) * z(4) == rat(-1)
 
     def test_inv_rational(self):
-        assert cyc_inv(rat(2)) == rat(Fraction(1, 2))
+        assert rat(2).inverse() == rat(Fraction(1, 2))
 
     def test_inv_zero_raises(self):
         with pytest.raises(DomainError):
-            cyc_inv(CycNum.zero)
+            CycNum.zero.inverse()
 
     def test_neg(self):
-        assert cyc_neg(z(5)) + z(5) == CycNum.zero
+        assert -z(5) + z(5) == CycNum.zero
 
     def test_conductor_combination_and_minimization(self):
         # z3 * z4 has conductor 12; z3 * conj lands back at小 conductor
@@ -357,7 +353,7 @@ class TestFieldAxioms:
     @settings(max_examples=40)
     def test_multiplicative_inverse(self, a):
         if a:
-            assert a * cyc_inv(a) == CycNum.one
+            assert a * a.inverse() == CycNum.one
 
     @given(cycnums(), cycnums())
     @settings(max_examples=40)

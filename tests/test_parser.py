@@ -1,4 +1,8 @@
+import contextlib
+import io
+import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,12 +18,13 @@ from cyclohouse import (
     RatFunc,
     ResourceLimitError,
     format_value,
-    parse_expr,
+    parser,
     parse_ratfunc,
     parse_scalar,
     ratfunc,
     ratfunc_new,
 )
+from cyclohouse.cli import main
 
 from . import parser_reference as ref
 
@@ -32,7 +37,7 @@ class TestGrammar:
         )
 
     def test_scalar_reduction(self):
-        assert parse_expr("z3 + z3^2") == CycNum.from_rational(-1)
+        assert parse_scalar("z3 + z3^2") == CycNum.from_rational(-1)
 
     def test_negative_power_of_x(self):
         assert parse_ratfunc("x^-2 + 2") == ratfunc_new(
@@ -252,3 +257,46 @@ class TestDegreeCeiling:
         assert parse_ratfunc("x^1000000").num.deg == 1_000_000
         assert parse_ratfunc("(x^2 + 1)^0 * 2^30") == RatFunc.const(2**30)
         assert parse_ratfunc("(x - x)^100000000") == RatFunc.const(0)
+
+
+class TestInputBoundary:
+    def test_digit_and_space_characters_tokenize_or_raise_parse_errors(self):
+        # \d and \s in the token pattern accept what int() and str.isspace do
+        kinds = set()
+        for ch in map(chr, range(sys.maxunicode + 1)):
+            if not (ch.isdigit() or ch.isspace()):
+                continue
+            try:
+                tokens = parser._tokenize(ch)
+            except ParseError as err:
+                assert not ch.isdecimal() and err.position == 0, repr(ch)
+                kinds.add("error")
+                continue
+            if ch.isdecimal():
+                assert tokens == [("int", 0, int(ch)), ("end", 1, None)], repr(ch)
+            else:
+                assert ch.isspace() and tokens == [("end", 1, None)], repr(ch)
+            kinds.add(tokens[0][0])
+        assert kinds == {"int", "end", "error"}
+
+    def test_random_texts_end_in_a_value_or_a_library_error(self):
+        alphabet = list("xz0123456789+-*/^() \t²٣")
+        rng = random.Random(20261019)
+        outcomes = set()
+        for _ in range(10000):
+            text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 8)))
+            try:
+                parse_ratfunc(text)
+            except CyclohouseError as err:
+                outcomes.add(type(err))
+            else:
+                outcomes.add(RatFunc)
+        assert {RatFunc, ParseError} <= outcomes
+
+    def test_superscript_exponent_is_a_syntax_error_at_the_cli(self):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main(["degree", "x^²"])
+        assert code == 2
+        error = json.loads(buf.getvalue())["error"]
+        assert error["type"] == "syntax" and error["position"] == 2

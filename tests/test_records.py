@@ -35,7 +35,6 @@ from cyclohouse import (
     Witness,
 )
 from cyclohouse.avoidance import ScanHit
-from cyclohouse.parser import ExprAST, _Token
 from cyclohouse.witness import _GridValue
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -49,8 +48,6 @@ RECORDS = {
     HouseResult: (Fraction(1), Fraction(3, 2), 64),
     RootOfUnity: (5, 2),
     LoxtonProfile: (Fraction(2), (ONE,), ((Fraction(0), 1), (Fraction(3), 2))),
-    _Token: ("zeta", 4, 12),
-    ExprAST: ("add", (ExprAST("x"), ExprAST("int", value=1)), None),
     Mobius: (Z3, ONE, ZERO, ONE),
     BinomialShape: (ID, ONE, Z3, 2),
     SpecialCertificate: (ID, "power", 3),
@@ -114,7 +111,7 @@ def test_repr_is_the_dataclass_format(cls):
     assert repr(obj) == repr(like(*(getattr(obj, n) for n in names)))
 
 
-@pytest.mark.parametrize("cls", [HouseResult, RootOfUnity, _Token, SearchGrid, FZReport,
+@pytest.mark.parametrize("cls", [HouseResult, RootOfUnity, SearchGrid, FZReport,
                                  SpecialTermsReport, _GridValue], ids=lambda c: c.__qualname__)
 def test_records_of_plain_values_pickle(cls):
     obj = cls(*RECORDS[cls])
@@ -127,8 +124,6 @@ def test_defaults():
     assert first.diagnostics == {} and first.diagnostics is not second.diagnostics
     assert SearchGrid() == SearchGrid(12, 8)
     assert SpecialVerdict("not_special").certificate is None
-    assert _Token("x", 0).value is None
-    assert ExprAST("x") == ExprAST("x", (), None)
     assert FZReport(*RECORDS[FZReport][:-1]).violations == ()
     report = OrbitLemmaReport(*RECORDS[OrbitLemmaReport][:-1])
     assert report.substitute_bound_formula == "max(house(c^-1)*max(R, house(c)*A), A)"
@@ -167,7 +162,7 @@ def test_scan_result_can_be_weakly_referenced():
 
 
 def test_hot_records_have_no_instance_dict():
-    for cls in (HouseResult, RootOfUnity, ScanHit, _Token, ExprAST):
+    for cls in (HouseResult, RootOfUnity, ScanHit):
         assert not hasattr(cls(*RECORDS[cls]), "__dict__")
 
 
