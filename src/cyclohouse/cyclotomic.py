@@ -28,10 +28,13 @@ squared conjugate modulus.  An element keeps those bounds per working
 precision, its ``HouseResult`` per accuracy, and a screen from its first
 rung, so that any other rung evaluates only the conjugates that can hold
 the house (``_max_square_bounds``); the boundary house(a) = A is decided
-exactly, from a * conj(a) = A^2.  The same kernel (``_square_bounds``),
-run at 64 bits on the unreduced exponent vectors of a numerator and a
-denominator, proves a quotient's house above A without its exact value
-(``quotient_house_exceeds``).
+exactly, from a * conj(a) = A^2.  One kernel (``_square_bounds``) gives
+every such bound: the root table packs the four interval endpoints of
+each root into one integer (``intervals.root_table``), so a conjugate
+costs one big-integer multiply-add per nonzero coordinate.  The same
+kernel, run at 64 bits on the unreduced exponent vectors of a numerator
+and a denominator, proves a quotient's house above A without its exact
+value (``quotient_house_exceeds``).
 A root-of-unity test maps the element into F_p with zeta_M -> g, reads
 the exponent k with g^k equal to its image and checks zeta_M^k = a
 exactly.
@@ -46,12 +49,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError, ResourceLimitError, UndecidedError
-from .intervals import (
-    isqrt_ceil,
-    isqrt_floor,
-    root_table,
-    square_interval,
-)
+from .intervals import isqrt_ceil, isqrt_floor, root_table
 from .record import Record, fill
 
 DEFAULT_ACCURACY_BITS = 64
@@ -867,30 +865,60 @@ def _units_half(n: int) -> tuple[int, ...]:
     return tuple(t for t in range(1, n // 2 + 1) if math.gcd(t, n) == 1)
 
 
-def _square_bounds(tab, n: int, nz, units):
-    """Yield integer bounds (lo, hi), lo <= |sigma_t(a)|^2 <= hi, for each t
-    in units in turn, from the root table tab; nz holds the nonzero
-    (j, numerator) pairs of a."""
+def _square_bounds(n: int, prec: int, nz, units):
+    """Yield integer bounds (lo, hi), lo <= |sigma_t(a)|^2 <= hi at scale
+    4^prec, for each t in units in turn; nz holds the (j, numerator)
+    pairs of a with a nonzero numerator.
+
+    One multiply-add per term on the packed root table (``root_table``),
+    whose slots hold rl, rh, il, ih: a term of weight w > 0 adds w times
+    entry t j mod n, one of weight w < 0 adds w times the entry with its
+    slots swapped.  The sum starts at 2^(B - 1) in every slot, so each
+    slot reads back as a nonnegative B-bit field; then each part is
+    squared as an interval.
+    """
+    pos, neg, total = [], [], 0
+    for term in nz:
+        if term[1] > 0:
+            pos.append(term)
+            total += term[1]
+        else:
+            neg.append(term)
+            total -= term[1]
+    slack = (total.bit_length() + 33) // 32 * 32
+    packed, swaps = root_table(n, prec, slack)
+    b = prec + slack
+    b2, b3 = 2 * b, 3 * b
+    mask = (1 << b) - 1
+    half = 1 << (b - 1)
+    bias = half + (half << b) + (half << b2) + (half << b3)
     for t in units:
-        rl = rh = il = ih = 0
-        for j, w in nz:
-            e1, e2, e3, e4 = tab[(t * j) % n]
-            if w >= 0:
-                rl += w * e1
-                rh += w * e2
-                il += w * e3
-                ih += w * e4
-            else:
-                rl += w * e2
-                rh += w * e1
-                il += w * e4
-                ih += w * e3
-        s1_lo, s1_hi = square_interval(rl, rh)
-        s2_lo, s2_hi = square_interval(il, ih)
-        yield s1_lo + s2_lo, s1_hi + s2_hi
+        s = bias
+        for j, w in pos:
+            s += w * packed[t * j % n]
+        for j, w in neg:
+            k = t * j % n
+            s += w * (packed[k] + swaps[k])
+        rl = (s & mask) - half
+        rh = (s >> b & mask) - half
+        il = (s >> b2 & mask) - half
+        ih = (s >> b3) - half
+        if rl >= 0:
+            lo, hi = rl * rl, rh * rh
+        elif rh <= 0:
+            lo, hi = rh * rh, rl * rl
+        else:
+            lo, hi = 0, max(rl * rl, rh * rh)
+        if il >= 0:
+            lo, hi = lo + il * il, hi + ih * ih
+        elif ih <= 0:
+            lo, hi = lo + ih * ih, hi + il * il
+        else:
+            hi += max(il * il, ih * ih)
+        yield lo, hi
 
 
-def _screened_bounds(tab, n: int, nz, screen, prec: int) -> tuple[int, int] | None:
+def _screened_bounds(n: int, nz, screen, prec: int) -> tuple[int, int] | None:
     """(max lo, max hi) over the survivors of a screen, at working
     precision prec, or None when a screened-out conjugate might reach
     their max lo.
@@ -905,7 +933,7 @@ def _screened_bounds(tab, n: int, nz, screen, prec: int) -> tuple[int, int] | No
     maximum, and the pair equals the full loop's.
     """
     prec0, survivors, thr = screen
-    los, his = zip(*_square_bounds(tab, n, nz, survivors))
+    los, his = zip(*_square_bounds(n, prec, nz, survivors))
     best_lo, best_hi = max(los), max(his)
     if thr is not None:
         e = prec - prec0
@@ -934,14 +962,13 @@ def _max_square_bounds(a: CycNum, prec: int) -> tuple[int, int]:
         return hit
     n = a.n
     nz = [(j, w) for j, w in enumerate(a.num) if w]
-    tab = root_table(n, prec)
     screen = memo.screen
     bounds = None
     if screen is not None:
-        bounds = _screened_bounds(tab, n, nz, screen, prec)
+        bounds = _screened_bounds(n, nz, screen, prec)
     if bounds is None:
         units = _units_half(n)
-        los, his = zip(*_square_bounds(tab, n, nz, units))
+        los, his = zip(*_square_bounds(n, prec, nz, units))
         best_lo = max(los)
         bounds = (best_lo, max(his))
         if screen is None:
@@ -1013,7 +1040,7 @@ def quotient_house_exceeds(num, den, A: Fraction) -> bool:
 
     num and den are exponent vectors (v, D) at one N > 2
     (``root_power_vector``), den None for 1.  For each unit t <= N/2 the
-    house kernel (``_square_bounds``) on ``root_table(N, 64)`` gives
+    house kernel (``_square_bounds``) at 64 bits gives
     lo_t <= 2^128 D^2 |sigma_t(x)|^2 <= hi_t.  With A = p/q, a t with
     lo_t(den) > 0 and lo_t(num) * D_den^2 * q^2 > p^2 * hi_t(den) * D_num^2
     proves both that den != 0 and that the house of num/den is above A;
@@ -1021,15 +1048,14 @@ def quotient_house_exceeds(num, den, A: Fraction) -> bool:
     """
     acc, d_num = num
     n = len(acc)
-    tab = root_table(n, 64)
     units = _units_half(n)
     p2, q2 = A.numerator**2, A.denominator**2
-    num_bounds = _square_bounds(tab, n, [(e, w) for e, w in enumerate(acc) if w], units)
+    num_bounds = _square_bounds(n, 64, [(e, w) for e, w in enumerate(acc) if w], units)
     if den is None:
         bound = (p2 * d_num * d_num) << 128
         return any(lo * q2 > bound for lo, _ in num_bounds)
     acc, d_den = den
-    den_bounds = list(_square_bounds(tab, n, [(e, w) for e, w in enumerate(acc) if w], units))
+    den_bounds = list(_square_bounds(n, 64, [(e, w) for e, w in enumerate(acc) if w], units))
     left, right = d_den * d_den * q2, p2 * d_num * d_num
     return any(
         dlo > 0 and lo * left > dhi * right

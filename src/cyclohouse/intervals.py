@@ -14,8 +14,11 @@ fixed-point integers, with a proven error bound.  ``root_table`` walks
 the powers of that Gaussian integer with a proven integer error bound
 and caches the table; everything is pure ``int`` work.
 
-The house kernel in ``cyclotomic`` works on the raw integer tuples
-directly.
+The table packs the four endpoints of each entry into one integer, in
+slots wide enough for a weighted sum of entries (Kronecker
+substitution), so the house kernel in ``cyclotomic`` adds a conjugate's
+terms with one big-integer multiply-add each and reads the four sums
+back from the slots.
 """
 
 from __future__ import annotations
@@ -76,11 +79,24 @@ def _zeta_point(n: int, q: int) -> tuple[int, int, int]:
 
 
 @lru_cache(maxsize=512)
-def root_table(n: int, scale_bits: int) -> tuple[tuple[int, int, int, int], ...]:
-    """Rigorous enclosures of the n-th roots of unity.
+def root_table(n: int, scale_bits: int, slack: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Rigorous enclosures of the n-th roots of unity, packed four to an int.
 
-    Entry k is ``(re_lo, re_hi, im_lo, im_hi)`` at scale ``2^scale_bits``
-    enclosing ``zeta_n^k``.  ``_zeta_point`` at q = scale_bits + g bits
+    Entry k encloses ``zeta_n^k`` in the box (re_lo, re_hi, im_lo, im_hi)
+    at scale ``2^scale_bits``.  With B = scale_bits + slack it is stored
+    as the one integer e1 + e2 2^B + e3 2^2B + e4 2^3B, so that
+    sum_j w_j P[k_j] holds the four weighted sums sum w_j e_i in slots
+    of B bits.  Every |e_i| <= 2^scale_bits, so each sum stays below
+    2^(B - 2) in magnitude while sum_j |w_j| < 2^(slack - 2), and the
+    slots read back exactly.  A negative weight must take the upper end
+    of the real part where a positive one takes the lower, that is the
+    swapped slots (e2, e1, e4, e3): that entry is P[k] + D[k], with
+    D[k] = dr - dr 2^B + di 2^2B - di 2^3B for the entry's widths
+    dr = e2 - e1 and di = e4 - e3.  The table is the pair (P, D); the
+    widths are at most 2 units, so D holds at most 9 distinct (shared)
+    ints.
+
+    ``_zeta_point`` at q = scale_bits + g bits
     gives a Gaussian integer Z with |Z - 2^q zeta_n| <= e0.  The walk
     X_0 = 2^q, X_(k+1) = (X_k Z) >> q (floor on each part of the
     Gaussian-integer product) keeps
@@ -89,44 +105,40 @@ def root_table(n: int, scale_bits: int) -> tuple[tuple[int, int, int, int], ...]
     floors.  Entry k <= n/2 is floor((X_k - E_k) / 2^g) below and
     ceil((X_k + E_k) / 2^g) above in each part, clamped to [-1, 1] at
     scale (so +-1 and +-i come out exact); entry n - k is its conjugate.
+    Each entry is packed as the walk makes it.
 
     While E_k e0 <= 2^q, E_k <= k (e0 + 3), so with g = bitlen(4n) + 24
     and e0 + 3 <= 128 (``_zeta_point`` gives e0 = 2),
     E_(n/2) <= 64n < 2^(g - 20): the walk keeps 20 guard bits below one
-    unit.  Every entry is at most 2 units wide, which the screen of
-    ``cyclotomic._max_square_bounds`` relies on; a wider entry raises
+    unit.  Every entry is at most 2 units wide, which D and the screen of
+    ``cyclotomic._max_square_bounds`` rely on; a wider entry raises
     ArithmeticError.
     """
     g = (4 * n).bit_length() + 24
     q = scale_bits + g
     zr, zi, e0 = _zeta_point(n, q)
 
+    b = scale_bits + slack
+    b2, b3 = 2 * b, 3 * b
     one = 1 << scale_bits
+    packed, swaps, shared = [0] * n, [0] * n, {}
     xr, xi, err = 1 << q, 0, 0
-    half = []
     for k in range(n // 2 + 1):
-        entry = (
-            max((xr - err) >> g, -one),
-            min(-((-xr - err) >> g), one),
-            max((xi - err) >> g, -one),
-            min(-((-xi - err) >> g), one),
-        )
-        if entry[1] - entry[0] > 2 or entry[3] - entry[2] > 2:
+        rl = max((xr - err) >> g, -one)
+        rh = min(-((-xr - err) >> g), one)
+        il = max((xi - err) >> g, -one)
+        ih = min(-((-xi - err) >> g), one)
+        dr, di = rh - rl, ih - il
+        if dr > 2 or di > 2:
             raise ArithmeticError(
                 f"root table entry {k} of {n} at {scale_bits} bits is over 2 units wide"
             )
-        half.append(entry)
+        swap = shared.get((dr, di))
+        if swap is None:
+            swap = shared[dr, di] = dr - (dr << b) + (di << b2) - (di << b3)
+        packed[k], swaps[k] = rl + (rh << b) + (il << b2) + (ih << b3), swap
+        if 2 * k < n and k:  # entry n - k is the conjugate (rl, rh, -ih, -il)
+            packed[n - k], swaps[n - k] = rl + (rh << b) - (ih << b2) - (il << b3), swap
         xr, xi = (xr * zr - xi * zi) >> q, (xr * zi + xi * zr) >> q
         err += -((-err * e0) >> q) + e0 + 2
-    return tuple(half) + tuple(
-        (rl, rh, -ih, -il) for rl, rh, il, ih in reversed(half[1 : (n + 1) // 2])
-    )
-
-
-def square_interval(lo: int, hi: int) -> tuple[int, int]:
-    """Enclosure of x^2 given x in [lo, hi] (result scale doubles)."""
-    if lo >= 0:
-        return lo * lo, hi * hi
-    if hi <= 0:
-        return hi * hi, lo * lo
-    return 0, max(lo * lo, hi * hi)
+    return tuple(packed), tuple(swaps)

@@ -30,8 +30,14 @@ constant is a scaling, and a power of a x + b is expanded by the
 binomial theorem (``Poly.pow``).  A ``RatFunc`` is made only at a
 division by a non-constant or at a negative power of one, and the
 result is wrapped as one.  A power of a non-constant whose degree would exceed
-``ratfunc.DEFAULT_ITERATE_CEILING`` raises ``ResourceLimitError`` before
-it is built.
+``ratfunc.DEFAULT_ITERATE_CEILING``, and a power c^k of a constant with
+|k| ``size_bits(c)`` above ``ratfunc.POWER_BITS_CEILING`` (unless c is 0
+or +-zeta^j), raise ``ResourceLimitError`` before they are built.
+
+Parentheses nest at most ``NESTING_LIMIT`` deep; a deeper ``(`` is a
+``ParseError`` at its position.  A chain such as x + x + ... + x is a
+left-deep tree, which the evaluation folds in a loop, so its length is
+not limited.
 """
 
 from __future__ import annotations
@@ -41,11 +47,23 @@ from typing import Union
 
 from .cyclotomic import CycNum
 from .errors import DomainError, ParseError, ResourceLimitError, int_digit_limit
-from .ratfunc import DEFAULT_ITERATE_CEILING, Poly, RatFunc, degree
+from .ratfunc import (
+    DEFAULT_ITERATE_CEILING,
+    POWER_BITS_CEILING,
+    Poly,
+    RatFunc,
+    degree,
+    size_bits,
+)
+
+#: Deepest nesting of parentheses accepted; parsing and evaluation recurse
+#: a few frames per level, well inside the interpreter's recursion limit.
+NESTING_LIMIT = 100
 
 # \s and \d match exactly the characters that str.isspace and int() accept
 _TOKEN = re.compile(r"\s*((\d+)|z(\d*)|([-+*/^()x])|(\S))")
 _BINARY = {"+": "add", "-": "sub", "*": "mul", "/": "div"}
+_FOLDED = frozenset(_BINARY.values())
 
 
 def _tokenize(text: str) -> list[tuple]:
@@ -76,6 +94,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> str:
         return self.tokens[self.i][0]
@@ -130,16 +149,20 @@ class _Parser:
         return ("neg", None, node) if negate else node
 
     def base(self) -> tuple:
-        kind, _, value = self.tokens[self.i]
+        kind, pos, value = self.tokens[self.i]
         if kind not in ("x", "int", "zeta", "("):
             self.fail(("'x'", "integer", "'zN'", "'('"))
         self.i += 1
         if kind != "(":
             return (kind, value)
+        if self.depth == NESTING_LIMIT:
+            raise ParseError(f"parentheses nested more than {NESTING_LIMIT} deep", pos)
+        self.depth += 1
         node = self.expr()
         if self.peek() != ")":
             self.fail(("')'",))
         self.i += 1
+        self.depth -= 1
         return node
 
 
@@ -148,7 +171,12 @@ def parse_ast(text: str) -> tuple:
 
 
 def _value(node: tuple) -> Union[Poly, RatFunc]:
-    """A Poly for an x-polynomial (constants included), else a RatFunc."""
+    """A Poly for an x-polynomial (constants included), else a RatFunc.
+
+    The left spine of a binary node is walked and folded in a loop, so a
+    chain of any length costs one frame; right operands and the operands
+    of "neg" and "pow" recurse, as deep as the parentheses nest.
+    """
     kind = node[0]
     if kind == "x":
         return Poly.x()
@@ -160,8 +188,18 @@ def _value(node: tuple) -> Union[Poly, RatFunc]:
         return -_value(node[2])
     if kind == "pow":
         return _power(node[2], node[1])
-    lhs = _value(node[2])
-    rhs = _value(node[3])
+    spine = [node]
+    node = node[2]
+    while node[0] in _FOLDED:
+        spine.append(node)
+        node = node[2]
+    value = _value(node)
+    for binary in reversed(spine):
+        value = _binary(binary[0], value, _value(binary[3]))
+    return value
+
+
+def _binary(kind: str, lhs, rhs) -> Union[Poly, RatFunc]:
     if kind == "mul" and _is_constant(lhs):
         lhs, rhs = rhs, lhs
     if kind in ("mul", "div") and _is_constant(rhs):
@@ -179,19 +217,25 @@ def _value(node: tuple) -> Union[Poly, RatFunc]:
         return lhs - rhs
     if kind == "mul":
         return lhs * rhs
-    if kind == "div":
-        return lhs / rhs
-    raise AssertionError(f"unknown node kind {kind}")
+    return lhs / rhs
 
 
 def _power(base_node: tuple, k: int) -> Union[Poly, RatFunc]:
-    """base^k; a non-constant base is refused past the degree ceiling
-    before any coefficient is built."""
+    """base^k; a non-constant base past the degree ceiling and a constant
+    past the power ceiling are refused before the power is built."""
     if base_node[0] == "zeta":  # zN^k is the root of unity zeta_N^k itself
         return Poly([CycNum.zeta(base_node[1], k)])
     base = _value(base_node)
     if _is_constant(base):
-        return Poly([base.constant_value() ** k])
+        c = base.constant_value()
+        # 0 and +-zeta^j (den 1, one coordinate +-1) have powers of their own size
+        grows = c.den > 1 or sum(map(abs, c.num)) > 1
+        if grows and abs(k) * size_bits(c) > POWER_BITS_CEILING:
+            raise ResourceLimitError(
+                f"power {k} of a constant exceeds the power ceiling of "
+                f"{POWER_BITS_CEILING} bits"
+            )
+        return Poly([c**k])
     d = base.deg if isinstance(base, Poly) else degree(base)
     if abs(k) * d > DEFAULT_ITERATE_CEILING:
         raise ResourceLimitError(

@@ -27,8 +27,15 @@ from .record import Record, fill
 #: Ceiling for iterate() expansion, in projected monomials.
 DEFAULT_ITERATE_CEILING = 1_000_000
 #: Ceiling for the binomial expansion of (a x + b)^k, in bits: k^2 (1 + |a| + |b|),
-#: with |c| the bits of c's denominator and its numerator coordinates (one at least each).
+#: with |c| = ``size_bits(c)``.
 EXPANSION_BITS_CEILING = 1 << 32
+#: Ceiling for a parsed constant power c^k, in bits: |k| |c|, with |c| = ``size_bits(c)``.
+POWER_BITS_CEILING = 1 << 20
+
+
+def size_bits(c: CycNum) -> int:
+    """Bits of c's denominator and of its numerator coordinates, one at least each."""
+    return c.den.bit_length() + sum(max(1, v.bit_length()) for v in c.num)
 
 
 def _cyc(v) -> CycNum:
@@ -172,8 +179,7 @@ class Poly:
             b, a = cs
             if not b:
                 return _poly_of((CycNum.zero,) * k + (a**k,))
-            bits = sum(c.den.bit_length() + sum(max(1, v.bit_length()) for v in c.num) for c in cs)
-            if k * k * (1 + bits) > EXPANSION_BITS_CEILING:
+            if k * k * (1 + size_bits(a) + size_bits(b)) > EXPANSION_BITS_CEILING:
                 raise ResourceLimitError(f"power {k} of a degree-1 polynomial exceeds the "
                                          f"expansion ceiling of {EXPANSION_BITS_CEILING} bits")
             pows, b_pows = _powers(a, k), _powers(b, k)[::-1]  # a^i and b^(k-i)

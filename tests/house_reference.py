@@ -1,14 +1,18 @@
-"""Reference house kernels, kept as oracles for the screened ladder.
+"""Reference house kernels, kept as oracles for the packed kernel and the
+screened ladder.
 
-``square_bounds_per_unit`` is the unscreened accumulator: every unit
-t <= n/2 over the library's root table, no memo on the element;
-``max_square_bounds`` and ``screen`` read the rung bounds and the screen
-off it.
-``root_table`` builds the table with one ``iv.cos`` and one ``iv.sin``
+``square_bounds`` is the four-accumulator loop over (re_lo, re_hi,
+im_lo, im_hi) boxes, one interval sum per endpoint with a sign branch
+per term; ``square_bounds_per_unit`` runs it on every unit t <= n/2 over
+the library's root table read back as boxes, with no memo on the
+element, and ``max_square_bounds`` and ``screen`` read the rung bounds
+and the screen off it.
+``root_table`` builds the boxes with one ``iv.cos`` and one ``iv.sin``
 call per entry, and ``root_points`` gives point values of the same roots
-at twice the scale.  The library's ``cyclotomic._max_square_bounds``
-must give exactly the integers of ``max_square_bounds``, and each entry
-of ``intervals.root_table`` must contain its point.
+at twice the scale.  The library's ``cyclotomic._square_bounds`` and
+``_max_square_bounds`` must give exactly the integers of these loops,
+and each entry of ``intervals.root_table`` must unpack to the box of
+``root_table`` and contain its point.
 """
 
 from __future__ import annotations
@@ -17,11 +21,9 @@ import math
 
 import mpmath
 
-from cyclohouse import intervals
 from cyclohouse.cyclotomic import CycNum
-from cyclohouse.intervals import square_interval
 
-from .interval_boxes import ceil_div
+from .interval_boxes import ceil_div, root_boxes
 
 
 def _mpf_to_scaled(mpf_tuple, scale_bits: int, round_up: bool) -> int:
@@ -75,33 +77,47 @@ def root_points(n: int, scale_bits: int) -> list[tuple[int, int]]:
     return out + [(re, -im) for re, im in reversed(out[1 : (n + 1) // 2])]
 
 
+def square_interval(lo: int, hi: int) -> tuple[int, int]:
+    """Enclosure of x^2 given x in [lo, hi] (result scale doubles)."""
+    if lo >= 0:
+        return lo * lo, hi * hi
+    if hi <= 0:
+        return hi * hi, lo * lo
+    return 0, max(lo * lo, hi * hi)
+
+
+def square_bounds(tab, n: int, nz, t: int) -> tuple[int, int]:
+    """(lo, hi) with lo <= |sigma_t(a)|^2 <= hi, from the boxes tab and the
+    nonzero (j, numerator) pairs nz of a."""
+    rl = rh = il = ih = 0
+    for j, w in nz:
+        e1, e2, e3, e4 = tab[(t * j) % n]
+        if w >= 0:
+            rl += w * e1
+            rh += w * e2
+            il += w * e3
+            ih += w * e4
+        else:
+            rl += w * e2
+            rh += w * e1
+            il += w * e4
+            ih += w * e3
+    s1_lo, s1_hi = square_interval(rl, rh)
+    s2_lo, s2_hi = square_interval(il, ih)
+    return s1_lo + s2_lo, s1_hi + s2_hi
+
+
 def square_bounds_per_unit(a: CycNum, prec: int) -> dict[int, tuple[int, int]]:
     """{t: (lo, hi)} bounds on |sigma_t(a)|^2 for every unit t <= n/2, at
     scale (2^prec * a.den)^2, with no screen and no memo."""
     n = a.n
     nz = [(j, w) for j, w in enumerate(a.num) if w]
-    tab = intervals.root_table(n, prec)
-    out = {}
-    for t in range(1, n // 2 + 1):
-        if math.gcd(t, n) != 1:
-            continue
-        rl = rh = il = ih = 0
-        for j, w in nz:
-            e1, e2, e3, e4 = tab[(t * j) % n]
-            if w >= 0:
-                rl += w * e1
-                rh += w * e2
-                il += w * e3
-                ih += w * e4
-            else:
-                rl += w * e2
-                rh += w * e1
-                il += w * e4
-                ih += w * e3
-        s1_lo, s1_hi = square_interval(rl, rh)
-        s2_lo, s2_hi = square_interval(il, ih)
-        out[t] = (s1_lo + s2_lo, s1_hi + s2_hi)
-    return out
+    tab = root_boxes(n, prec)
+    return {
+        t: square_bounds(tab, n, nz, t)
+        for t in range(1, n // 2 + 1)
+        if math.gcd(t, n) == 1
+    }
 
 
 def max_square_bounds(a: CycNum, prec: int) -> tuple[int, int]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from cyclohouse.cyclotomic import CycNum
 from cyclohouse.intervals import root_table
@@ -19,6 +20,22 @@ from cyclohouse.intervals import root_table
 def ceil_div(a: int, b: int) -> int:
     """Exact ceil(a/b) for positive b."""
     return -((-a) // b)
+
+
+def unpack(packed: int, b: int) -> tuple[int, int, int, int]:
+    """The four signed B-bit slots (e1, e2, e3, e4) of e1 + e2 2^B + e3 2^2B + e4 2^3B,
+    each of magnitude below 2^(B - 1)."""
+    half = 1 << (b - 1)
+    v = packed + sum(half << (i * b) for i in range(4))
+    return tuple(((v >> (i * b)) & ((1 << b) - 1)) - half for i in range(4))
+
+
+@lru_cache(maxsize=64)
+def root_boxes(n: int, scale_bits: int, slack: int = 32) -> tuple[tuple[int, int, int, int], ...]:
+    """``intervals.root_table(n, scale_bits, slack)`` read back as
+    (re_lo, re_hi, im_lo, im_hi) per root."""
+    packed, _ = root_table(n, scale_bits, slack)
+    return tuple(unpack(p, scale_bits + slack) for p in packed)
 
 
 @dataclass(frozen=True)
@@ -91,7 +108,7 @@ class ComplexBox:
 
     @staticmethod
     def from_root_table(n: int, k: int, scale_bits: int) -> "ComplexBox":
-        rl, rh, il, ih = root_table(n, scale_bits)[k % n]
+        rl, rh, il, ih = root_boxes(n, scale_bits)[k % n]
         q = Fraction(1, 1 << scale_bits)
         return ComplexBox(RealInterval(rl * q, rh * q), RealInterval(il * q, ih * q))
 
@@ -122,7 +139,7 @@ def _accumulate_embedding(n: int, nz_scaled, t: int, scale_bits: int):
 
     Scale is 2^scale_bits times the denominator used in nz_scaled.
     """
-    tab = root_table(n, scale_bits)
+    tab = root_boxes(n, scale_bits)
     rl = rh = il = ih = 0
     for j, w in nz_scaled:
         a_, b_, c_, d_ = tab[(t * j) % n]

@@ -388,6 +388,35 @@ def test_affine_power_past_the_size_ceiling_is_refused_before_it_is_built():
     )
 
 
+def test_constant_power_past_the_power_ceiling_is_refused_before_it_is_built():
+    start = time.process_time()
+    code, out = _run(["degree", "3^9999999"])  # 5.5 s to build, and it cannot print
+    assert time.process_time() - start < 1
+    assert code == 3
+    assert json.loads(out)["error"]["message"] == (
+        "power 9999999 of a constant exceeds the power ceiling of 1048576 bits"
+    )
+
+
+def test_long_flat_sum_answers():
+    # evaluation once took one frame per operand: 1,000 terms were a RecursionError
+    start = time.process_time()
+    code, out = _run(["degree", "+".join(["x"] * 10000)])
+    assert time.process_time() - start < 1
+    assert (code, json.loads(out)) == (0, {"degree": 1})
+
+
+def test_deep_nesting_is_a_syntax_error_at_the_first_parenthesis_past_the_limit():
+    from cyclohouse.parser import NESTING_LIMIT
+
+    start = time.process_time()
+    code, out = _run(["degree", "(" * 300 + "x" + ")" * 300])  # 248 levels were exit 5
+    assert time.process_time() - start < 1
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "syntax" and error["position"] == NESTING_LIMIT
+
+
 def test_quadratic_rational_map_is_decided_without_a_large_gauss_sum():
     # its Wronskian's discriminant needs sqrt(19 * 15643), at conductor 4 * 19 * 15643
     start = time.process_time()

@@ -113,9 +113,9 @@ def table_lookups(monkeypatch):
     counts: dict[int, int] = {}
     real = cyc.root_table
 
-    def counting(n, prec):
+    def counting(n, prec, slack):
         counts[prec] = counts.get(prec, 0) + 1
-        return real(n, prec)
+        return real(n, prec, slack)
 
     monkeypatch.setattr(cyc, "root_table", counting)
     return counts
@@ -364,9 +364,9 @@ def kernel_calls(monkeypatch):
     calls = []
     real = cyc._square_bounds
 
-    def recording(tab, n, nz, units):
+    def recording(n, prec, nz, units):
         calls.append((len(units), len(cyc._units_half(n))))
-        return real(tab, n, nz, units)
+        return real(n, prec, nz, units)
 
     monkeypatch.setattr(cyc, "_square_bounds", recording)
     return calls

@@ -11,15 +11,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cyclohouse import intervals
-from cyclohouse.intervals import isqrt_ceil, isqrt_floor, root_table, square_interval
+from cyclohouse.intervals import isqrt_ceil, isqrt_floor, root_table
 
 from . import house_reference
-from .interval_boxes import ComplexBox, RealInterval
+from .house_reference import square_interval
+from .interval_boxes import ComplexBox, RealInterval, root_boxes
 
 
 def test_root_table_contains_float_approximations():
     n, bits = 12, 64
-    tab = root_table(n, bits)
+    tab = root_boxes(n, bits)
     scale = 1 << bits
     slack = Fraction(1, 2**40)  # double-precision approximation error
     for k in range(n):
@@ -34,7 +35,7 @@ def test_root_table_contains_float_approximations():
 
 
 def test_root_table_special_angles_exact():
-    tab = root_table(4, 80)
+    tab = root_boxes(4, 80)
     rl, rh, il, ih = tab[0]
     assert rl <= 1 << 80 <= rh and il <= 0 <= ih
     rl, rh, il, ih = tab[1]  # i
@@ -47,7 +48,7 @@ def test_root_table_special_angles_exact():
     "n, bits", [(27720, 128), (2520, 320), (7, 4096), (1, 64), (2, 64), (4, 80)]
 )
 def test_root_table_contains_points_at_twice_the_precision(n, bits):
-    tab = root_table(n, bits)
+    tab = root_boxes(n, bits)
     assert len(tab) == n
     for (rl, rh, il, ih), (re, im) in zip(tab, house_reference.root_points(n, bits)):
         assert rl << bits <= re <= rh << bits and il << bits <= im <= ih << bits
@@ -59,7 +60,7 @@ def test_root_table_contains_points_at_twice_the_precision(n, bits):
     [(2520, 320), (1260, 128), (999, 256), (7, 4096), (3, 4096), (1, 64), (4, 80)],
 )
 def test_root_table_matches_separate_cos_and_sin(n, bits):
-    tab = root_table(n, bits)
+    tab = root_boxes(n, bits)
     assert tab == house_reference.root_table(n, bits)
     assert all(e[1] - e[0] <= 2 and e[3] - e[2] <= 2 for e in tab)
 
@@ -70,7 +71,7 @@ def test_threads_build_the_same_table():
 
     def build(_):
         start.wait(timeout=30)
-        return root_table(n, bits)
+        return root_table(n, bits, 32)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -80,7 +81,7 @@ def test_threads_build_the_same_table():
     finally:
         sys.setswitchinterval(interval)
     assert all(t == tables[0] for t in tables)
-    assert tables[0] == root_table.__wrapped__(n, bits)
+    assert tables[0] == root_table.__wrapped__(n, bits, 32)
 
 
 def test_root_table_refuses_a_wide_entry(monkeypatch):
@@ -94,7 +95,7 @@ def test_root_table_refuses_a_wide_entry(monkeypatch):
 
     monkeypatch.setattr(intervals, "_zeta_point", widened)
     with pytest.raises(ArithmeticError, match="over 2 units wide"):
-        root_table.__wrapped__(5, 64)
+        root_table.__wrapped__(5, 64, 32)
 
 
 @pytest.mark.parametrize("q", [64, 200, 1100, 4200, 8300])

@@ -25,6 +25,8 @@ from cyclohouse import (
     ratfunc_new,
 )
 from cyclohouse.cli import main
+from cyclohouse.parser import NESTING_LIMIT
+from cyclohouse.ratfunc import POWER_BITS_CEILING
 
 from . import parser_reference as ref
 
@@ -257,6 +259,58 @@ class TestDegreeCeiling:
         assert parse_ratfunc("x^1000000").num.deg == 1_000_000
         assert parse_ratfunc("(x^2 + 1)^0 * 2^30") == RatFunc.const(2**30)
         assert parse_ratfunc("(x - x)^100000000") == RatFunc.const(0)
+
+
+class TestPowerCeiling:
+    def test_constant_power_is_refused_past_the_ceiling(self):
+        # size_bits(2) = 3: one bit of denominator, two of numerator
+        assert 3 * 349525 <= POWER_BITS_CEILING < 3 * 349526
+        assert parse_ratfunc("2^349525") == RatFunc.const(2**349525)
+        for text in ("2^349526", "(1/2)^-349526", "(1 + z7)^1000000"):
+            with pytest.raises(ResourceLimitError, match="power ceiling"):
+                parse_ratfunc(text)
+
+    def test_powers_that_keep_their_size_are_built(self):
+        assert parse_ratfunc("(-1)^100000001") == RatFunc.const(-1)
+        # -z7^3 = z14^13
+        want = CycNum.zeta(14, 13 * 100000000 % 14)
+        assert parse_ratfunc("(-z7^3)^100000000") == RatFunc.const(want)
+        assert parse_ratfunc("(z4 - z4)^100000000") == RatFunc.const(0)
+
+
+class TestNesting:
+    def test_nesting_at_the_limit_parses(self):
+        text = "(" * NESTING_LIMIT + "x" + ")" * NESTING_LIMIT
+        assert parse_ratfunc(text) == RatFunc.from_poly(Poly.x())
+
+    def test_nesting_past_the_limit_fails_at_the_parenthesis(self):
+        text = "x + " + "(" * (NESTING_LIMIT + 1) + "x" + ")" * (NESTING_LIMIT + 1)
+        with pytest.raises(ParseError, match="nested more than") as err:
+            parse_ratfunc(text)
+        assert err.value.position == 4 + NESTING_LIMIT
+
+    def test_each_kind_of_nesting_evaluates_at_the_limit(self):
+        def nested(wrap):
+            text = "x"
+            for _ in range(NESTING_LIMIT):
+                text = wrap.format(text)
+            return parse_ratfunc(text)
+
+        # "neg", "pow" and right operands recurse once per level, within the limit
+        assert nested("-({})") == RatFunc.from_poly(Poly.x())
+        assert nested("(x*{})/x") == RatFunc.from_poly(Poly.x())
+        assert nested("1 - (1 + {})^1") == RatFunc.from_poly(Poly.x())
+        with pytest.raises(DomainError, match="division by zero"):
+            nested("1/(x - {})")  # the innermost 1/(x - x)
+
+    def test_long_chains_fold_in_order(self):
+        # 1,000 operands were a RecursionError when each took a frame
+        terms = 2000
+        text = "0" + "".join(f" {'+-'[i % 2]} x*{i}/{i + 1}" for i in range(terms))
+        expected = sum((-1) ** i * Fraction(i, i + 1) for i in range(terms))
+        assert parse_ratfunc(text) == RatFunc.from_poly(Poly([0, expected]))
+        text = "x" + "*x/x" * 1000 + "*2" * 1000 + "/2" * 1000
+        assert parse_ratfunc(text) == RatFunc.from_poly(Poly([0, 1]))
 
 
 class TestInputBoundary:
