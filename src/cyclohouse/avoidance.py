@@ -39,7 +39,7 @@ from .cyclotomic import (
     house,
     in_PA,
     is_algebraic_integer,
-    quotient_house_exceeds,
+    quotient_outside_PA,
 )
 from .errors import DomainError, UndecidedError
 from .ratfunc import (
@@ -452,17 +452,16 @@ def scan_roots_of_unity(h: RatFunc, order_cap: int, A) -> ScanResult:
     enclosure of the smallest exponent of an orbit hold for the whole
     orbit: each is decided once, there.
 
-    A value whose house is above A is outside P_A, integral or not.  So
-    the exponent vectors of num and den at the orbit's root
-    (``root_vectors``, one exponent-shifted sum each) are first bounded
-    at every conjugate from the 64-bit root table
-    (``quotient_house_exceeds``).  An orbit is a nonmember without an
-    exact value when at one conjugate the bounds prove both that den is
-    nonzero and that |num| > A * |den|.  Any other orbit is valued from
-    the same vectors by ``evaluate`` (one reduction each, no Horner
-    pass; a rational map adds one inverse and one product) and decided
-    by ``in_PA``.  The test is skipped for a map whose values provably
-    have house at most A everywhere (``_house_bounded_by``).
+    A value whose house is above A is outside P_A, and so is a nonzero
+    value whose norm is no integer.  So the exponent vectors of num and
+    den at the orbit's root (``root_vectors``, one exponent-shifted sum
+    each) are first bounded at every conjugate from the 64-bit root
+    table (``quotient_outside_PA``).  An orbit is a nonmember without an
+    exact value when the bounds prove den nonzero and either
+    |num| > A * |den| at one conjugate or a norm range that holds no
+    integer >= 1.  Any other orbit is valued from the same vectors by
+    ``evaluate`` (one reduction each, no Horner pass; a rational map
+    adds one inverse and one product) and decided by ``in_PA``.
     """
     if order_cap < 1:
         raise DomainError("order cap must be >= 1")
@@ -473,7 +472,6 @@ def scan_roots_of_unity(h: RatFunc, order_cap: int, A) -> ScanResult:
     undecided = []
     poles = []
     c = coefficient_conductor(h)
-    bound_test = not _house_bounded_by(h, A)
 
     for order in range(1, order_cap + 1):
         primitive = [k for k in range(order) if math.gcd(k, order) == 1]
@@ -486,7 +484,7 @@ def scan_roots_of_unity(h: RatFunc, order_cap: int, A) -> ScanResult:
             for u in range(1, order + 1)
             if math.gcd(u, order) == 1 and (u - 1) % g == 0
         ]
-        test = bound_test and math.lcm(c, order) > 2
+        test = math.lcm(c, order) > 2
         # exponent -> (verdict or None at a pole, value, t, house); the
         # representative is the smallest exponent, so it is met first
         found: dict[int, tuple] = {}
@@ -495,7 +493,7 @@ def scan_roots_of_unity(h: RatFunc, order_cap: int, A) -> ScanResult:
                 root = RootOfUnity(order, k)
                 vectors = root_vectors(h, root)
                 value = hr = None
-                if test and quotient_house_exceeds(*vectors, A):
+                if test and quotient_outside_PA(*vectors, A):
                     verdict = NONMEMBER
                 else:
                     value = evaluate(h, root, vectors)
@@ -505,37 +503,13 @@ def scan_roots_of_unity(h: RatFunc, order_cap: int, A) -> ScanResult:
                 for u, t in lifts:
                     found[k * u % order] = (verdict, value, t, hr)
             verdict, value, t, hr = found[k]
-            xi = RootOfUnity.make(order, k)
             if verdict is None:
-                poles.append(xi)
+                poles.append(RootOfUnity(order, k))
             elif verdict != NONMEMBER:
-                hit = ScanHit(xi, conjugate(value, t), hr)
+                hit = ScanHit(RootOfUnity(order, k), conjugate(value, t), hr)
                 (hits if verdict == MEMBER else undecided).append(hit)
     result = ScanResult(tuple(hits), tuple(undecided), tuple(poles))
     return _SCAN_RESULTS.setdefault((result.hits, result.undecided, result.poles_skipped), result)
-
-
-def _house_bounded_by(h: RatFunc, A: Fraction) -> bool:
-    """True when |num| <= A * |den| at every conjugate of every root of unity.
-
-    By the triangle inequality |num| <= U, the sum of the coefficients'
-    coordinate sums (each bounds a house), and |den| >= L, the largest
-    |d_i| - (the coordinate sums of the other coefficients) over the
-    rational coefficients d_i.  L > 0 and U <= A * L bound the house of
-    every value, so ``quotient_house_exceeds`` cannot fire.  All sizes
-    are scaled by the common denominator D of the coefficients.
-    """
-    num, den = h.num.coeffs, h.den.coeffs
-    big_d = math.lcm(*(a.den for a in num + den))
-
-    def size(a: CycNum) -> int:
-        return sum(map(abs, a.num)) * (big_d // a.den)
-
-    upper = sum(map(size, num))
-    sizes = [size(d) for d in den]
-    total = sum(sizes)
-    lower = max((2 * s - total for s, d in zip(sizes, den) if d.n == 1), default=0)
-    return lower > 0 and upper * A.denominator <= A.numerator * lower
 
 
 CERTIFIED_AVOIDING = "certified_avoiding"

@@ -334,8 +334,18 @@ def _cmd_specialterms(args) -> int:
     return EXIT_OK
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Every option is "--name" or "-h", so an argument such as "-z5" is a
+    value (an expression), as after "--"; subcommand parsers inherit this."""
+
+    def _parse_optional(self, arg_string):
+        if arg_string[:1] == "-" and arg_string[:2] != "--" and arg_string != "-h":
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _ArgumentParser(
         prog="cyclohouse",
         description="Exact cyclotomic arithmetic, houses, and avoidance checks",
     )

@@ -33,8 +33,9 @@ every such bound: the root table packs the four interval endpoints of
 each root into one integer (``intervals.root_table``), so a conjugate
 costs one big-integer multiply-add per nonzero coordinate.  The same
 kernel, run at 64 bits on the unreduced exponent vectors of a numerator
-and a denominator, proves a quotient's house above A without its exact
-value (``quotient_house_exceeds``).
+and a denominator, proves a quotient outside P_A without its exact
+value (``quotient_outside_PA``): a conjugate above A, or a norm range,
+the product of the conjugates' bounds, that holds no integer >= 1.
 A root-of-unity test maps the element into F_p with zeta_M -> g, reads
 the exponent k with g^k equal to its image and checks zeta_M^k = a
 exactly.
@@ -586,6 +587,8 @@ class CycNum:
             return NotImplemented
         if k < 0:
             return self.inverse() ** (-k)
+        if self.n == 1:  # p^k and q^k stay coprime: no gcd
+            return _new(1, (self.num[0] ** k,), self.den**k)
         result = CycNum.one
         base = self
         while k:
@@ -1035,32 +1038,41 @@ def house(a: CycNum, accuracy_bits: int = DEFAULT_ACCURACY_BITS) -> HouseResult:
     raise UndecidedError(f"house computation needs more than the {cap}-bit precision cap")
 
 
-def quotient_house_exceeds(num, den, A: Fraction) -> bool:
-    """True when some conjugate proves |num| > A * |den| > 0 there.
+def quotient_outside_PA(num, den, A: Fraction) -> bool:
+    """True when the 64-bit bounds prove den != 0 and b = num/den outside P_A.
 
     num and den are exponent vectors (v, D) at one N > 2
-    (``root_power_vector``), den None for 1.  For each unit t <= N/2 the
-    house kernel (``_square_bounds``) at 64 bits gives
+    (``root_power_vector``), den None for exactly 1.  For each unit
+    t <= N/2 the house kernel (``_square_bounds``) gives
     lo_t <= 2^128 D^2 |sigma_t(x)|^2 <= hi_t.  With A = p/q, a t with
-    lo_t(den) > 0 and lo_t(num) * D_den^2 * q^2 > p^2 * hi_t(den) * D_num^2
-    proves both that den != 0 and that the house of num/den is above A;
-    the first such t ends the loop.  False proves nothing.
+    lo_t(den) > 0 and lo_t(num) D_den^2 q^2 > p^2 hi_t(den) D_num^2 proves
+    house(b) > A.  Else, as Q(zeta_N) is a CM field, the norm of b is the
+    product over t of |sigma_t(b)|^2, which the products of the bounds
+    enclose: lo(num) D_den^2u / (hi(den) D_num^2u) <= N(b) <=
+    hi(num) D_den^2u / (lo(den) D_num^2u), u the number of units.  The
+    norm of a nonzero algebraic integer is an integer >= 1, so a range
+    with none proves b no algebraic integer once some lo_t(num) > 0 and
+    every lo_t(den) > 0.  False proves nothing.
     """
-    acc, d_num = num
-    n = len(acc)
+    n = len(num[0])
     units = _units_half(n)
-    p2, q2 = A.numerator**2, A.denominator**2
-    num_bounds = _square_bounds(n, 64, [(e, w) for e, w in enumerate(acc) if w], units)
-    if den is None:
-        bound = (p2 * d_num * d_num) << 128
-        return any(lo * q2 > bound for lo, _ in num_bounds)
-    acc, d_den = den
-    den_bounds = list(_square_bounds(n, 64, [(e, w) for e, w in enumerate(acc) if w], units))
-    left, right = d_den * d_den * q2, p2 * d_num * d_num
-    return any(
-        dlo > 0 and lo * left > dhi * right
-        for (lo, _), (dlo, dhi) in zip(num_bounds, den_bounds)
-    )
+
+    def bounds(vec):
+        if vec is None:
+            return [(1 << 128, 1 << 128)] * len(units), 1
+        acc, d = vec
+        return list(_square_bounds(n, 64, [(e, w) for e, w in enumerate(acc) if w], units)), d
+
+    (nb, d_num), (db, d_den) = bounds(num), bounds(den)
+    left, right = d_den**2 * A.denominator**2, d_num**2 * A.numerator**2
+    if any(dlo > 0 and lo * left > dhi * right for (lo, _), (dlo, dhi) in zip(nb, db)):
+        return True
+    (n_lo, n_hi), (d_lo, d_hi) = (map(math.prod, zip(*b)) for b in (nb, db))
+    if not d_lo or not any(lo for lo, _ in nb):
+        return False
+    p, q = d_den ** (2 * len(units)), d_num ** (2 * len(units))
+    top = n_hi * p // (d_lo * q)  # the floor of the upper end
+    return top < 1 or top * d_hi * q < n_lo * p
 
 
 class RootOfUnity(Record):

@@ -406,16 +406,16 @@ class TestOrbitScan:
         import random
 
         import cyclohouse.avoidance as avoidance_mod
-        from cyclohouse.cyclotomic import quotient_house_exceeds
+        from cyclohouse.cyclotomic import quotient_outside_PA
 
-        # orbits rejected on a proven house above A, and orbits tested
+        # orbits rejected by the 64-bit screen, and orbits tested
         rejected = []
 
         def counted(*args):
-            rejected.append(quotient_house_exceeds(*args))
+            rejected.append(quotient_outside_PA(*args))
             return rejected[-1]
 
-        monkeypatch.setattr(avoidance_mod, "quotient_house_exceeds", counted)
+        monkeypatch.setattr(avoidance_mod, "quotient_outside_PA", counted)
         rng = random.Random(7000 + n)
         poles = 0
         for _ in range(6):
@@ -482,7 +482,7 @@ class TestOrbitScan:
 
     def test_most_orbits_are_rejected_without_a_value(self, monkeypatch):
         # maps shaped like the scan benchmark's: most orbit values have a
-        # house above A, and a rational map with |num| <= A*|den| is not tested
+        # house above A or a norm that is no integer
         import cyclohouse.avoidance as avoidance_mod
         from cyclohouse import evaluate, parse_ratfunc
         from cyclohouse.ratfunc import root_vectors
@@ -559,7 +559,7 @@ class TestOrbitScan:
 
         import cyclohouse.avoidance as avoidance_mod
         from cyclohouse import RootOfUnity, evaluate
-        from cyclohouse.cyclotomic import quotient_house_exceeds
+        from cyclohouse.cyclotomic import quotient_outside_PA
         from cyclohouse.ratfunc import root_vectors
 
         horner, orbits, built, rejected = [], [], [], []
@@ -577,7 +577,7 @@ class TestOrbitScan:
             return root_vectors(f, a)
 
         def counted_test(*args):
-            out = quotient_house_exceeds(*args)
+            out = quotient_outside_PA(*args)
             if out:
                 rejected.append(built[-1])
             return out
@@ -586,7 +586,7 @@ class TestOrbitScan:
         monkeypatch.setattr(Poly, "evaluate", counted_horner)
         monkeypatch.setattr(avoidance_mod, "evaluate", counted_evaluate)
         monkeypatch.setattr(avoidance_mod, "root_vectors", counted_vectors)
-        monkeypatch.setattr(avoidance_mod, "quotient_house_exceeds", counted_test)
+        monkeypatch.setattr(avoidance_mod, "quotient_outside_PA", counted_test)
         scan_roots_of_unity(h, 12, 2)
         assert horner == []
         assert all(isinstance(a, RootOfUnity) for a in orbits)
@@ -624,6 +624,98 @@ class TestOrbitScan:
                         assert lhs is None
                     else:
                         assert lhs == conjugate(value, t)
+
+
+def _random_quotient_map(rng, n):
+    """A map over Q(zeta_n) with rational denominators in num and den and
+    den coefficients in Q(zeta_n)."""
+    from cyclohouse.cyclotomic import euler_phi
+
+    def coefficient():
+        return CycNum(
+            n,
+            [Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3))) for _ in range(euler_phi(n))],
+        )
+
+    num = [coefficient() for _ in range(rng.randint(1, 3))] + [CycNum.from_rational(rng.randint(1, 3))]
+    den = [coefficient() for _ in range(rng.randint(1, 2))] + [CycNum.one]
+    return ratfunc_new(Poly(num), Poly(den))
+
+
+class TestOrbitScreen:
+    """The 64-bit screen (``quotient_outside_PA``) before the exact value."""
+
+    @pytest.mark.parametrize("n", [1, 3, 4, 5, 8, 12])
+    def test_every_rejected_orbit_is_a_nonmember(self, monkeypatch, n):
+        import random
+
+        import cyclohouse.avoidance as avoidance_mod
+        from cyclohouse import house, in_PA
+        from cyclohouse.cyclotomic import quotient_outside_PA, vector_value
+
+        rejected, by_norm = [], []
+
+        def checked(num, den, A):
+            out = quotient_outside_PA(num, den, A)
+            if out:
+                dv = vector_value((list(den[0]), den[1])) if den else CycNum.one
+                assert dv, (num, den)
+                value = vector_value((list(num[0]), num[1])) / dv
+                assert in_PA(value, A) == "nonmember", (value, A)
+                rejected.append(value)
+                if not is_algebraic_integer(value) and house(value).upper <= A:
+                    by_norm.append(value)
+            return out
+
+        monkeypatch.setattr(avoidance_mod, "quotient_outside_PA", checked)
+        rng = random.Random(9100 + n)
+        for _ in range(8):
+            h = _random_quotient_map(rng, n)
+            for A in (Fraction(1), Fraction(2), Fraction(7, 2)):
+                scan_roots_of_unity(h, rng.randint(6, 12), A)
+        # the norm range, not the house, rejected some of them
+        assert rejected and by_norm
+
+    @pytest.mark.parametrize(
+        "text, order",
+        [("(x^2 + x + 1)/(x - 2)", 3), ("(x^4 + x^3 + x^2 + x + 1)/(x + 2)", 5)],
+    )
+    def test_zero_values_stay_hits(self, text, order):
+        from cyclohouse import parse_ratfunc
+
+        got = scan_roots_of_unity(parse_ratfunc(text), order, 1).to_dict()
+        zeros = [(h["order"], h["exponent"]) for h in got["hits"] if h["value"] == "0"]
+        assert zeros == [(order, k) for k in range(1, order)]
+
+    def test_poles_are_still_skipped(self):
+        from cyclohouse import parse_ratfunc
+
+        h = parse_ratfunc("(x^3 - x + 1)/((x^2 + 1)*(x + 2))")
+        got = scan_roots_of_unity(h, 8, 2)
+        assert [(r.order, r.exponent) for r in got.poles_skipped] == [(4, 1), (4, 3)]
+        assert got.to_dict() == _per_root_scan(h, 8, 2).to_dict()
+
+    @pytest.mark.parametrize(
+        "text",
+        # 20 and 26 exact values when only a house above A rejected an orbit
+        ["(x^3 - x + 1)/((x - 3)*(x + 2))", "(z3*x^2 + 1)/(x + 2)"],
+    )
+    def test_non_integral_orbits_need_no_exact_value(self, monkeypatch, text):
+        import cyclohouse.avoidance as avoidance_mod
+        from cyclohouse import evaluate, parse_ratfunc
+
+        evaluated = []
+
+        def counted_evaluate(f, a, *vectors):
+            evaluated.append(a)
+            return evaluate(f, a, *vectors)
+
+        monkeypatch.setattr(avoidance_mod, "evaluate", counted_evaluate)
+        h = parse_ratfunc(text)
+        got = scan_roots_of_unity(h, 20, 2)
+        assert len(evaluated) <= 2
+        monkeypatch.undo()
+        assert got.to_dict() == _per_root_scan(h, 20, 2).to_dict()
 
 
 @pytest.mark.parametrize(

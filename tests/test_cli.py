@@ -134,6 +134,43 @@ def test_usage_error_emits_json(capsys):
     assert json.loads(out)["error"]["type"] == "usage"
 
 
+@pytest.mark.parametrize("argv", [["house", "-z5"], ["degree", "-x+1"]])
+def test_an_expression_may_begin_with_a_minus_sign(argv):
+    # argparse once read "-z5" as an unknown option: a usage error, exit 2
+    code, out = _run(argv)
+    assert code == 0
+    assert (code, out) == _run([argv[0], "--", argv[1]])
+
+
+def test_help_and_every_option_still_parse():
+    import argparse
+
+    from cyclohouse.cli import _build_parser
+
+    top = _build_parser()
+    (sub,) = (a for a in top._actions if isinstance(a, argparse._SubParsersAction))
+    for name, parser in sub.choices.items():
+        # options first, so a value beginning with "-" follows each option
+        argv, expected = [name], {}
+        actions = sorted(parser._actions, key=lambda a: not a.option_strings)
+        for action in actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            value, text = (-3, "-3") if action.type is int else ("-x", "-x")
+            if action.nargs == 0:
+                value, text = True, None
+            argv += [*action.option_strings[:1], *([text] if text else [])]
+            expected[action.dest] = value
+        args = top.parse_args(argv)
+        assert {key: getattr(args, key) for key in expected} == expected, argv
+        for flag in ("-h", "--help"):
+            code, out = _run([name, flag])
+            assert code == 0 and out.startswith(f"usage: cyclohouse {name} [-h]")
+    for flag in ("-h", "--help"):
+        code, out = _run([flag])
+        assert code == 0 and out.startswith("usage: cyclohouse [-h]")
+
+
 def test_precision_cap_env_variable(monkeypatch):
     from fractions import Fraction
 

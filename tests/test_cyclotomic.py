@@ -64,6 +64,34 @@ class TestArithmetic:
     def test_power_negative(self):
         assert z(5) ** -2 == z(5, 3)
 
+    @pytest.mark.parametrize("base", [Fraction(2, 3), Fraction(-2, 3), -5, 7, 1, -1, 0])
+    def test_rational_power_equals_square_and_multiply(self, base):
+        a = rat(base)
+        for k in range(-5, 6):
+            if base == 0 and k < 0:
+                with pytest.raises(DomainError):
+                    a**k
+                continue
+            expected = CycNum.one
+            for _ in range(abs(k)):
+                expected = expected * a
+            if k < 0:
+                expected = expected.inverse()
+            got = a**k
+            assert (got.n, got.num, got.den) == (expected.n, expected.num, expected.den)
+            assert got == rat(Fraction(base) ** k)
+
+    def test_rational_power_takes_no_gcd_per_product(self):
+        import time
+
+        from cyclohouse.parser import parse_ratfunc
+
+        # squaring with a gcd per product took 0.4-0.6 s
+        start = time.process_time()
+        h = parse_ratfunc("(2/3)^262144")
+        assert time.process_time() - start < 0.2
+        assert h.num.coeffs[0] == rat(Fraction(2, 3) ** 262144)
+
 
 class TestEmbedding:
     def test_embed_rational_at_5(self):

@@ -209,11 +209,11 @@ def test_scan_computes_verdict_and_house_once_per_orbit(monkeypatch, h, c):
         return rejected
 
     real_vectors = avoidance_mod.root_vectors
-    real_test = avoidance_mod.quotient_house_exceeds
+    real_test = avoidance_mod.quotient_outside_PA
     monkeypatch.setattr(avoidance_mod, "in_PA", counted("in_PA", in_PA))
     monkeypatch.setattr(avoidance_mod, "house", counted("house", house))
     monkeypatch.setattr(avoidance_mod, "root_vectors", building)
-    monkeypatch.setattr(avoidance_mod, "quotient_house_exceeds", testing)
+    monkeypatch.setattr(avoidance_mod, "quotient_outside_PA", testing)
     result = scan_roots_of_unity(h, 25, 3)
     orbits = {
         (m, _orbit_key(m, k, c))
