@@ -190,28 +190,19 @@ class _Cyclotomy:
 
         acc[e] is the coefficient of zeta^e (len(acc) >= phi); the
         returned list is acc cut to its phi power-basis coordinates.
-        Phi_n divides x^n - 1, so exponents n and up first fold onto
-        e - n, by additions.  At even n it also divides x^(n/2) + 1, so a
-        vector of n exponents, such as an exponent-shifted sum's, then
-        folds e >= n/2 onto e - n/2, by subtractions (a product's
-        2*phi - 1 < n exponents skip this).  Only the rows from there
-        down to phi remain.
+        Phi_n divides x^(n/2) + 1 at even n and x^n - 1 at odd n, so one
+        descending pass first applies zeta^e = -zeta^(e - n/2), or
+        zeta^e = zeta^(e - n), to every exponent at or past that point;
+        the rows of Phi_n then reduce only the exponents below it, down
+        to phi.
         """
         n, phi, low = self.n, self.phi, self.low
-        if len(acc) >= n:
-            if len(acc) > n:
-                for e in range(len(acc) - 1, n - 1, -1):
-                    c = acc[e]
-                    if c:
-                        acc[e - n] += c
-                del acc[n:]
-            if n % 2 == 0:
-                h = n // 2
-                for e in range(n - 1, h - 1, -1):
-                    c = acc[e]
-                    if c:
-                        acc[e - h] -= c
-                del acc[h:]
+        h, sign = (n // 2, -1) if n % 2 == 0 else (n, 1)
+        for e in range(len(acc) - 1, h - 1, -1):
+            c = acc[e]
+            if c:
+                acc[e - h] += sign * c
+        del acc[h:]
         for e in range(len(acc) - 1, phi - 1, -1):
             c = acc[e]
             if c:
@@ -1268,7 +1259,6 @@ def loxton_decompose(a: CycNum, d_max: int) -> list[tuple[CycNum, RootOfUnity]] 
     if root is not None:
         return _loxton_result(a, [root])
     m_tor = torsion_order(a.n)
-    vecs = _cyclotomy(a.n).torsion_vectors()
     target = a.num
     for d in range(2, d_max + 1):
         d1 = d // 2
@@ -1277,6 +1267,8 @@ def loxton_decompose(a: CycNum, d_max: int) -> list[tuple[CycNum, RootOfUnity]] 
             raise ResourceLimitError(
                 f"loxton search table would exceed {LOXTON_HALF_TABLE_CEILING} entries"
             )
+        if d == 2:  # built only once the smallest table fits
+            vecs = _cyclotomy(a.n).torsion_vectors()
         left: dict[tuple[int, ...], tuple[int, ...]] = {}
         for combo in itertools.combinations_with_replacement(range(m_tor), d1):
             s = vecs[combo[0]]

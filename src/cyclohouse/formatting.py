@@ -37,17 +37,16 @@ def _cycnum_term_strings(a: CycNum) -> list[tuple[int, str]]:
     return out
 
 
+def _join_signed(parts) -> str:
+    """Join (sign, body) terms as "-a + b - c": the first sign unspaced, a first "+" dropped."""
+    text = " ".join(("- " if sign < 0 else "+ ") + body for sign, body in parts)
+    return text[2:] if text[0] == "+" else "-" + text[2:]
+
+
 def format_cycnum(a: CycNum) -> str:
     if a.is_rational:
         return _format_rational(a.as_rational())
-    parts = _cycnum_term_strings(a)
-    pieces = []
-    for idx, (sign, body) in enumerate(parts):
-        if idx == 0:
-            pieces.append(("-" if sign < 0 else "") + body)
-        else:
-            pieces.append(("- " if sign < 0 else "+ ") + body)
-    return " ".join(pieces) if pieces else "0"
+    return _join_signed(_cycnum_term_strings(a))
 
 
 def _is_simple_coefficient(c: CycNum) -> bool:
@@ -77,20 +76,11 @@ def format_poly(p: Poly) -> str:
         return "0"
     if p.deg == 0:
         return format_cycnum(p.constant_value())
-    pieces = []
-    first = True
-    for k in range(p.deg, -1, -1):
-        c = p[k]
-        if not c:
-            continue
-        xpart = None if k == 0 else ("x" if k == 1 else f"x^{k}")
-        sign, body = _coefficient_product(c, xpart)
-        if first:
-            pieces.append(("-" if sign < 0 else "") + body)
-            first = False
-        else:
-            pieces.append(("- " if sign < 0 else "+ ") + body)
-    return " ".join(pieces)
+    return _join_signed(
+        _coefficient_product(c, None if k == 0 else ("x" if k == 1 else f"x^{k}"))
+        for k, c in reversed(list(enumerate(p.coeffs)))
+        if c
+    )
 
 
 def _poly_is_single_product(p: Poly) -> bool:

@@ -227,6 +227,19 @@ def test_no_per_call_precision_or_ceiling_parameters():
     assert "cap" not in inspect.signature(cyclotomic.house).parameters
 
 
+def test_loxton_ceiling_exits_3_before_the_torsion_list(monkeypatch):
+    from cyclohouse import cyclotomic
+
+    def unreachable(self):
+        raise AssertionError("torsion list built before the ceiling check")
+
+    monkeypatch.setattr(cyclotomic, "LOXTON_HALF_TABLE_CEILING", 13)
+    monkeypatch.setattr(cyclotomic._Cyclotomy, "torsion_vectors", unreachable)
+    code, out = _run(["decompose", "1 + z7", "--dmax", "2"])
+    assert code == 3
+    assert json.loads(out)["error"]["type"] == "resource"
+
+
 def test_unexpected_exception_is_internal_error(monkeypatch):
     import cyclohouse.cli as cli_mod
 

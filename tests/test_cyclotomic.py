@@ -1,4 +1,6 @@
 import math
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,7 @@ from cyclohouse import (
     CycNum,
     DomainError,
     LoxtonProfile,
+    ResourceLimitError,
     RootOfUnity,
     conjugates,
     embed_at_conductor,
@@ -17,7 +20,7 @@ from cyclohouse import (
     is_root_of_unity,
     loxton_decompose,
 )
-from cyclohouse.cyclotomic import euler_phi, residue_mod_p
+from cyclohouse.cyclotomic import _cyclotomy, euler_phi, residue_mod_p
 
 from .conftest import random_cycnum
 from .util import cycnum_from_dict, empty_profile
@@ -82,8 +85,6 @@ class TestArithmetic:
             assert got == rat(Fraction(base) ** k)
 
     def test_rational_power_takes_no_gcd_per_product(self):
-        import time
-
         from cyclohouse.parser import parse_ratfunc
 
         # squaring with a gcd per product took 0.4-0.6 s
@@ -238,6 +239,24 @@ class TestLoxton:
     def test_no_representation_within_budget(self):
         assert loxton_decompose(rat(5), 3) is None
 
+    def test_dmax_one_builds_no_torsion_list(self):
+        # the 8398 torsion vectors of 3456 ints took 1.36 s and 238 MB
+        a = 1 + z(4199)
+        start = time.process_time()
+        assert loxton_decompose(a, 1) is None
+        assert time.process_time() - start < 0.1
+
+    def test_ceiling_is_checked_before_the_torsion_list(self, monkeypatch):
+        from cyclohouse import cyclotomic
+
+        def unreachable(self):
+            raise AssertionError("torsion list built before the ceiling check")
+
+        monkeypatch.setattr(cyclotomic, "LOXTON_HALF_TABLE_CEILING", 13)
+        monkeypatch.setattr(cyclotomic._Cyclotomy, "torsion_vectors", unreachable)
+        with pytest.raises(ResourceLimitError):
+            loxton_decompose(1 + z(7), 2)  # 14 roots of unity, one per entry
+
     def test_minimality_against_exhaustive(self):
         # brute force over all sums of <= 3 roots in mu_lcm(2, n)
         import itertools
@@ -310,9 +329,7 @@ class TestCyclotomicPolynomials:
     def test_reduce_folds_exponents_past_n(self):
         # reduce is linear, so the monomials x^e, e < 3n, cover every input
         # up to that length; the reference is the power walk through Phi_n
-        from cyclohouse.cyclotomic import _cyclotomy
-
-        for n in (1, 2, 5, 12, 15, 59, 105):
+        for n in (1, 2, 5, 8, 12, 15, 16, 28, 59, 105):
             ctx = _cyclotomy(n)
             walk = ctx.torsion_vectors()
             step = len(walk) // n
@@ -320,6 +337,52 @@ class TestCyclotomicPolynomials:
                 acc = [0] * max(e + 1, ctx.phi)
                 acc[e] = 1
                 assert tuple(ctx.reduce(acc)) == walk[step * e % len(walk)], (n, e)
+
+    @pytest.mark.parametrize(
+        "n, examples",
+        # a prime, 4p, a product of three odd primes, then 420 and 27720,
+        # whose long divisions take seconds
+        [(1, 20), (2, 20), (8, 20), (64, 20), (211, 10), (844, 10), (1001, 10), (420, 10),
+         (27720, 2)],
+    )
+    def test_reduce_equals_long_division_by_phi(self, n, examples):
+        from .fraction_reference import cyclotomic_polynomial as reference_phi
+
+        if n == 27720:
+            # the reference divides x^n - 1 by Phi_d for all 95 proper
+            # divisors d, a minute here; Phi_27720(x) = Phi_2310(x^12)
+            phi_n = [0] * (12 * euler_phi(2310) + 1)
+            phi_n[::12] = reference_phi(2310)
+        else:
+            phi_n = reference_phi(n)
+        d = len(phi_n) - 1
+        low = [(j, c) for j, c in enumerate(phi_n[:d]) if c]
+        ctx = _cyclotomy(n)
+
+        @settings(max_examples=examples)
+        @given(st.integers(d, 2 * n + 3), st.integers(0, 2**32), st.sampled_from((1, 30)))
+        def check(length, seed, digits):
+            rng = random.Random(seed)
+            row = [rng.randint(-(10**digits), 10**digits) for _ in range(length)]
+            rem = list(row)
+            for i in range(length - 1, d - 1, -1):
+                c = rem[i]
+                if c:
+                    for j, cj in low:
+                        rem[i - d + j] -= c * cj
+            assert ctx.reduce(row) == rem[:d]
+
+        check()
+
+    def test_product_row_at_4p_folds_by_half_the_conductor(self):
+        # a product at n = 4 * 10007 has 2*phi - 1 = n - 5 exponents; one
+        # dense row of Phi_n per exponent past phi took 23 s
+        ctx = _cyclotomy(4 * 10007)
+        rng = random.Random(40028)
+        row = [rng.randint(-(10**30), 10**30) for _ in range(2 * ctx.phi - 1)]
+        start = time.process_time()
+        ctx.reduce(row)
+        assert time.process_time() - start < 0.5
 
 
 class TestCanonicalForm:

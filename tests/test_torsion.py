@@ -103,7 +103,7 @@ def test_rational_times_root_matches_linear_scan():
                     m, k, v)
 
 
-@pytest.mark.parametrize("n", (1, 3, 4, 12, 15, 36, 105, 225, 385, 1155, 3960))
+@pytest.mark.parametrize("n", (1, 3, 4, 8, 12, 15, 16, 28, 36, 105, 225, 385, 1155, 3960))
 def test_torsion_vectors_match_dense_table(n):
     assert _cyclotomy(n).torsion_vectors() == ref.torsion_vectors(n)
 
