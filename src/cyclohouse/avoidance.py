@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import weakref
 from fractions import Fraction
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .cyclotomic import (
@@ -41,7 +42,7 @@ from .cyclotomic import (
     is_algebraic_integer,
     quotient_outside_PA,
 )
-from .errors import DomainError, UndecidedError
+from .errors import DomainError, ResourceLimitError, UndecidedError
 from .ratfunc import (
     Poly,
     RatFunc,
@@ -438,6 +439,41 @@ class ScanResult(Record):
 _SCAN_RESULTS: weakref.WeakValueDictionary[tuple, ScanResult] = weakref.WeakValueDictionary()
 
 
+# c * order_cap bounds every conductor N = lcm(c, m) that a scan reaches,
+# and so the root tables, exponent vectors and orbit plans it builds.
+SCAN_CONDUCTOR_CEILING = 1 << 11
+
+
+@lru_cache(maxsize=128)
+def _orbit_plan(order: int, c: int) -> tuple[bool, tuple[tuple[int, int, int], ...]]:
+    """(test, rows): the Galois orbits of the primitive order-th roots of
+    unity under the sigma_t that fix Q(zeta_c).
+
+    rows holds one (k, rep, t) per exponent k coprime to order, in
+    ascending k: rep is the smallest exponent of k's orbit and t the
+    lift with t = 1 (mod c) and k = rep * t (mod order), so sigma_t fixes
+    every coefficient over Q(zeta_c) and sends zeta_order^rep to
+    zeta_order^k.  Those t are the u + order * s that are 1 mod c for
+    the units u = 1 (mod gcd(order, c)); t = 1 exactly at k = rep.  test
+    says whether N = lcm(c, order) > 2, so that ``quotient_outside_PA``
+    applies.
+    """
+    g = math.gcd(order, c)
+    inv = pow(order // g, -1, c // g)
+    lifts = [
+        (u, u + order * ((1 - u) // g * inv % (c // g)))
+        for u in range(1, order + 1)
+        if math.gcd(u, order) == 1 and (u - 1) % g == 0
+    ]
+    orbit_of: dict[int, tuple[int, int]] = {}
+    for k in range(order):
+        if math.gcd(k, order) == 1 and k not in orbit_of:
+            for u, t in lifts:
+                orbit_of[k * u % order] = (k, t)
+    rows = tuple((k, rep, t) for k, (rep, t) in sorted(orbit_of.items()))
+    return math.lcm(c, order) > 2, rows
+
+
 def scan_roots_of_unity(h: RatFunc, order_cap: int, A) -> ScanResult:
     """All roots of unity of order <= cap whose image lands in P_A.
 
@@ -450,46 +486,48 @@ def scan_roots_of_unity(h: RatFunc, order_cap: int, A) -> ScanResult:
     sigma_t(h(zeta_m^k)).  Poles, integrality, torsion and the house are
     Galois-invariant, so the pole status, the P_A verdict and the house
     enclosure of the smallest exponent of an orbit hold for the whole
-    orbit: each is decided once, there.
+    orbit: each is decided once, there.  The orbits, their smallest
+    exponents and the lifts t of each order come from a plan cached per
+    (order, c) (``_orbit_plan``), in exponent order.
 
     A value whose house is above A is outside P_A, and so is a nonzero
-    value whose norm is no integer.  So the exponent vectors of num and
-    den at the orbit's root (``root_vectors``, one exponent-shifted sum
-    each) are first bounded at every conjugate from the 64-bit root
-    table (``quotient_outside_PA``).  An orbit is a nonmember without an
-    exact value when the bounds prove den nonzero and either
-    |num| > A * |den| at one conjugate or a norm range that holds no
-    integer >= 1.  Any other orbit is valued from the same vectors by
-    ``evaluate`` (one reduction each, no Horner pass; a rational map
-    adds one inverse and one product) and decided by ``in_PA``.
+    value whose norm is no integer.  So the sparse exponent vectors of
+    num and den at the orbit's root (``root_vectors``, one
+    exponent-shifted sum each) are first bounded conjugate by conjugate
+    from the 64-bit root table (``quotient_outside_PA``), which stops at
+    the first conjugate that proves the house above A.  An orbit is a
+    nonmember without an exact value when the bounds prove den nonzero
+    and either |num| > A * |den| at one conjugate or a norm range that
+    holds no integer >= 1.  Any other orbit is valued from the same
+    vectors by ``evaluate`` (one dense row and one reduction each, no
+    Horner pass; a rational map adds one inverse and one product) and
+    decided by ``in_PA``.
+
+    Raises ResourceLimitError, before any root, when c * order_cap, a
+    bound on every conductor lcm(c, m) the scan reaches, exceeds
+    ``SCAN_CONDUCTOR_CEILING``.
     """
     if order_cap < 1:
         raise DomainError("order cap must be >= 1")
     A = Fraction(A)
     if A < 1:
         raise DomainError("A must be at least 1")
+    c = coefficient_conductor(h)
+    if c * order_cap > SCAN_CONDUCTOR_CEILING:
+        raise ResourceLimitError(
+            f"scan ceiling exceeded: coefficient conductor {c} times order cap "
+            f"{order_cap} is above {SCAN_CONDUCTOR_CEILING}"
+        )
     hits = []
     undecided = []
     poles = []
-    c = coefficient_conductor(h)
-
     for order in range(1, order_cap + 1):
-        primitive = [k for k in range(order) if math.gcd(k, order) == 1]
-        g = math.gcd(order, c)
-        inv = pow(order // g, -1, c // g)
-        # the units u = 1 (mod g), each with its lift t = u (mod order),
-        # t = 1 (mod c); t = 1 only for u = 1
-        lifts = [
-            (u, u + order * ((1 - u) // g * inv % (c // g)))
-            for u in range(1, order + 1)
-            if math.gcd(u, order) == 1 and (u - 1) % g == 0
-        ]
-        test = math.lcm(c, order) > 2
-        # exponent -> (verdict or None at a pole, value, t, house); the
-        # representative is the smallest exponent, so it is met first
+        test, rows = _orbit_plan(order, c)
+        # representative -> (verdict or None at a pole, value, house); the
+        # representative is the smallest exponent, so its row comes first
         found: dict[int, tuple] = {}
-        for k in primitive:
-            if k not in found:
+        for k, rep, t in rows:
+            if k == rep:
                 root = RootOfUnity(order, k)
                 vectors = root_vectors(h, root)
                 value = hr = None
@@ -500,9 +538,8 @@ def scan_roots_of_unity(h: RatFunc, order_cap: int, A) -> ScanResult:
                     verdict = None if value is None else in_PA(value, A)
                     if verdict not in (None, NONMEMBER):
                         hr = house(value)
-                for u, t in lifts:
-                    found[k * u % order] = (verdict, value, t, hr)
-            verdict, value, t, hr = found[k]
+                found[k] = (verdict, value, hr)
+            verdict, value, hr = found[rep]
             if verdict is None:
                 poles.append(RootOfUnity(order, k))
             elif verdict != NONMEMBER:

@@ -32,10 +32,11 @@ exactly, from a * conj(a) = A^2.  One kernel (``_square_bounds``) gives
 every such bound: the root table packs the four interval endpoints of
 each root into one integer (``intervals.root_table``), so a conjugate
 costs one big-integer multiply-add per nonzero coordinate.  The same
-kernel, run at 64 bits on the unreduced exponent vectors of a numerator
-and a denominator, proves a quotient outside P_A without its exact
-value (``quotient_outside_PA``): a conjugate above A, or a norm range,
-the product of the conjugates' bounds, that holds no integer >= 1.
+kernel, run at 64 bits on the sparse, unreduced exponent vectors of a
+numerator and a denominator, proves a quotient outside P_A without its
+exact value (``quotient_outside_PA``): a conjugate above A, at the first
+such conjugate, or a norm range, the product of the conjugates' bounds,
+that holds no integer >= 1.
 A root-of-unity test maps the element into F_p with zeta_M -> g, reads
 the exponent k with g^k equal to its image and checks zeta_M^k = a
 exactly.
@@ -655,35 +656,39 @@ def _row_product(ctx: _Cyclotomy, a, b) -> list[int]:
     return ctx.reduce(conv)
 
 
-def root_power_vector(coeffs, c: int, m: int, k: int) -> tuple[list[int], int]:
-    """sum_j coeffs[j] * zeta_m^(j*k) as (v, D): sum_e v[e] * zeta_N^e / D.
+def root_power_vector(coeffs, c: int, m: int, k: int) -> tuple[list[tuple[int, int]], int, int]:
+    """sum_j coeffs[j] * zeta_m^(j*k) as (pairs, D, N): sum_e w_e * zeta_N^e / D.
 
     An exponent-shifted sum, with no products and no reduction.  c must
     be a multiple of every coefficient's conductor.  At N = lcm(c, m),
-    so len(v) == N, coefficient j has the numerators of
-    sum_i zeta_N^(i*N/n_j) over its den, and zeta_m^(j*k) =
-    zeta_N^(j*k*N/m) shifts them: each numerator, scaled to the common
-    denominator D, lands in slot i*N/n_j + j*k*N/m mod N.
+    coefficient j has the numerators of sum_i zeta_N^(i*N/n_j) over its
+    den, and zeta_m^(j*k) = zeta_N^(j*k*N/m) shifts them: each numerator,
+    scaled to the common denominator D, lands in slot i*N/n_j + j*k*N/m
+    mod N.  pairs lists the slots e < N with a nonzero sum w_e, as
+    (e, w_e); numerators that land in one slot are added.
     """
     n = math.lcm(c, m)
     den = math.lcm(*(a.den for a in coeffs))
-    acc = [0] * n
+    acc: dict[int, int] = {}
     unit = k * (n // m) % n
     shift = 0
     for a in coeffs:
         step, scale = n // a.n, den // a.den
         for i, v in enumerate(a.num):
             if v:
-                acc[(shift + i * step) % n] += v * scale
+                e = (shift + i * step) % n
+                acc[e] = acc.get(e, 0) + v * scale
         shift = (shift + unit) % n
-    return acc, den
+    return [(e, w) for e, w in acc.items() if w], den, n
 
 
-def vector_value(vec: tuple[list[int], int]) -> CycNum:
-    """The element of an exponent vector (v, D), by one reduction modulo
-    Phi_N (N = len(v)); v is reduced in place."""
-    acc, den = vec
-    n = len(acc)
+def vector_value(vec: tuple[list[tuple[int, int]], int, int]) -> CycNum:
+    """The element of an exponent vector (pairs, D, N): its dense row of
+    length N, reduced once modulo Phi_N."""
+    pairs, den, n = vec
+    acc = [0] * n
+    for e, w in pairs:
+        acc[e] = w
     return _make(n, _cyclotomy(n).reduce(acc), den)
 
 
@@ -1032,34 +1037,36 @@ def house(a: CycNum, accuracy_bits: int = DEFAULT_ACCURACY_BITS) -> HouseResult:
 def quotient_outside_PA(num, den, A: Fraction) -> bool:
     """True when the 64-bit bounds prove den != 0 and b = num/den outside P_A.
 
-    num and den are exponent vectors (v, D) at one N > 2
+    num and den are exponent vectors (pairs, D, N) at one N > 2
     (``root_power_vector``), den None for exactly 1.  For each unit
-    t <= N/2 the house kernel (``_square_bounds``) gives
-    lo_t <= 2^128 D^2 |sigma_t(x)|^2 <= hi_t.  With A = p/q, a t with
-    lo_t(den) > 0 and lo_t(num) D_den^2 q^2 > p^2 hi_t(den) D_num^2 proves
-    house(b) > A.  Else, as Q(zeta_N) is a CM field, the norm of b is the
-    product over t of |sigma_t(b)|^2, which the products of the bounds
-    enclose: lo(num) D_den^2u / (hi(den) D_num^2u) <= N(b) <=
-    hi(num) D_den^2u / (lo(den) D_num^2u), u the number of units.  The
-    norm of a nonzero algebraic integer is an integer >= 1, so a range
-    with none proves b no algebraic integer once some lo_t(num) > 0 and
-    every lo_t(den) > 0.  False proves nothing.
+    t <= N/2 in turn the house kernel (``_square_bounds``) gives
+    lo_t <= 2^128 D^2 |sigma_t(x)|^2 <= hi_t for num and den together.
+    With A = p/q, a t with lo_t(den) > 0 and
+    lo_t(num) D_den^2 q^2 > p^2 hi_t(den) D_num^2 proves house(b) > A,
+    and the first such t ends the call.  Else, every bound read, as
+    Q(zeta_N) is a CM field, the norm of b is the product over t of
+    |sigma_t(b)|^2, which the products of the bounds enclose:
+    lo(num) D_den^2u / (hi(den) D_num^2u) <= N(b) <=
+    hi(num) D_den^2u / (lo(den) D_num^2u), u the number of units.  The norm of a nonzero algebraic integer is
+    an integer >= 1, so a range with none proves b no algebraic integer
+    once some lo_t(num) > 0 and every lo_t(den) > 0.  False proves
+    nothing.
     """
-    n = len(num[0])
+    pairs, d_num, n = num
     units = _units_half(n)
-
-    def bounds(vec):
-        if vec is None:
-            return [(1 << 128, 1 << 128)] * len(units), 1
-        acc, d = vec
-        return list(_square_bounds(n, 64, [(e, w) for e, w in enumerate(acc) if w], units)), d
-
-    (nb, d_num), (db, d_den) = bounds(num), bounds(den)
+    nb = _square_bounds(n, 64, pairs, units)
+    if den is None:
+        db, d_den = itertools.repeat((1 << 128, 1 << 128)), 1
+    else:
+        db, d_den = _square_bounds(n, 64, den[0], units), den[1]
     left, right = d_den**2 * A.denominator**2, d_num**2 * A.numerator**2
-    if any(dlo > 0 and lo * left > dhi * right for (lo, _), (dlo, dhi) in zip(nb, db)):
-        return True
-    (n_lo, n_hi), (d_lo, d_hi) = (map(math.prod, zip(*b)) for b in (nb, db))
-    if not d_lo or not any(lo for lo, _ in nb):
+    read = []
+    for (lo, hi), (dlo, dhi) in zip(nb, db):
+        if dlo > 0 and lo * left > dhi * right:
+            return True
+        read.append((lo, hi, dlo, dhi))
+    n_lo, n_hi, d_lo, d_hi = map(math.prod, zip(*read))
+    if not d_lo or not any(r[0] for r in read):
         return False
     p, q = d_den ** (2 * len(units)), d_num ** (2 * len(units))
     top = n_hi * p // (d_lo * q)  # the floor of the upper end

@@ -535,9 +535,9 @@ def coefficient_conductor(h: RatFunc) -> int:
 def root_vectors(h: RatFunc, a: RootOfUnity):
     """Exponent vectors of h's numerator and denominator at a, unreduced.
 
-    Each is (v, D) at N = lcm(c, m), c the ``coefficient_conductor``
-    (``cyclotomic.root_power_vector``); the denominator's is None for a
-    polynomial, whose monic denominator is 1.
+    Each is the sparse (pairs, D, N) at N = lcm(c, m), c the
+    ``coefficient_conductor`` (``cyclotomic.root_power_vector``); the
+    denominator's is None for a polynomial, whose monic denominator is 1.
     """
     c = coefficient_conductor(h)
     num = root_power_vector(h.num.coeffs, c, a.order, a.exponent)
@@ -552,9 +552,9 @@ def evaluate(h: RatFunc, a, vectors=None) -> CycNum | None:
     At a ``RootOfUnity`` zeta_m^k the numerator and the denominator are
     each one exponent-shifted sum (``root_vectors``) and one reduction:
     no products.  ``vectors`` takes those that the caller has built
-    already, and reduces them in place.  Any other argument is evaluated
-    by Horner (``Poly.evaluate``).  A rational map adds one inverse and
-    one product.
+    already.  Any other argument is evaluated by Horner
+    (``Poly.evaluate``).  A rational map adds one inverse and one
+    product.
     """
     if isinstance(a, RootOfUnity):
         num, den = vectors or root_vectors(h, a)

@@ -159,10 +159,8 @@ def sqrt_rational_cyc(s: Fraction) -> CycNum:
         # p = 3 (mod 4), g^2 = -p and the root is g/i = sum of
         # (t/p) zeta_4p^(4t + 3p), one exponent vector at conductor 4p
         n, shift = (p, 0) if p % 4 == 1 else (4 * p, 3 * p)
-        vec = [0] * n
-        for t in range(1, p):
-            vec[(n // p * t + shift) % n] = _legendre(t, p)
-        result = result * vector_value((vec, 1))
+        pairs = [((n // p * t + shift) % n, _legendre(t, p)) for t in range(1, p)]
+        result = result * vector_value((pairs, 1, n))
     result = result * CycNum.from_rational(square)
     return result
 

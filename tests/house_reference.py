@@ -7,6 +7,9 @@ per term; ``square_bounds_per_unit`` runs it on every unit t <= n/2 over
 the library's root table read back as boxes, with no memo on the
 element, and ``max_square_bounds`` and ``screen`` read the rung bounds
 and the screen off it.
+``quotient_outside_PA`` is the scan's screen as a full loop: every
+conjugate of the numerator and the denominator is bounded, from the
+same boxes, before any of them is read.
 ``root_table`` builds the boxes with one ``iv.cos`` and one ``iv.sin``
 call per entry, and ``root_points`` gives point values of the same roots
 at twice the scale.  The library's ``cyclotomic._square_bounds`` and
@@ -134,3 +137,31 @@ def screen(a: CycNum, prec: int) -> tuple[int, tuple[int, ...], int | None]:
     survivors = tuple(t for t, (_, hi) in pairs.items() if hi >= best_lo)
     others = [hi for _, hi in pairs.values() if hi < best_lo]
     return prec, survivors, max(others) if others else None
+
+
+def quotient_outside_PA(num, den, A) -> bool:
+    """The screen's decision from the full loop over the units t <= n/2.
+
+    num and den are sparse exponent vectors (pairs, D, N), den None for
+    exactly 1; bounded by ``square_bounds`` on the boxes of the library's
+    64-bit root table.  True when some t has lo_t(den) > 0 and
+    |num| > A |den| there, or else when some lo_t(num) > 0, every
+    lo_t(den) > 0, and the product range of the norm holds no integer >= 1.
+    """
+    pairs, d_num, n = num
+    tab = root_boxes(n, 64)
+    units = [t for t in range(1, n // 2 + 1) if math.gcd(t, n) == 1]
+    nb = [square_bounds(tab, n, pairs, t) for t in units]
+    if den is None:
+        db, d_den = [(1 << 128, 1 << 128)] * len(units), 1
+    else:
+        db, d_den = [square_bounds(tab, n, den[0], t) for t in units], den[1]
+    left, right = d_den**2 * A.denominator**2, d_num**2 * A.numerator**2
+    if any(dlo > 0 and lo * left > dhi * right for (lo, _), (dlo, dhi) in zip(nb, db)):
+        return True
+    (n_lo, n_hi), (d_lo, d_hi) = (map(math.prod, zip(*b)) for b in (nb, db))
+    if not d_lo or not any(lo for lo, _ in nb):
+        return False
+    p, q = d_den ** (2 * len(units)), d_num ** (2 * len(units))
+    top = n_hi * p // (d_lo * q)
+    return top < 1 or top * d_hi * q < n_lo * p

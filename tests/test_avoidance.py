@@ -658,9 +658,9 @@ class TestOrbitScreen:
         def checked(num, den, A):
             out = quotient_outside_PA(num, den, A)
             if out:
-                dv = vector_value((list(den[0]), den[1])) if den else CycNum.one
+                dv = vector_value(den) if den else CycNum.one
                 assert dv, (num, den)
-                value = vector_value((list(num[0]), num[1])) / dv
+                value = vector_value(num) / dv
                 assert in_PA(value, A) == "nonmember", (value, A)
                 rejected.append(value)
                 if not is_algebraic_integer(value) and house(value).upper <= A:
@@ -716,6 +716,232 @@ class TestOrbitScreen:
         assert len(evaluated) <= 2
         monkeypatch.undo()
         assert got.to_dict() == _per_root_scan(h, 20, 2).to_dict()
+
+
+class TestOrbitPlan:
+    """The per-(order, c) plan the scan reads its orbits from."""
+
+    @pytest.mark.parametrize("c", [1, 3, 4, 5, 12, 20, 60, 105])
+    def test_rows_are_the_orbits_in_exponent_order(self, c):
+        import math
+
+        from cyclohouse.avoidance import _orbit_plan
+
+        for order in range(1, 121):
+            big_n = math.lcm(c, order)
+            test, rows = _orbit_plan(order, c)
+            assert test == (big_n > 2)
+            # one row per unit mod order, in ascending exponent order
+            assert [k for k, _, _ in rows] == [k for k in range(order) if math.gcd(k, order) == 1]
+            # sigma_t fixes Q(zeta_c) exactly for these t mod N
+            group = {t % order for t in range(1, big_n + 1)
+                     if math.gcd(t, big_n) == 1 and t % c == 1 % c}
+            members: dict[int, list[int]] = {}
+            for k, rep, t in rows:
+                assert t % c == 1 % c and (rep * t - k) % order == 0
+                assert math.gcd(t, big_n) == 1
+                assert (t == 1) == (k == rep)
+                members.setdefault(rep, []).append(k)
+            for rep, ks in members.items():
+                assert rep == min(ks)
+                assert sorted(ks) == sorted({rep * u % order for u in group})
+        assert _orbit_plan.cache_info().maxsize == 128
+
+
+class TestSparseVectors:
+    """``root_power_vector`` lists the nonzero slots of the exponent sum."""
+
+    def test_pairs_are_the_nonzero_slots_of_the_dense_sum(self):
+        import math
+        import random
+
+        from cyclohouse.cyclotomic import euler_phi, root_power_vector, vector_value
+
+        rng = random.Random(2701)
+        for _ in range(150):
+            c = rng.choice((1, 3, 4, 5, 12))
+            coeffs = []
+            for _ in range(rng.randint(1, 9)):
+                d = rng.choice([d for d in (1, 3, 4, 5, 12) if c % d == 0])
+                coeffs.append(CycNum(d, [Fraction(rng.randint(-2, 2), rng.choice((1, 2, 3)))
+                                         for _ in range(euler_phi(d))]))
+            m = rng.randint(1, 30)
+            k = rng.choice([k for k in range(m) if math.gcd(k, m) == 1])
+            pairs, big_d, big_n = root_power_vector(coeffs, c, m, k)
+            assert big_n == math.lcm(c, m)
+            dense = [Fraction(0)] * big_n
+            for j, a in enumerate(coeffs):
+                for i, x in enumerate(a.num):
+                    dense[(i * big_n // a.n + j * k * big_n // m) % big_n] += Fraction(x, a.den)
+            assert len({e for e, _ in pairs}) == len(pairs)
+            assert all(w for _, w in pairs)
+            assert {e: Fraction(w, big_d) for e, w in pairs} == {
+                e: v for e, v in enumerate(dense) if v
+            }
+            expected = sum((a * z(m, j * k) for j, a in enumerate(coeffs)), CycNum.zero)
+            assert vector_value((pairs, big_d, big_n)) == expected
+
+    def test_colliding_slots_cancel(self):
+        from cyclohouse.cyclotomic import root_power_vector, vector_value
+
+        one = CycNum.one
+        # x^3 - 1 at zeta_3: both terms land in slot 0 and cancel
+        vec = root_power_vector([-one, CycNum.zero, CycNum.zero, one], 1, 3, 1)
+        assert vec == ([], 1, 3)
+        assert vector_value(vec) == CycNum.zero
+
+
+def _sparse_screen_vector(rng, n):
+    """A seeded exponent vector (pairs, D, N): a few slots with small or
+    large weights, empty (zero), or a multiple of a vanishing sum."""
+    kind = rng.random()
+    den = rng.choice((1, 1, 2, 3, 6, 5 ** rng.randint(1, 12)))
+    if kind < 0.1:
+        return [], den, n
+    if kind < 0.25:
+        # zero at every conjugate: zeta^e (1 + zeta^(n/2)), or a sum over
+        # the cosets of a prime p | n
+        p = next(p for p in range(2, n + 1) if n % p == 0)
+        e = rng.randrange(n)
+        w = rng.choice((1, -3, 1 << 40))
+        return [((e + i * n // p) % n, w) for i in range(p)], den, n
+    slots = rng.sample(range(n), rng.randint(1, min(n, 6)))
+    return [(e, rng.choice((-1, 1)) * rng.choice((1, 1, 2, 3, 7, 1 << rng.randint(8, 70))))
+            for e in slots], den, n
+
+
+class TestScreenEarlyExit:
+    """``quotient_outside_PA`` stops at the first conjugate that decides,
+    and decides as the full loop over every conjugate does."""
+
+    def test_same_decision_as_the_full_loop(self):
+        import random
+
+        from cyclohouse.cyclotomic import quotient_outside_PA
+
+        from . import house_reference
+
+        rng = random.Random(2702)
+        sizes = list(range(3, 41)) + [60, 64, 84, 105, 120, 128, 210, 252, 360, 420]
+        outcomes = []
+        for n in sizes:
+            for A in (Fraction(1), Fraction(2), Fraction(7, 2)):
+                for _ in range(4):
+                    num = _sparse_screen_vector(rng, n)
+                    den = None if rng.random() < 0.3 else _sparse_screen_vector(rng, n)
+                    got = quotient_outside_PA(num, den, A)
+                    assert got == house_reference.quotient_outside_PA(num, den, A), (num, den, A)
+                    outcomes.append(got)
+        assert True in outcomes and False in outcomes
+
+    @pytest.mark.parametrize("n", [3, 35, 420])
+    def test_norm_alone_and_zero_cases(self, n):
+        from cyclohouse.cyclotomic import quotient_outside_PA
+
+        from . import house_reference
+
+        half = [(0, 1)], 2, n  # 1/2: house below A, norm 4^-u
+        zero = [], 1, n
+        for num, den, want in [(half, None, True), (zero, None, False),
+                               (([(0, 1)], 1, n), zero, False), (half, half, False)]:
+            for A in (Fraction(1), Fraction(2), Fraction(7, 2)):
+                assert quotient_outside_PA(num, den, A) is want
+                assert house_reference.quotient_outside_PA(num, den, A) is want
+
+    def test_one_numerator_bound_at_zero_still_bounds_the_norm(self):
+        from cyclohouse.cyclotomic import quotient_outside_PA
+
+        from . import house_reference
+        from .interval_boxes import root_boxes
+
+        # g^60 / D, g = 1 + zeta_5 + zeta_5^4 the golden ratio and
+        # D = floor(g^60) + 2: house below 1 and norm 1/D^2.  The conjugate
+        # (-1/g)^60 ~ 3e-13 is below the 64-bit error, so its lo is 0.
+        g60 = (1 + z(5) + z(5, 4)) ** 60
+        pairs = [(e, w) for e, w in enumerate(g60.num) if w]
+        num = pairs, int(((1 + 5**0.5) / 2) ** 60) + 2, 5
+        tab = root_boxes(5, 64)
+        assert house_reference.square_bounds(tab, 5, pairs, 2)[0] == 0
+        assert house_reference.square_bounds(tab, 5, pairs, 1)[0] > 0
+        assert house_reference.quotient_outside_PA(num, None, Fraction(1))
+        assert quotient_outside_PA(num, None, Fraction(1))
+
+    def test_reads_stop_at_the_first_deciding_conjugate(self, monkeypatch):
+        import cyclohouse.cyclotomic as cyc
+
+        real = cyc._square_bounds
+        reads = []
+
+        def counted(*args):
+            for bounds in real(*args):
+                reads.append(bounds)
+                yield bounds
+
+        monkeypatch.setattr(cyc, "_square_bounds", counted)
+        n = 35  # 12 units t <= n/2
+        units = len(cyc._units_half(n))
+        assert cyc.quotient_outside_PA(([(0, 5)], 1, n), None, Fraction(2))
+        assert len(reads) == 1
+        reads.clear()
+        # |5| > 2 |1 + zeta_35| at t = 1 already
+        assert cyc.quotient_outside_PA(([(0, 5)], 1, n), ([(0, 1), (1, 1)], 1, n), Fraction(2))
+        assert len(reads) == 2
+        reads.clear()
+        # 1 is neither above A nor of a non-integral norm: every bound is read
+        assert not cyc.quotient_outside_PA(([(0, 1)], 1, n), None, Fraction(2))
+        assert len(reads) == units
+
+
+class TestScanCeiling:
+    """c * order_cap, a bound on every conductor a scan reaches, is capped."""
+
+    @pytest.mark.parametrize(
+        "text, cap", [("x^2 - 2", 10**9), ("z12*x^2 - 2", 1000), ("z3*x + 1", 683)]
+    )
+    def test_refused_before_any_root(self, monkeypatch, text, cap):
+        import cyclohouse.avoidance as avoidance_mod
+        from cyclohouse import ResourceLimitError, parse_ratfunc
+
+        def unreachable(*args):
+            raise AssertionError("a root was visited before the ceiling check")
+
+        monkeypatch.setattr(avoidance_mod, "_orbit_plan", unreachable)
+        monkeypatch.setattr(avoidance_mod, "root_vectors", unreachable)
+        with pytest.raises(ResourceLimitError, match="scan ceiling exceeded: .* is above 2048"):
+            scan_roots_of_unity(parse_ratfunc(text), cap, 2)
+
+    def test_the_ceiling_counts_c_times_the_cap(self, monkeypatch):
+        import cyclohouse.avoidance as avoidance_mod
+        from cyclohouse import ResourceLimitError, parse_ratfunc
+
+        monkeypatch.setattr(avoidance_mod, "SCAN_CONDUCTOR_CEILING", 24)
+        h = parse_ratfunc("z3*x^2 + 1")
+        scan_roots_of_unity(h, 8, 2)
+        with pytest.raises(ResourceLimitError):
+            scan_roots_of_unity(h, 9, 2)
+        scan_roots_of_unity(parse_ratfunc("x^2 + 1"), 24, 2)
+
+    def test_bench_scan_pools_are_below_the_ceiling(self):
+        import importlib.util
+        import sys
+        from pathlib import Path
+
+        from cyclohouse import parse_ratfunc
+        from cyclohouse.avoidance import SCAN_CONDUCTOR_CEILING
+        from cyclohouse.ratfunc import coefficient_conductor
+
+        path = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
+        spec = importlib.util.spec_from_file_location("bench_gen", path)
+        gen = importlib.util.module_from_spec(spec)
+        sys.modules["bench_gen"] = gen
+        try:
+            spec.loader.exec_module(gen)
+            for seed in (1, 3, 7):
+                for q in gen.pool("scan", seed):
+                    c = coefficient_conductor(parse_ratfunc(q["args"]["h"]))
+                    assert c * q["args"]["M"] <= SCAN_CONDUCTOR_CEILING
+        finally:
+            del sys.modules["bench_gen"]
 
 
 @pytest.mark.parametrize(

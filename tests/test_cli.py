@@ -240,6 +240,18 @@ def test_loxton_ceiling_exits_3_before_the_torsion_list(monkeypatch):
     assert json.loads(out)["error"]["type"] == "resource"
 
 
+def test_scan_past_the_conductor_ceiling_exits_3_at_once():
+    start = time.process_time()
+    code, out = _run(["scan", "x^2-2", "--M", "1000000000", "--A", "2"])
+    assert time.process_time() - start < 0.5
+    assert code == 3
+    assert json.loads(out)["error"] == {
+        "type": "resource",
+        "message": "scan ceiling exceeded: coefficient conductor 1 times order cap "
+        "1000000000 is above 2048",
+    }
+
+
 def test_unexpected_exception_is_internal_error(monkeypatch):
     import cyclohouse.cli as cli_mod
 
