@@ -529,7 +529,7 @@ def scan_roots_of_unity(h: RatFunc, order_cap: int, A) -> ScanResult:
         for k, rep, t in rows:
             if k == rep:
                 root = RootOfUnity(order, k)
-                vectors = root_vectors(h, root)
+                vectors = root_vectors(h, root, c)
                 value = hr = None
                 if test and quotient_outside_PA(*vectors, A):
                     verdict = NONMEMBER

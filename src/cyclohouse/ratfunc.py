@@ -532,14 +532,16 @@ def coefficient_conductor(h: RatFunc) -> int:
     return math.lcm(*(a.n for p in (h.num, h.den) for a in p.coeffs))
 
 
-def root_vectors(h: RatFunc, a: RootOfUnity):
+def root_vectors(h: RatFunc, a: RootOfUnity, c: int | None = None):
     """Exponent vectors of h's numerator and denominator at a, unreduced.
 
-    Each is the sparse (pairs, D, N) at N = lcm(c, m), c the
-    ``coefficient_conductor`` (``cyclotomic.root_power_vector``); the
-    denominator's is None for a polynomial, whose monic denominator is 1.
+    Each is the sparse (pairs, D, N) at N = lcm(c, m)
+    (``cyclotomic.root_power_vector``), c the ``coefficient_conductor``,
+    computed here unless the caller passes it; the denominator's is None
+    for a polynomial, whose monic denominator is 1.
     """
-    c = coefficient_conductor(h)
+    if c is None:
+        c = coefficient_conductor(h)
     num = root_power_vector(h.num.coeffs, c, a.order, a.exponent)
     if h.is_poly():
         return num, None
@@ -579,7 +581,9 @@ def compose(h1: RatFunc, h2: RatFunc) -> RatFunc:
 
     An affine h2 = a x + b makes num and den each one Taylor shift
     (``_affine``); the identity does no work.  Any other h2 = r/s is
-    homogenized: sum p_i r^i s^(D - i) over sum q_j r^j s^(D - j).
+    homogenized: sum p_i r^i s^(D - i) over sum q_j r^j s^(D - j).  When
+    s is a monomial x^k, as for every Laurent h2, each product by a power
+    of s is a shift.
     """
     if h1.is_constant():
         return h1
@@ -594,18 +598,29 @@ def compose(h1: RatFunc, h2: RatFunc) -> RatFunc:
         return RatFunc._from_coprime(_affine(p, r[1], r[0]), _affine(q, r[1], r[0]))
     big_d = max(p.deg, q.deg)
     r_pows = [Poly([1])]
-    s_pows = [Poly([1])]
     for _ in range(big_d):
         r_pows.append(r_pows[-1] * r)
-        s_pows.append(s_pows[-1] * s)
+    if s.num_terms() == 1:  # s is monic, so s = x^k and a product by s^j is a shift
+
+        def term(i: int) -> Poly:
+            return _times_x_power(r_pows[i], s.deg * (big_d - i))
+
+    else:
+        s_pows = [Poly([1])]
+        for _ in range(big_d):
+            s_pows.append(s_pows[-1] * s)
+
+        def term(i: int) -> Poly:
+            return r_pows[i] * s_pows[big_d - i]
+
     num = Poly()
     for i, c in enumerate(p.coeffs):
         if c:
-            num = num + (r_pows[i] * s_pows[big_d - i]).scale(c)
+            num = num + term(i).scale(c)
     den = Poly()
     for j, c in enumerate(q.coeffs):
         if c:
-            den = den + (r_pows[j] * s_pows[big_d - j]).scale(c)
+            den = den + term(j).scale(c)
     # Coprimality is automatic: a common root w would force p and q to
     # share the value h2(w) as a root (impossible, they are coprime) or,
     # when s(w) = 0, make the top-degree term c * r(w)^D survive.

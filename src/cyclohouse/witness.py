@@ -39,12 +39,13 @@ from .ratfunc import (
     LaurentPoly,
     Poly,
     RatFunc,
+    _powers,
     compose,
     degree,
     iterate,
     is_binomial_shape,
     is_trinomial_shape,
-    substitute_poly_laurent,
+    substitute_poly_laurent,  # the reference search in tests expands through this name
     term_count,
     to_laurent,
 )
@@ -318,8 +319,13 @@ def _grid_search_polynomial(
     are tested first: h_d a^d, which picks a (and c, by symmetry);
     p_(d-1)(b) a^(d-1), which picks b, with p_(d-1)(b) = d h_d b +
     h_(d-1) (for a root of unity a it does not depend on a); and, once
-    per pair (a, c) over all those b, the x^(d-2) coefficient
-    p_(d-2)(b) a^(d-2) + d h_d a^(d-1) c.  ``keeps`` walks the rest.
+    per pair (a, b) over the whole c list, the x^(d-2) coefficient
+    alpha + beta gamma_c, alpha = p_(d-2)(b) a^(d-2), beta = d h_d a^(d-1)
+    and gamma_c the image of c: a c stays when that image lies in
+    ``_pair_ring``, which holds every image the exact test below passes.
+    The triples that stay are taken in (c, b) grid order; each is tested
+    exactly, ``keeps`` walks the rest, and each survivor is expanded from
+    the p_k(b) (``_quadratic_laurent``).
     The screen rejects no witness; a coefficient that is neither 0 nor
     a root of unity survives it with probability about lcm(2, L)/p, and
     every survivor is expanded and verified exactly.
@@ -348,33 +354,93 @@ def _grid_search_polynomial(
                 out.append((gv, x, 1 + (v != 0), screen.taylor(x)[d - 2] if d > 1 else 0))
         return out
 
-    powers = {i: screen.powers(images[i]) for i in (0, *a_pos)}
+    c_pos = (0, *a_pos)
+    gammas = [images[i] for i in c_pos]
+    c_orders = tuple(sorted({values[i].value.n for i in c_pos}))
+    powers = {i: screen.powers(images[i]) for i in c_pos}
     root_bs = b_survivors(1)
+    shifts: dict[CycNum, tuple[CycNum, ...]] = {}
     for ia in a_pos:
         a_gv, ap = values[ia], powers[ia]
         bs = root_bs if a_gv.is_root() else b_survivors(ap[d - 1])
         a = a_gv.value
-        for ic in (0, *a_pos):
-            c, cp = values[ic].value, powers[ic]
-            order = math.lcm(screen.order, a.n, c.n)
-            # the x^(d-2) coefficient's image is u tau_b + v (tau_b = 0 for d = 1)
-            u, v = ap[d - 2], top * ap[d - 1] * cp[1] % p
-            for b_gv, x, counted, tau in bs:
-                s = (u * tau + v) % p
-                if counted + (s != 0) > d_max:
-                    continue
-                b = b_gv.value
-                b_order = math.lcm(order, b.n)
-                if s and pow(s, b_order, p) != 1 or not screen.keeps(
-                    ap, screen.taylor(x), cp, b_order, d_max
-                ):
-                    continue
-                inner = LaurentPoly([(1, a), (0, b), (-1, c)])
-                lp = substitute_poly_laurent(poly, inner)
-                w = _witness_from_laurent(h, inner.to_ratfunc(), lp, d_max)
-                if w is not None:
-                    return w
+        order = math.lcm(screen.order, a.n)
+        # the x^(d-2) coefficient's image is u tau_b + beta gamma_c (tau_b = 0 for d = 1)
+        u, beta = ap[d - 2], top * ap[d - 1] % p
+        c_terms = [beta * gamma for gamma in gammas]
+        triples = []
+        for jb, (b_gv, _x, _counted, tau) in enumerate(bs):
+            alpha = u * tau
+            ring = _pair_ring(p, screen.g, screen.big_n, math.lcm(order, b_gv.value.n), c_orders)
+            triples += [(jc, jb) for jc, v in enumerate(c_terms) if (alpha + v) % p in ring]
+        triples.sort()
+        for jc, jb in triples:
+            b_gv, x, counted, tau = bs[jb]
+            c_gv, cp = values[c_pos[jc]], powers[c_pos[jc]]
+            s = (u * tau + c_terms[jc]) % p
+            if counted + (s != 0) > d_max:
+                continue
+            b, c = b_gv.value, c_gv.value
+            b_order = math.lcm(order, b.n, c.n)
+            if s and pow(s, b_order, p) != 1 or not screen.keeps(
+                ap, screen.taylor(x), cp, b_order, d_max
+            ):
+                continue
+            lp = _quadratic_laurent(poly, a, b, c, shifts)
+            inner = LaurentPoly([(1, a), (0, b), (-1, c)])
+            w = _witness_from_laurent(h, inner.to_ratfunc(), lp, d_max)
+            if w is not None:
+                return w
     return None
+
+
+@lru_cache(maxsize=64)
+def _pair_ring(p: int, g: int, big_n: int, order: int, c_orders: tuple[int, ...]) -> frozenset[int]:
+    """0 and the images in the field (p, g, N) of the roots of unity of
+    order dividing lcm(order, k) for some k in c_orders.
+
+    With order = lcm(2, L) for the conductors L of h, a and b, and
+    c_orders the conductors of the c values, this holds the image of
+    every root of unity the exact test of a triple (a, b, c) admits.
+    """
+    ring = {0}
+    for m in {math.lcm(order, k) for k in c_orders}:
+        w = pow(g, big_n // m, p)
+        x = 1
+        for _ in range(m):
+            ring.add(x)
+            x = x * w % p
+    return frozenset(ring)
+
+
+def _quadratic_laurent(
+    poly: Poly, a: CycNum, b: CycNum, c: CycNum, shifts: dict[CycNum, tuple[CycNum, ...]]
+) -> LaurentPoly:
+    """poly(a x + b + c/x) from the Taylor coefficients p_k(b) of poly at b.
+
+    The x^m coefficient is the sum over k = m (mod 2) of p_k(b)
+    C(k, (k+m)/2) a^((k+m)/2) c^((k-m)/2), which is a^m S_m for m >= 0
+    and c^(-m) S_(-m) for m < 0, with S_r = sum over j of
+    C(r + 2j, j) (a c)^j p_(r+2j)(b).  ``shifts`` keeps the p_k(b) per b.
+    """
+    t = shifts.get(b)
+    if t is None:
+        t = shifts[b] = poly.taylor_shift(b).coeffs
+    d = len(t) - 1
+    w = _powers(a * c, d // 2)
+    sums = []
+    for r in range(d + 1):
+        s = CycNum.zero
+        for j in range((d - r) // 2 + 1):
+            k = r + 2 * j
+            if t[k] and w[j]:
+                s = s + t[k] * w[j] * math.comb(k, j)
+        sums.append(s)
+    ap, cp = _powers(a, d), _powers(c, d)
+    return LaurentPoly._of(
+        -d,
+        Poly([cp[r] * sums[r] for r in range(d, 0, -1)] + [ap[r] * sums[r] for r in range(d + 1)]),
+    )
 
 
 class _ModularScreen:

@@ -500,9 +500,9 @@ class TestOrbitScan:
         ]
         orbits, evaluated = [], []
 
-        def counted_vectors(f, a):
+        def counted_vectors(f, a, *c):
             orbits.append(a)
-            return root_vectors(f, a)
+            return root_vectors(f, a, *c)
 
         def counted_evaluate(f, a, *vectors):
             evaluated.append(a)
@@ -572,9 +572,9 @@ class TestOrbitScan:
             orbits.append(a)
             return evaluate(f, a, *vectors)
 
-        def counted_vectors(f, a):
+        def counted_vectors(f, a, *c):
             built.append(a)
-            return root_vectors(f, a)
+            return root_vectors(f, a, *c)
 
         def counted_test(*args):
             out = quotient_outside_PA(*args)

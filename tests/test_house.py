@@ -198,9 +198,9 @@ def test_scan_computes_verdict_and_house_once_per_orbit(monkeypatch, h, c):
 
         return wrapper
 
-    def building(f, a):
+    def building(f, a, *c):
         built.append(a)
-        return real_vectors(f, a)
+        return real_vectors(f, a, *c)
 
     def testing(*args):
         rejected = real_test(*args)

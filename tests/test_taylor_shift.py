@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclohouse import CycNum, Mobius, Poly, RatFunc, compose, mobius_conjugate
+from cyclohouse import CycNum, LaurentPoly, Mobius, Poly, RatFunc, compose, mobius_conjugate
 from cyclohouse import cyclotomic, ratfunc
 from cyclohouse.cyclotomic import euler_phi
 
@@ -84,6 +84,35 @@ def test_taylor_shift_matches_reference(field, data):
 def test_affine_composition_matches_reference(field, data):
     h, a, b = data.draw(AFFINE_CASES[field])
     inner = RatFunc.from_poly(Poly([b, a]))
+    assert compose(h, inner) == ref.compose(h, inner)
+
+
+def _laurent_maps(field):
+    """A nonconstant, non-affine Laurent map: terms at exponents -3 to 3,
+    so that its denominator is a monomial x^k, k = 0 included."""
+    return st.lists(st.tuples(st.integers(-3, 3), field), min_size=1, max_size=4).map(
+        lambda terms: LaurentPoly(terms).to_ratfunc()
+    ).filter(lambda s: not s.is_constant() and not (s.den.deg == 0 and s.num.deg == 1))
+
+
+LAURENT_CASES = {
+    n: st.tuples(
+        st.one_of(
+            _polys(f, 5).map(RatFunc.from_poly),
+            st.builds(RatFunc, _polys(f, 4), _polys(f, 2).filter(lambda q: q.deg >= 1)),
+        ),
+        _laurent_maps(f),
+    )
+    for n, f in FIELDS.items()
+}
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@given(data=st.data())
+@settings(max_examples=10)
+def test_laurent_composition_matches_reference(field, data):
+    """An inner map over a monomial x^k multiplies by its powers as shifts."""
+    h, inner = data.draw(LAURENT_CASES[field])
     assert compose(h, inner) == ref.compose(h, inner)
 
 

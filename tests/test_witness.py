@@ -49,7 +49,10 @@ from cyclohouse.witness import (
     _grid_search_polynomial,
     _identity_candidate,
     _ModularScreen,
+    _pair_ring,
     _pole_laurent,
+    _pole_matching_search,
+    _quadratic_laurent,
     _targeted_candidates,
     _try_inner_map,
 )
@@ -393,6 +396,23 @@ class TestPlantedWitnesses:
             ap, cp = screen.powers(screen.image(a)), screen.powers(screen.image(c))
             assert screen.keeps(ap, screen.taylor(screen.image(b)), cp, order, d_max)
 
+    @given(planted_witnesses())
+    @settings(max_examples=30)
+    def test_every_grid_witness_is_verified_once(self, planted):
+        # the README promises that the search re-verifies every hit
+        h, _, d_max = planted
+        search = _grid_search_polynomial if h.is_poly() else _pole_matching_search
+        checked = []
+
+        def counting(f, w):
+            checked.append(w)
+            return witness_check(f, w)
+
+        with mock.patch.object(witness, "witness_check", counting):
+            w = search(h, d_max, SearchGrid())
+        assert w is not None
+        assert len(checked) == 1 and checked[0] is w
+
 
 def _recorded(search, h, d_max, grid):
     """search(h, d_max, grid) and the triples (a, b, c) it expanded, in order."""
@@ -402,7 +422,13 @@ def _recorded(search, h, d_max, grid):
         expanded.append(tuple(inner.coefficient(e) for e in (1, 0, -1)))
         return substitute_poly_laurent(poly, inner)
 
-    with mock.patch.object(witness, "substitute_poly_laurent", recording):
+    def recording_taylor(poly, a, b, c, shifts):
+        expanded.append((a, b, c))
+        return quadratic_laurent(poly, a, b, c, shifts)
+
+    quadratic_laurent = witness._quadratic_laurent
+    with mock.patch.object(witness, "substitute_poly_laurent", recording), \
+            mock.patch.object(witness, "_quadratic_laurent", recording_taylor):
         return search(h, d_max, grid), expanded
 
 
@@ -490,6 +516,63 @@ class TestScreenAgainstReference:
             _, expanded = _recorded(_grid_search_polynomial, h, 3, SearchGrid())
         assert calls["keeps"] <= len(expanded) + 1
         assert calls["residue"] <= len(SearchGrid().entries())
+
+
+@st.composite
+def expansion_cases(draw):
+    """A polynomial of degree 1 to 12 over Q, Q(zeta3), Q(i) or Q(zeta5),
+    b among 0, the grid values and an irrational value off the grid, and
+    two pairs (a, c) of grid values, c often 0."""
+    n = draw(st.sampled_from((1, 3, 4, 5)))
+    units = [z(n, k) for k in range(n)] + [-z(n, k) for k in range(n)]
+    scalars = st.sampled_from(
+        [*units, *[CycNum.from_rational(q) for q in (0, 0, 2, Fraction(1, 2), Fraction(-3, 4))]]
+    )
+    d = draw(st.integers(1, 12))
+    poly = Poly([draw(scalars) for _ in range(d)] + [draw(st.sampled_from(units))])
+    grid = [gv.value for gv in _GRID]
+    b = draw(st.sampled_from([CycNum.zero, z(12) + Fraction(1, 3), *grid]))
+    pairs = [
+        (draw(st.sampled_from(grid)), draw(st.one_of(st.just(CycNum.zero), st.sampled_from(grid))))
+        for _ in range(2)
+    ]
+    return poly, b, pairs
+
+
+class TestTaylorExpansion:
+    @given(expansion_cases())
+    @settings(max_examples=40)
+    def test_equals_the_horner_substitution(self, case):
+        poly, b, pairs = case
+        shifts = {}  # shared by both pairs, as within one search
+        for a, c in pairs:
+            expected = substitute_poly_laurent(poly, LaurentPoly([(1, a), (0, b), (-1, c)]))
+            assert _quadratic_laurent(poly, a, b, c, shifts) == expected
+        assert list(shifts) == [b]
+
+
+class TestPairRing:
+    @pytest.mark.parametrize("grid", [SearchGrid(), _SMALL_GRID])
+    @given(data=st.data())
+    @settings(max_examples=10)
+    def test_holds_every_root_the_exact_test_admits(self, grid, data):
+        n = data.draw(st.sampled_from((1, 3, 4, 5)))
+        screen = _ModularScreen(Poly([z(n), 0, 1]), grid)
+        p = screen.p
+        values = [gv.value for gv in (_ZERO_VALUE, *grid.entries())]
+        a = data.draw(st.sampled_from(values[1:]))
+        b = data.draw(st.sampled_from(values))
+        c_orders = tuple(sorted({c.n for c in values}))
+        order = math.lcm(screen.order, a.n, b.n)
+        ring = _pair_ring(p, screen.g, screen.big_n, order, c_orders)
+        assert 0 in ring
+        for m in {math.lcm(order, c.n) for c in values}:
+            w = screen.image(z(m))  # an exact order-m element: its powers are all of mu_m
+            assert pow(w, m, p) == 1
+            x = 1
+            for _ in range(m):
+                assert x in ring
+                x = x * w % p
 
 
 def _compose_order_search(h, d_max, gamma):
