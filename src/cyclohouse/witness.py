@@ -372,7 +372,10 @@ def _grid_search_polynomial(
         for jb, (b_gv, _x, _counted, tau) in enumerate(bs):
             alpha = u * tau
             ring = _pair_ring(p, screen.g, screen.big_n, math.lcm(order, b_gv.value.n), c_orders)
-            triples += [(jc, jb) for jc, v in enumerate(c_terms) if (alpha + v) % p in ring]
+            if ring is None:  # too many roots to list: every c goes to the exact test
+                triples += [(jc, jb) for jc in range(len(c_terms))]
+            else:
+                triples += [(jc, jb) for jc, v in enumerate(c_terms) if (alpha + v) % p in ring]
         triples.sort()
         for jc, jb in triples:
             b_gv, x, counted, tau = bs[jb]
@@ -394,17 +397,31 @@ def _grid_search_polynomial(
     return None
 
 
-@lru_cache(maxsize=64)
-def _pair_ring(p: int, g: int, big_n: int, order: int, c_orders: tuple[int, ...]) -> frozenset[int]:
+#: Largest pair ring listed, as a bound on its size: the sum of its orders m.
+_PAIR_RING_CEILING = 1024
+
+
+@lru_cache(maxsize=32)
+def _pair_ring(
+    p: int, g: int, big_n: int, order: int, c_orders: tuple[int, ...]
+) -> frozenset[int] | None:
     """0 and the images in the field (p, g, N) of the roots of unity of
-    order dividing lcm(order, k) for some k in c_orders.
+    order dividing m = lcm(order, k) for some k in c_orders, or None
+    when those m add up past ``_PAIR_RING_CEILING``.
 
     With order = lcm(2, L) for the conductors L of h, a and b, and
     c_orders the conductors of the c values, this holds the image of
     every root of unity the exact test of a triple (a, b, c) admits.
+    The default grid's rings for h over Q or one small field stay below
+    the ceiling.  Conductors of h, a, b and c whose lcm is large (near 30
+    each on a larger grid) would list 10^4 to 10^5 roots per ring, so
+    those triples go to the exact test one at a time instead.
     """
+    orders = {math.lcm(order, k) for k in c_orders}
+    if sum(orders) > _PAIR_RING_CEILING:
+        return None
     ring = {0}
-    for m in {math.lcm(order, k) for k in c_orders}:
+    for m in orders:
         w = pow(g, big_n // m, p)
         x = 1
         for _ in range(m):

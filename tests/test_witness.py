@@ -480,6 +480,33 @@ class TestScreenAgainstReference:
     def test_edge_cases(self, text, d_max, grid):
         _same_as_reference(parse_ratfunc(text), d_max, grid)
 
+    @pytest.mark.parametrize("beta, a, b", [(z(7), z(11), z(9)), (z(5), z(12), z(11))])
+    def test_pairs_past_the_ring_ceiling_go_to_the_exact_test(self, beta, a, b):
+        # beta T_2 at (x - b)/a: the pair rings of conductors 5 or 7 times 9 to 12
+        # would list more roots than the ceiling, and the witness is found without one
+        g = RatFunc.from_poly(chebyshev(2).scale(beta))
+        h = compose(g, RatFunc.from_poly(Poly([-b * a.inverse(), a.inverse()])))
+        rings, real = [], witness._pair_ring
+
+        def recording(*args):
+            rings.append(real(*args))
+            return rings[-1]
+
+        with mock.patch.object(witness, "_pair_ring", recording):
+            w, expanded = _same_as_reference(h, 2, SearchGrid())
+        assert w is not None and len(expanded) == 1 and rings[-1] is None
+
+    def test_larger_grid_mixes_listed_and_unlisted_rings(self):
+        rings, real = [], witness._pair_ring
+
+        def recording(*args):
+            rings.append(real(*args))
+            return rings[-1]
+
+        with mock.patch.object(witness, "_pair_ring", recording):
+            _same_as_reference(parse_ratfunc("z5*x^3 + 2*x + z5"), 3, SearchGrid(20, 2))
+        assert None in rings and any(r is not None for r in rings)
+
     def test_chebyshev_expands_one_triple(self):
         w, expanded = _same_as_reference(RatFunc.from_poly(chebyshev(6)), 2, SearchGrid())
         assert w is not None and expanded == [(ONE, CycNum.zero, ONE)]
@@ -565,6 +592,9 @@ class TestPairRing:
         c_orders = tuple(sorted({c.n for c in values}))
         order = math.lcm(screen.order, a.n, b.n)
         ring = _pair_ring(p, screen.g, screen.big_n, order, c_orders)
+        if ring is None:  # the search then sends every c to the exact test
+            assert sum({math.lcm(order, k) for k in c_orders}) > witness._PAIR_RING_CEILING
+            return
         assert 0 in ring
         for m in {math.lcm(order, c.n) for c in values}:
             w = screen.image(z(m))  # an exact order-m element: its powers are all of mu_m
