@@ -30,12 +30,12 @@ _EXPORTS = {
     "special": ("SpecialCertificate", "SpecialVerdict", "is_special"),
     "avoidance": (
         "AvoidanceVerdict", "MonicNormalization", "OrbitLemmaReport", "OrbitRecord",
-        "ScanResult", "avoidance_verdict", "escape_radius", "monic_normalize", "orbit",
+        "ScanResult", "avoidance_verdict", "monic_normalize", "orbit",
         "scan_roots_of_unity", "verify_orbit_lemma",
     ),
     "witness": (
         "FZReport", "SearchGrid", "SpecialTermsReport", "Witness", "fz_degree_cap",
-        "is_A_short", "iterate_term_lower_bound", "verify_fz", "verify_specialterms",
+        "iterate_term_lower_bound", "verify_fz", "verify_specialterms",
         "witness_check", "witness_laurent", "witness_search_deg2",
     ),
     "parser": ("parse_ratfunc", "parse_scalar"),

@@ -42,7 +42,7 @@ from .cyclotomic import (
     is_algebraic_integer,
     quotient_outside_PA,
 )
-from .errors import DomainError, ResourceLimitError, UndecidedError
+from .errors import DomainError, ResourceLimitError
 from .ratfunc import (
     Poly,
     RatFunc,
@@ -125,24 +125,23 @@ def _minimal_clearing_integer(c_inv: CycNum, pt: Poly, qt: Poly) -> int:
     return big_d
 
 
-def escape_radius(norm: MonicNormalization) -> Fraction:
-    """Recompute and verify the escape radius of the monic model."""
-    return _verified_escape_radius(norm.h_tilde)
-
-
 def _verified_escape_radius(h_tilde: RatFunc) -> Fraction:
     """Radius R with |ht(z)| >= |z| verified for all |z| >= R, all embeddings.
 
-    Starts from 1 + 2*max(1, max coefficient house) and doubles until a
-    triangle-inequality criterion certifies the inequality on the whole
-    exterior region:
+    R is 1 + 2M rounded up to a multiple of 1/64, M the largest of 1 and
+    the rigorous house upper bounds H_i, G_j of the non-leading
+    coefficients; house bounds dominate every complex embedding at once.
+    A triangle-inequality criterion certifies the inequality on the
+    whole exterior region:
 
         K1 := 1 - sum H_i / R^(d-i)  > 0   (numerator lower bound)
         K2 := 1 + sum G_j / R^(e-j)        (denominator upper bound)
         R^(d-e-1) * K1 >= K2
 
-    with H_i, G_j rigorous house upper bounds of the non-leading
-    coefficients; house bounds dominate every complex embedding at once.
+    and this R always meets it.  As R >= 1 + 2M >= 3, the sums are
+    geometric series: K1 >= 1 - M/(R - 1) >= 1/2 and K2 <= 1 +
+    M/(R - 1) <= 3/2, so R^(d-e-1) K1 >= 3 * 1/2 >= K2.  The criterion
+    is still checked exactly, and a failure raises AssertionError.
     """
     pt, qt = h_tilde.num, h_tilde.den
     d, e = pt.deg, qt.deg
@@ -158,21 +157,19 @@ def _verified_escape_radius(h_tilde: RatFunc) -> Fraction:
             g_upper[j] = house(qt[j]).upper
     coeff_max = max([Fraction(1)] + list(h_upper.values()) + list(g_upper.values()))
     raw = 1 + 2 * coeff_max
-    # The verification inequality is monotone in R, so rounding the
-    # candidate up to a coarse dyadic keeps it verified while sparing
-    # later orbit arithmetic from house-enclosure-sized denominators.
+    # Rounding up to a coarse dyadic spares later orbit arithmetic from
+    # house-enclosure-sized denominators; the proof above holds for any
+    # R >= 1 + 2M.
     radius = Fraction(-((-raw.numerator * 64) // raw.denominator), 64)
-    for _ in range(64):
-        k1 = Fraction(1) - sum(
-            (u / radius ** (d - i) for i, u in h_upper.items()), Fraction(0)
-        )
-        k2 = Fraction(1) + sum(
-            (u / radius ** (e - j) for j, u in g_upper.items()), Fraction(0)
-        )
-        if k1 > 0 and radius ** (d - e - 1) * k1 >= k2:
-            return radius
-        radius *= 2
-    raise UndecidedError("escape radius verification failed to converge")
+    k1 = Fraction(1) - sum(
+        (u / radius ** (d - i) for i, u in h_upper.items()), Fraction(0)
+    )
+    k2 = Fraction(1) + sum(
+        (u / radius ** (e - j) for j, u in g_upper.items()), Fraction(0)
+    )
+    if not (k1 > 0 and radius ** (d - e - 1) * k1 >= k2):
+        raise AssertionError(f"escape radius {radius} failed its criterion")
+    return radius
 
 
 class OrbitRecord(Record):
@@ -445,18 +442,16 @@ SCAN_CONDUCTOR_CEILING = 1 << 11
 
 
 @lru_cache(maxsize=128)
-def _orbit_plan(order: int, c: int) -> tuple[bool, tuple[tuple[int, int, int], ...]]:
-    """(test, rows): the Galois orbits of the primitive order-th roots of
-    unity under the sigma_t that fix Q(zeta_c).
+def _orbit_plan(order: int, c: int) -> tuple[tuple[int, int, int], ...]:
+    """The Galois orbits of the primitive order-th roots of unity under
+    the sigma_t that fix Q(zeta_c).
 
-    rows holds one (k, rep, t) per exponent k coprime to order, in
+    There is one row (k, rep, t) per exponent k coprime to order, in
     ascending k: rep is the smallest exponent of k's orbit and t the
     lift with t = 1 (mod c) and k = rep * t (mod order), so sigma_t fixes
     every coefficient over Q(zeta_c) and sends zeta_order^rep to
     zeta_order^k.  Those t are the u + order * s that are 1 mod c for
-    the units u = 1 (mod gcd(order, c)); t = 1 exactly at k = rep.  test
-    says whether N = lcm(c, order) > 2, so that ``quotient_outside_PA``
-    applies.
+    the units u = 1 (mod gcd(order, c)); t = 1 exactly at k = rep.
     """
     g = math.gcd(order, c)
     inv = pow(order // g, -1, c // g)
@@ -470,8 +465,7 @@ def _orbit_plan(order: int, c: int) -> tuple[bool, tuple[tuple[int, int, int], .
         if math.gcd(k, order) == 1 and k not in orbit_of:
             for u, t in lifts:
                 orbit_of[k * u % order] = (k, t)
-    rows = tuple((k, rep, t) for k, (rep, t) in sorted(orbit_of.items()))
-    return math.lcm(c, order) > 2, rows
+    return tuple((k, rep, t) for k, (rep, t) in sorted(orbit_of.items()))
 
 
 def scan_roots_of_unity(h: RatFunc, order_cap: int, A) -> ScanResult:
@@ -494,8 +488,8 @@ def scan_roots_of_unity(h: RatFunc, order_cap: int, A) -> ScanResult:
     value whose norm is no integer.  So the sparse exponent vectors of
     num and den at the orbit's root (``root_vectors``, one
     exponent-shifted sum each) are first bounded conjugate by conjugate
-    from the 64-bit root table (``quotient_outside_PA``), which stops at
-    the first conjugate that proves the house above A.  An orbit is a
+    from the 64-bit root table (``quotient_outside_PA``, at every order),
+    which stops at the first conjugate that proves the house above A.  An orbit is a
     nonmember without an exact value when the bounds prove den nonzero
     and either |num| > A * |den| at one conjugate or a norm range that
     holds no integer >= 1.  Any other orbit is valued from the same
@@ -522,7 +516,7 @@ def scan_roots_of_unity(h: RatFunc, order_cap: int, A) -> ScanResult:
     undecided = []
     poles = []
     for order in range(1, order_cap + 1):
-        test, rows = _orbit_plan(order, c)
+        rows = _orbit_plan(order, c)
         # representative -> (verdict or None at a pole, value, house); the
         # representative is the smallest exponent, so its row comes first
         found: dict[int, tuple] = {}
@@ -531,7 +525,7 @@ def scan_roots_of_unity(h: RatFunc, order_cap: int, A) -> ScanResult:
                 root = RootOfUnity(order, k)
                 vectors = root_vectors(h, root, c)
                 value = hr = None
-                if test and quotient_outside_PA(*vectors, A):
+                if quotient_outside_PA(*vectors, A):
                     verdict = NONMEMBER
                 else:
                     value = evaluate(h, root, vectors)

@@ -166,9 +166,9 @@ def torsion_order(n: int) -> int:
 
 
 class _Cyclotomy:
-    """Cached per-conductor data: Phi_n and its reduction terms, rad(n), the units."""
+    """Cached per-conductor data: Phi_n and its reduction terms, rad(n)."""
 
-    __slots__ = ("n", "rad", "phi", "cyclo", "low", "_units")
+    __slots__ = ("n", "rad", "phi", "cyclo", "low")
 
     def __init__(self, n: int):
         self.n = n
@@ -177,14 +177,6 @@ class _Cyclotomy:
         self.cyclo = cyclotomic_polynomial(n)
         # Nonzero (r, c_r) of Phi_n below its leading term, for reduction.
         self.low = tuple((r, c) for r, c in enumerate(self.cyclo[:-1]) if c)
-        self._units: tuple[int, ...] | None = None
-
-    @property
-    def units(self) -> tuple[int, ...]:
-        if self._units is None:
-            n = self.n
-            self._units = tuple(t for t in range(1, n) if math.gcd(t, n) == 1)
-        return self._units
 
     def reduce(self, acc: list[int]) -> list[int]:
         """Reduce integer exponent coefficients modulo Phi_n, in place.
@@ -781,11 +773,13 @@ def conjugates(a: CycNum) -> list[CycNum]:
     """All Q-Galois conjugates sigma_t(a), t running over (Z/n)^x.
 
     The result is a multiset of length phi(n) containing a itself
-    (t = 1 comes first); repeated values are kept.
+    (t = 1 comes first); repeated values are kept.  The t <= n/2 come
+    from ``_units_half`` and the others are n - t for those t, read in
+    reverse, so the order is ascending t.
     """
-    if a.n == 1:
-        return [a]
-    return [conjugate(a, t) for t in _cyclotomy(a.n).units]
+    half = _units_half(a.n)
+    low = [conjugate(a, t) for t in half]
+    return low + [conjugate(a, a.n - t) for t in reversed(half) if 2 * t < a.n]
 
 
 def conjugate(a: CycNum, t: int) -> CycNum:
@@ -858,10 +852,11 @@ def _house_memo(a: CycNum) -> _HouseMemo:
     return memo
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def _units_half(n: int) -> tuple[int, ...]:
-    """Units t <= n/2; sigma_t and sigma_{n-t} give conjugate values."""
-    return tuple(t for t in range(1, n // 2 + 1) if math.gcd(t, n) == 1)
+    """Units t <= n/2, or (1,) for n <= 2; sigma_t and sigma_{n-t} give
+    conjugate values.  The one list of units of a conductor."""
+    return tuple(t for t in range(1, n // 2 + 1) if math.gcd(t, n) == 1) or (1,)
 
 
 def _square_bounds(n: int, prec: int, nz, units):
@@ -1037,20 +1032,21 @@ def house(a: CycNum, accuracy_bits: int = DEFAULT_ACCURACY_BITS) -> HouseResult:
 def quotient_outside_PA(num, den, A: Fraction) -> bool:
     """True when the 64-bit bounds prove den != 0 and b = num/den outside P_A.
 
-    num and den are exponent vectors (pairs, D, N) at one N > 2
+    num and den are exponent vectors (pairs, D, N) at one N
     (``root_power_vector``), den None for exactly 1.  For each unit
-    t <= N/2 in turn the house kernel (``_square_bounds``) gives
-    lo_t <= 2^128 D^2 |sigma_t(x)|^2 <= hi_t for num and den together.
-    With A = p/q, a t with lo_t(den) > 0 and
+    t of ``_units_half(N)`` in turn the house kernel (``_square_bounds``)
+    gives lo_t <= 2^128 D^2 |sigma_t(x)|^2 <= hi_t for num and den
+    together.  With A = p/q, a t with lo_t(den) > 0 and
     lo_t(num) D_den^2 q^2 > p^2 hi_t(den) D_num^2 proves house(b) > A,
-    and the first such t ends the call.  Else, every bound read, as
-    Q(zeta_N) is a CM field, the norm of b is the product over t of
-    |sigma_t(b)|^2, which the products of the bounds enclose:
-    lo(num) D_den^2u / (hi(den) D_num^2u) <= N(b) <=
-    hi(num) D_den^2u / (lo(den) D_num^2u), u the number of units.  The norm of a nonzero algebraic integer is
-    an integer >= 1, so a range with none proves b no algebraic integer
-    once some lo_t(num) > 0 and every lo_t(den) > 0.  False proves
-    nothing.
+    and the first such t ends the call.  Else, every bound read, the
+    products of the bounds enclose the product over t of |sigma_t(b)|^2:
+    lo(num) D_den^2u / (hi(den) D_num^2u) <= P(b) <=
+    hi(num) D_den^2u / (lo(den) D_num^2u), u the number of units.  For
+    N > 2, Q(zeta_N) is a CM field and P(b) is the norm of b; for N <= 2
+    the one unit is t = 1 and P(b) = b^2, b rational.  Either way P(b)
+    is an integer >= 1 when b is a nonzero algebraic integer, so a range
+    with none proves b no algebraic integer once some lo_t(num) > 0 and
+    every lo_t(den) > 0.  False proves nothing.
     """
     pairs, d_num, n = num
     units = _units_half(n)

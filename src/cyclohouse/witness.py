@@ -28,7 +28,6 @@ from functools import lru_cache
 
 from .cyclotomic import (
     CycNum,
-    LoxtonProfile,
     RootOfUnity,
     _screen_field,
     is_root_of_unity,
@@ -45,7 +44,6 @@ from .ratfunc import (
     iterate,
     is_binomial_shape,
     is_trinomial_shape,
-    substitute_poly_laurent,  # the reference search in tests expands through this name
     term_count,
     to_laurent,
 )
@@ -93,15 +91,6 @@ def witness_laurent(w: Witness) -> LaurentPoly:
 def witness_check(h: RatFunc, w: Witness) -> bool:
     """Exact identity test compose(h, S) == collapsed witness sum."""
     return compose(h, w.S) == witness_laurent(w).to_ratfunc()
-
-
-def is_A_short(w: Witness, A, profile: LoxtonProfile) -> bool:
-    """Term count within the profile budget at A * B."""
-    allowed = {e for e in profile.E}
-    for _beta, e, _n in w.terms:
-        if e not in allowed:
-            raise DomainError("witness coefficient outside the profile set E")
-    return w.term_count() <= profile.budget_value(Fraction(A) * profile.B)
 
 
 # ---------------------------------------------------------------------------

@@ -140,7 +140,8 @@ def screen(a: CycNum, prec: int) -> tuple[int, tuple[int, ...], int | None]:
 
 
 def quotient_outside_PA(num, den, A) -> bool:
-    """The screen's decision from the full loop over the units t <= n/2.
+    """The screen's decision from the full loop over the units t <= n/2
+    (t = 1 alone for n <= 2).
 
     num and den are sparse exponent vectors (pairs, D, N), den None for
     exactly 1; bounded by ``square_bounds`` on the boxes of the library's
@@ -150,7 +151,7 @@ def quotient_outside_PA(num, den, A) -> bool:
     """
     pairs, d_num, n = num
     tab = root_boxes(n, 64)
-    units = [t for t in range(1, n // 2 + 1) if math.gcd(t, n) == 1]
+    units = [t for t in range(1, n // 2 + 1) if math.gcd(t, n) == 1] or [1]
     nb = [square_bounds(tab, n, pairs, t) for t in units]
     if den is None:
         db, d_den = [(1 << 128, 1 << 128)] * len(units), 1

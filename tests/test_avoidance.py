@@ -10,7 +10,6 @@ from cyclohouse import (
     RatFunc,
     chebyshev,
     compose,
-    escape_radius,
     monic_normalize,
     orbit,
     ratfunc_new,
@@ -154,11 +153,11 @@ def _normalization_corpus():
 class TestEscapeRadius:
     def test_worked_examples(self):
         norm = monic_normalize(ratfunc_new(P(0, 0, 0, 2), P(1, 1)))
-        assert escape_radius(norm) == 5
+        assert norm.R == 5
         norm = monic_normalize(ratfunc_new(P(0, 0, 0, 0, 1), P(1, 1)))
-        assert escape_radius(norm) == 3
+        assert norm.R == 3
         norm = monic_normalize(RatFunc.from_poly(P(0, 0, 0, 1)))
-        assert escape_radius(norm) == 3
+        assert norm.R == 3
 
     def test_sampled_circle_bound_and_strict_growth(self):
         for h in _normalization_corpus()[:12]:
@@ -428,6 +427,29 @@ class TestOrbitScan:
         # both sides of the bound test ran, and orbit poles were met
         assert 0 < sum(rejected) < len(rejected)
         assert poles > 0
+
+    @pytest.mark.parametrize("text", ["x^3 + 4", "(x^4 + 2*x + 2)/3", "(x^2 + 3)/(2*x + 5)"])
+    def test_screen_runs_at_orders_one_and_two(self, monkeypatch, text):
+        # h(1) and h(-1) lie above A = 2 or are not integers, so the screen
+        # rejects both at N = 1 and N = 2, where the one unit is t = 1
+        import cyclohouse.avoidance as avoidance_mod
+        from cyclohouse import parse_ratfunc
+        from cyclohouse.cyclotomic import quotient_outside_PA
+
+        small = []
+
+        def recorded(num, den, A):
+            out = quotient_outside_PA(num, den, A)
+            if num[2] <= 2:
+                small.append((num[2], out))
+            return out
+
+        monkeypatch.setattr(avoidance_mod, "quotient_outside_PA", recorded)
+        h = parse_ratfunc(text)
+        got = scan_roots_of_unity(h, 12, 2)
+        assert small == [(1, True), (2, True)]
+        monkeypatch.undo()
+        assert got.to_dict() == _per_root_scan(h, 12, 2).to_dict()
 
     def test_pole_orbits_match_oracle(self):
         # poles at every primitive 12th root over Q(i): Phi_12 = x^4 - x^2 + 1
@@ -729,8 +751,7 @@ class TestOrbitPlan:
 
         for order in range(1, 121):
             big_n = math.lcm(c, order)
-            test, rows = _orbit_plan(order, c)
-            assert test == (big_n > 2)
+            rows = _orbit_plan(order, c)
             # one row per unit mod order, in ascending exponent order
             assert [k for k, _, _ in rows] == [k for k in range(order) if math.gcd(k, order) == 1]
             # sigma_t fixes Q(zeta_c) exactly for these t mod N
@@ -834,7 +855,7 @@ class TestScreenEarlyExit:
                     outcomes.append(got)
         assert True in outcomes and False in outcomes
 
-    @pytest.mark.parametrize("n", [3, 35, 420])
+    @pytest.mark.parametrize("n", [1, 2, 3, 35, 420])
     def test_norm_alone_and_zero_cases(self, n):
         from cyclohouse.cyclotomic import quotient_outside_PA
 

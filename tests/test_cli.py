@@ -216,7 +216,6 @@ def test_no_per_call_precision_or_ceiling_parameters():
         cyclotomic.compare_house,
         cyclotomic.loxton_decompose,
         avoidance.monic_normalize,
-        avoidance.escape_radius,
         avoidance.orbit,
         avoidance.verify_orbit_lemma,
         avoidance.scan_roots_of_unity,

@@ -20,9 +20,9 @@ from cyclohouse import (
     is_root_of_unity,
     loxton_decompose,
 )
-from cyclohouse.cyclotomic import _cyclotomy, euler_phi, residue_mod_p
+from cyclohouse.cyclotomic import _cyclotomy, _units_half, conjugate, euler_phi, residue_mod_p
 
-from .conftest import random_cycnum
+from .conftest import _random_cycnum_in, random_cycnum
 from .util import cycnum_from_dict, empty_profile
 
 
@@ -137,6 +137,20 @@ class TestConjugates:
     def test_length_is_phi(self):
         a = z(7) + rat(1)
         assert len(conjugates(a)) == euler_phi(7)
+
+    @pytest.mark.parametrize("n", [1, 3, 4, 5, 7, 8, 12, 15, 420])
+    def test_every_unit_in_ascending_order(self, n):
+        # the units t <= n/2 of the bounded list, then n - t for those t
+        rng = random.Random(5100 + n)
+        units = [t for t in range(1, n + 1) if math.gcd(t, n) == 1]
+        for _ in range(3):
+            a = _random_cycnum_in(rng, n, 5)
+            while a.n != n:  # a rational draw at n = 4, say
+                a = _random_cycnum_in(rng, n, 5)
+            assert conjugates(a) == [conjugate(a, t) for t in units]
+
+    def test_unit_list_cache_is_bounded(self):
+        assert _units_half.cache_info().maxsize == 128
 
     def test_galois_closure_sum_and_product_rational(self, rng):
         for _ in range(20):

@@ -212,6 +212,21 @@ class TestChebyshev:
             lhs = substitute_poly_laurent(chebyshev(d), arg)
             assert lhs == LaurentPoly([(d, 1), (-d, 1)]), d
 
+    @staticmethod
+    def _at_t_plus_inverse_t(d):
+        """T_d(t + 1/t) by integer Horner; entry i is the coefficient of t^(i - d)."""
+        acc = [0] * (2 * d + 1)
+        for c in reversed(chebyshev(d).coeffs):
+            acc = [a + b for a, b in zip([0, *acc[:-1]], [*acc[1:], 0])]
+            acc[d] += int(c.as_rational())
+        return acc
+
+    def test_defining_identity_by_integer_horner(self):
+        # chebyshev proves the identity by its recurrence and checks nothing
+        # at run time; this is the check
+        for d in [*range(1, 301), 2000]:
+            assert self._at_t_plus_inverse_t(d) == [1] + [0] * (2 * d - 1) + [1], d
+
     def test_invalid_index(self):
         with pytest.raises(DomainError):
             chebyshev(0)

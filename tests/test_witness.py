@@ -28,7 +28,6 @@ from cyclohouse import (
     evaluate,
     fz_degree_cap,
     house,
-    is_A_short,
     is_algebraic_integer,
     iterate_term_lower_bound,
     parse_ratfunc,
@@ -40,7 +39,7 @@ from cyclohouse import (
     witness_laurent,
     witness_search_deg2,
 )
-from cyclohouse import witness
+from cyclohouse import ratfunc, witness
 from cyclohouse.cli import main
 from cyclohouse.cyclotomic import _is_prime, _screen_field
 from cyclohouse.ratfunc import substitute_poly_laurent
@@ -59,7 +58,6 @@ from cyclohouse.witness import (
 
 from . import witness_reference
 from .conftest import random_cycnum, random_poly
-from .util import empty_profile
 
 ONE = CycNum.one
 R1 = RootOfUnity(1, 0)
@@ -122,25 +120,6 @@ class TestWitnessCheck:
     def test_wrong_identity_fails(self):
         w = Witness(((R1, ONE, 2),), RatFunc.x())
         assert not witness_check(RatFunc.from_poly(P(1, 0, 1)), w)
-
-
-class TestAShort:
-    def test_within_budget(self):
-        w = Witness(((R1, ONE, 2), (R1, ONE, -2)), x_plus_inv())
-        assert is_A_short(w, 1, LoxtonProfile.default(4))
-
-    def test_beyond_budget(self):
-        w = Witness(tuple((R1, ONE, k) for k in range(1, 6)), RatFunc.x())
-        assert not is_A_short(w, 1, LoxtonProfile.default(4))
-
-    def test_empty_budget_always_false(self):
-        w = Witness(((R1, ONE, 2),), RatFunc.x())
-        assert not is_A_short(w, 1, empty_profile())
-
-    def test_coefficient_outside_E_rejected(self):
-        w = Witness(((R1, CycNum.from_rational(2), 1),), RatFunc.x())
-        with pytest.raises(DomainError):
-            is_A_short(w, 1, LoxtonProfile.default(4))
 
 
 class TestSearch:
@@ -427,7 +406,7 @@ def _recorded(search, h, d_max, grid):
         return quadratic_laurent(poly, a, b, c, shifts)
 
     quadratic_laurent = witness._quadratic_laurent
-    with mock.patch.object(witness, "substitute_poly_laurent", recording), \
+    with mock.patch.object(ratfunc, "substitute_poly_laurent", recording), \
             mock.patch.object(witness, "_quadratic_laurent", recording_taylor):
         return search(h, d_max, grid), expanded
 
@@ -506,6 +485,30 @@ class TestScreenAgainstReference:
         with mock.patch.object(witness, "_pair_ring", recording):
             _same_as_reference(parse_ratfunc("z5*x^3 + 2*x + z5"), 3, SearchGrid(20, 2))
         assert None in rings and any(r is not None for r in rings)
+
+    def test_walks_the_reference_triples_in_c_b_order(self):
+        # no witness, so every survivor of the pair rings is walked: the
+        # library's walks are the reference's, less those the rings rule
+        # out, in the same (c, b) order
+        h, grid = parse_ratfunc("-x^2 + 3*x + z3"), SearchGrid(6, 3)
+        walks = {_ModularScreen: [], witness_reference.Screen: []}
+
+        def recording(cls):
+            keeps = cls.keeps
+
+            def recorded(self, ap, t, cp, order, d_max):
+                walks[cls].append((tuple(ap), tuple(t), tuple(cp)))
+                return keeps(self, ap, t, cp, order, d_max)
+
+            return mock.patch.object(cls, "keeps", recorded)
+
+        with recording(_ModularScreen), recording(witness_reference.Screen):
+            assert _grid_search_polynomial(h, 4, grid) is None
+            assert witness_reference.grid_search_polynomial(h, 4, grid) is None
+        library, reference = walks[_ModularScreen], walks[witness_reference.Screen]
+        assert (len(library), len(reference)) == (36, 468)
+        rest = iter(reference)
+        assert all(row in rest for row in library)
 
     def test_chebyshev_expands_one_triple(self):
         w, expanded = _same_as_reference(RatFunc.from_poly(chebyshev(6)), 2, SearchGrid())

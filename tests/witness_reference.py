@@ -4,7 +4,7 @@ The quadratic family a x + b + c/x is searched as the library searched it
 before images were shared per field: every image is computed by
 ``residue_mod_p`` where it is used, the x^d and x^(d-1) coefficients pick
 a and b, and ``keeps`` then walks every triple (a, b, c) from x^(d-2)
-down.  Expansions go through ``cyclohouse.witness.substitute_poly_laurent``,
+down.  Expansions go through ``cyclohouse.ratfunc.substitute_poly_laurent``,
 looked up at the call, so a test can record them.  The tests compare
 ``cyclohouse.witness._grid_search_polynomial`` with ``grid_search_polynomial``
 here.
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 
-from cyclohouse import CycNum, witness
+from cyclohouse import CycNum, ratfunc, witness
 from cyclohouse.cyclotomic import _screen_field, residue_mod_p
 from cyclohouse.ratfunc import LaurentPoly
 
@@ -101,7 +101,7 @@ def grid_search_polynomial(h, d_max, grid):
                 if not screen.keeps(ap, screen.taylor(b), cp, order, d_max):
                     continue
                 inner = LaurentPoly([(1, a), (0, b), (-1, c)])
-                lp = witness.substitute_poly_laurent(poly, inner)
+                lp = ratfunc.substitute_poly_laurent(poly, inner)
                 w = witness._witness_from_laurent(h, inner.to_ratfunc(), lp, d_max)
                 if w is not None:
                     return w
