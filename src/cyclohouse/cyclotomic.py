@@ -39,7 +39,9 @@ such conjugate, or a norm range, the product of the conjugates' bounds,
 that holds no integer >= 1.
 A root-of-unity test maps the element into F_p with zeta_M -> g, reads
 the exponent k with g^k equal to its image and checks zeta_M^k = a
-exactly.
+exactly.  The shortest sum of roots of unity (``loxton_decompose``) is
+searched on the same images: sums of powers of g are matched modulo p
+and every match is re-summed and checked exactly.
 """
 
 from __future__ import annotations
@@ -204,31 +206,6 @@ class _Cyclotomy:
                     acc[base + r] -= c * cr
         del acc[phi:]
         return acc
-
-    def torsion_vectors(self) -> list[tuple[int, ...]]:
-        """Coordinates of zeta_M^k for k < M, M = lcm(2, n); built per call.
-
-        The powers of zeta_n come from a walk: multiplying by zeta shifts
-        the coordinates up and folds the top one back through Phi_n.
-        """
-        n, phi = self.n, self.phi
-        vec = [1] + [0] * (phi - 1)
-        powers = []
-        for _ in range(n):
-            powers.append(tuple(vec))
-            top = vec[-1]
-            vec = [0] + vec[:-1]
-            if top:
-                for r, c in self.low:
-                    vec[r] -= top * c
-        if n % 2 == 0:
-            return powers
-        # zeta_{2n}^k = (-1)^k * zeta_n^(k*(n+1)/2 mod n)
-        half = (n + 1) // 2
-        return [
-            tuple(-v for v in powers[k * half % n]) if k % 2 else powers[k * half % n]
-            for k in range(2 * n)
-        ]
 
     def _int_power_vec(self, e: int) -> tuple[int, ...]:
         """Coordinates of zeta^e, from one reduction at rad(n).
@@ -750,7 +727,8 @@ def _screen_field(big_n: int) -> tuple[int, int]:
     """The least prime p = 1 (mod N) above 2^24, and g of exact order N mod p.
 
     The field of ``residue_mod_p`` for the witness screen (N a multiple
-    of the grid's orders) and for ``is_root_of_unity`` (N = lcm(2, n)).
+    of the grid's orders) and for ``is_root_of_unity`` and
+    ``loxton_decompose`` (N = lcm(2, n)).
     Raises ResourceLimitError when no such p lies below the bound of the
     deterministic primality test.
     """
@@ -809,10 +787,6 @@ class HouseResult(Record):
         _set_lower(self, lower)
         _set_upper(self, upper)
         _set_precision_bits(self, precision_bits)
-
-    @property
-    def width(self) -> Fraction:
-        return self.upper - self.lower
 
     def to_dict(self) -> dict:
         from .formatting import decimal_lower, decimal_upper
@@ -1251,6 +1225,16 @@ def loxton_decompose(a: CycNum, d_max: int) -> list[tuple[CycNum, RootOfUnity]] 
     roots of higher conductor is open, so "None" means "no
     representation with at most d_max terms in that restricted space".
     Coefficients are always 1 (the coefficient set over Q).
+
+    A sum of d roots meets in the middle: a table of the sums of d // 2
+    roots, keyed by their image under zeta_M -> g into F_p (the field of
+    ``is_root_of_unity``), and for each sum of the other d - d // 2 roots
+    a lookup of the image that would complete a.  A key hit is only a
+    candidate; its roots are re-summed and compared with a exactly.  Left
+    sums are kept in the order they are built, so the first candidate
+    that passes is the first left sum with the needed coordinates, and
+    the answer does not depend on p.  ``LOXTON_HALF_TABLE_CEILING``
+    bounds the entries of a table, one int key each, before it is built.
     """
     if d_max < 1:
         raise DomainError("d_max must be >= 1")
@@ -1262,7 +1246,12 @@ def loxton_decompose(a: CycNum, d_max: int) -> list[tuple[CycNum, RootOfUnity]] 
     if root is not None:
         return _loxton_result(a, [root])
     m_tor = torsion_order(a.n)
-    target = a.num
+
+    def sums(size):
+        """(sum of the g^k, the k) for each multiset of size exponents k."""
+        multisets = itertools.combinations_with_replacement
+        return zip(map(sum, multisets(images, size)), multisets(range(m_tor), size))
+
     for d in range(2, d_max + 1):
         d1 = d // 2
         d2 = d - d1
@@ -1271,29 +1260,25 @@ def loxton_decompose(a: CycNum, d_max: int) -> list[tuple[CycNum, RootOfUnity]] 
                 f"loxton search table would exceed {LOXTON_HALF_TABLE_CEILING} entries"
             )
         if d == 2:  # built only once the smallest table fits
-            vecs = _cyclotomy(a.n).torsion_vectors()
-        left: dict[tuple[int, ...], tuple[int, ...]] = {}
-        for combo in itertools.combinations_with_replacement(range(m_tor), d1):
-            s = vecs[combo[0]]
-            for k in combo[1:]:
-                s = tuple(x + y for x, y in zip(s, vecs[k]))
-            left.setdefault(s, combo)
-        for combo in itertools.combinations_with_replacement(range(m_tor), d2):
-            s = vecs[combo[0]]
-            for k in combo[1:]:
-                s = tuple(x + y for x, y in zip(s, vecs[k]))
-            need = tuple(x - y for x, y in zip(target, s))
-            hit = left.get(need)
-            if hit is not None:
-                return _loxton_result(a, [RootOfUnity.make(m_tor, k) for k in hit + combo])
+            p, g = _screen_field(m_tor)
+            target = residue_mod_p(a, p, g, m_tor)
+            images = list(itertools.accumulate(
+                itertools.repeat(g, m_tor - 1), lambda x, y: x * y % p, initial=1))
+        left: dict[int, list[tuple[int, ...]]] = {}
+        for s, combo in sums(d1):
+            left.setdefault(s % p, []).append(combo)
+        for s, combo in sums(d2):
+            for hit in left.get((target - s) % p, ()):
+                found = _loxton_result(a, [RootOfUnity.make(m_tor, k) for k in hit + combo])
+                if found is not None:
+                    return found
     return None
 
 
-def _loxton_result(a: CycNum, roots) -> list[tuple[CycNum, RootOfUnity]]:
+def _loxton_result(a: CycNum, roots) -> list[tuple[CycNum, RootOfUnity]] | None:
+    """The roots in (order, exponent) order, with coefficient 1, if they sum to a."""
     roots = sorted(roots, key=lambda r: (r.order, r.exponent))
     total = CycNum.zero
     for r in roots:
         total = total + r.to_cycnum()
-    if total != a:
-        raise AssertionError("loxton decomposition failed to re-sum")
-    return [(CycNum.one, r) for r in roots]
+    return [(CycNum.one, r) for r in roots] if total == a else None

@@ -720,10 +720,6 @@ class Mobius(Record):
         fill(self, a, b, c, d)
 
     @staticmethod
-    def identity() -> "Mobius":
-        return Mobius(CycNum.one, CycNum.zero, CycNum.zero, CycNum.one)
-
-    @staticmethod
     def affine(u, v) -> "Mobius":
         return Mobius(_cyc(u), _cyc(v), CycNum.zero, CycNum.one)
 

@@ -68,9 +68,6 @@ class Witness(Record):
         if witness_laurent(self).is_constant():
             raise DomainError("witness sum must be nonconstant in x")
 
-    def term_count(self) -> int:
-        return len(self.terms)
-
     def to_dict(self) -> dict:
         from .formatting import format_value
 
@@ -542,13 +539,21 @@ def fz_degree_cap(l: int) -> tuple[int, int]:
     return 2016 * 5**l, 2 * (2 * l - 1) * (l - 1)
 
 
-def iterate_term_lower_bound(d: int, n: int) -> float:
-    """log base 5 of d^(n-2)/2016: minimum terms of h^n o q, h non-special."""
+def iterate_term_lower_bound(d: int, n: int) -> int:
+    """Minimum terms of h^n o q, h non-special: ceil(log_5(d^(n-2)/2016)).
+
+    The least integer L with 2016 * 5^L >= d^(n-2), decided in integers;
+    for L < 0 the test reads 2016 >= d^(n-2) * 5^(-L).
+    """
     if d < 3:
         raise DomainError("degree must be >= 3")
     if n < 3:
         raise DomainError("iteration count must be >= 3")
-    return ((n - 2) * math.log(d) - math.log(2016)) / math.log(5)
+    power = d ** (n - 2)
+    terms = -4  # L = -5 fails: 2016 < 5^5 <= power * 5^5
+    while 2016 * 5 ** max(terms, 0) < power * 5 ** max(-terms, 0):
+        terms += 1
+    return terms
 
 
 class FZReport(Record):
@@ -654,7 +659,7 @@ class SpecialTermsReport(Record):
         degree_h: int,
         iterations: int,
         composition_terms: int,
-        lower_bound: float,
+        lower_bound: int,
         bound_holds: bool,
     ):
         fill(self, degree_h, iterations, composition_terms, lower_bound, bound_holds)

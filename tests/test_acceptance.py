@@ -127,8 +127,9 @@ def test_criterion_04_house_anchor():
     golden_hi = Fraction("1.61803398874989484820458683437")
     hr = house(CycNum.from_rational(1) + z(5), 128)
     assert hr.lower <= golden_hi and golden_lo <= hr.upper
-    assert hr.width <= Fraction(1, 10**10)
-    _report(4, f"house(1+z5) enclosed to width {float(hr.width):.2e} <= 1e-10")
+    width = hr.upper - hr.lower
+    assert width <= Fraction(1, 10**10)
+    _report(4, f"house(1+z5) enclosed to width {float(width):.2e} <= 1e-10")
 
 
 def test_criterion_05_monic_normalization():

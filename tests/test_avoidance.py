@@ -991,7 +991,7 @@ class TestVerdict:
             RatFunc.from_poly(P(-2, 0, 1)), 2, LoxtonProfile.default(2)
         )
         assert v.kind == "witness_found"
-        assert v.witness is not None and v.witness.term_count() <= 2
+        assert v.witness is not None and len(v.witness.terms) <= 2
 
     def test_unknown_with_diagnostics(self):
         v = avoidance_verdict(

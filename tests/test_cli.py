@@ -17,6 +17,8 @@ import pytest
 
 from cyclohouse.cli import main
 
+from .util import forbid_loxton_tables
+
 GOLDEN_DIR = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -88,6 +90,18 @@ def test_golden(name, monkeypatch):
     assert code == expected_code
     golden = (GOLDEN_DIR / f"{name}.out").read_text()
     assert out == golden
+
+
+def test_json_goldens_hold_only_integer_numbers():
+    # exact decimals are printed as strings; a JSON float would be a
+    # claim that no integer reasoning proves
+    def refuse(token):
+        raise AssertionError(f"non-integer JSON number {token}")
+
+    for name, (argv, *_) in sorted(CASES.items()):
+        if "--csv" not in argv:
+            text = (GOLDEN_DIR / f"{name}.out").read_text()
+            json.loads(text, parse_float=refuse, parse_constant=refuse)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -229,11 +243,8 @@ def test_no_per_call_precision_or_ceiling_parameters():
 def test_loxton_ceiling_exits_3_before_the_torsion_list(monkeypatch):
     from cyclohouse import cyclotomic
 
-    def unreachable(self):
-        raise AssertionError("torsion list built before the ceiling check")
-
     monkeypatch.setattr(cyclotomic, "LOXTON_HALF_TABLE_CEILING", 13)
-    monkeypatch.setattr(cyclotomic._Cyclotomy, "torsion_vectors", unreachable)
+    forbid_loxton_tables(monkeypatch)
     code, out = _run(["decompose", "1 + z7", "--dmax", "2"])
     assert code == 3
     assert json.loads(out)["error"]["type"] == "resource"

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import time
@@ -20,10 +21,18 @@ from cyclohouse import (
     is_root_of_unity,
     loxton_decompose,
 )
-from cyclohouse.cyclotomic import _cyclotomy, _units_half, conjugate, euler_phi, residue_mod_p
+from cyclohouse.cyclotomic import (
+    _cyclotomy,
+    _units_half,
+    conjugate,
+    euler_phi,
+    factorize,
+    residue_mod_p,
+)
 
+from . import torsion_reference
 from .conftest import _random_cycnum_in, random_cycnum
-from .util import cycnum_from_dict, empty_profile
+from .util import cycnum_from_dict, empty_profile, forbid_loxton_tables
 
 
 def z(n, k=1):
@@ -227,6 +236,10 @@ class TestInPA:
             in_PA(rat(1), Fraction(1, 2))
 
 
+MINIMALITY_CASES = [rat(3), z(3) + 1, z(4) * 2, z(12) + z(12, 5), rat(-2), z(3) - 1]
+MINIMALITY_CASES += [z(12, 5), rat(-1), z(9, 2)]  # single roots of unity
+
+
 class TestLoxton:
     def test_two_as_one_plus_one(self):
         d = loxton_decompose(rat(2), 4)
@@ -253,9 +266,10 @@ class TestLoxton:
     def test_no_representation_within_budget(self):
         assert loxton_decompose(rat(5), 3) is None
 
-    def test_dmax_one_builds_no_torsion_list(self):
+    def test_dmax_one_builds_no_torsion_list(self, monkeypatch):
         # the 8398 torsion vectors of 3456 ints took 1.36 s and 238 MB
         a = 1 + z(4199)
+        forbid_loxton_tables(monkeypatch)
         start = time.process_time()
         assert loxton_decompose(a, 1) is None
         assert time.process_time() - start < 0.1
@@ -263,40 +277,63 @@ class TestLoxton:
     def test_ceiling_is_checked_before_the_torsion_list(self, monkeypatch):
         from cyclohouse import cyclotomic
 
-        def unreachable(self):
-            raise AssertionError("torsion list built before the ceiling check")
-
         monkeypatch.setattr(cyclotomic, "LOXTON_HALF_TABLE_CEILING", 13)
-        monkeypatch.setattr(cyclotomic._Cyclotomy, "torsion_vectors", unreachable)
+        forbid_loxton_tables(monkeypatch)
         with pytest.raises(ResourceLimitError):
             loxton_decompose(1 + z(7), 2)  # 14 roots of unity, one per entry
 
     def test_minimality_against_exhaustive(self):
         # brute force over all sums of <= 3 roots in mu_lcm(2, n)
-        import itertools
-
-        cases = [rat(3), z(3) + 1, z(4) * 2, z(12) + z(12, 5), rat(-2), z(3) - 1]
-        cases += [z(12, 5), rat(-1), z(9, 2)]  # single roots of unity
-        for a in cases:
-            n = a.n
-            m_tor = n if n % 2 == 0 else 2 * n
-            roots = [z(m_tor, k) for k in range(m_tor)]
-            best = None
-            for d in range(0, 4):
-                for combo in itertools.combinations_with_replacement(roots, d):
-                    total = CycNum.zero
-                    for r in combo:
-                        total = total + r
-                    if total == a:
-                        best = d
-                        break
-                if best is not None:
-                    break
+        for a in MINIMALITY_CASES:
+            best = torsion_reference.shortest_sum_length(a, 3)
             mine = loxton_decompose(a, 3)
             if best is None:
                 assert mine is None
             else:
                 assert mine is not None and len(mine) == best
+
+    def test_forced_collisions_are_rejected_exactly(self, monkeypatch):
+        # in F_p with p the least prime = 1 (mod M) most image matches are
+        # false; the answers must still be the dense search's and, on the
+        # cases above, as short as the brute force's
+        from cyclohouse import cyclotomic
+
+        def small_field(big_m):
+            primes = (q for q in itertools.count(big_m + 1, big_m)
+                      if all(q % r for r in range(2, math.isqrt(q) + 1)))
+            p = next(primes)
+            g = next(g for g in range(2, p) if pow(g, big_m, p) == 1
+                     and all(pow(g, big_m // q, p) != 1 for q, _ in factorize(big_m)))
+            return p, g
+
+        rejected = 0
+        exact = cyclotomic._loxton_result
+
+        def counted(a, roots):
+            nonlocal rejected
+            found = exact(a, roots)
+            rejected += found is None
+            return found
+
+        monkeypatch.setattr(cyclotomic, "_screen_field", small_field)
+        monkeypatch.setattr(cyclotomic, "_loxton_result", counted)
+        assert [small_field(m) for m in (10, 14, 60)] == [(11, 2), (29, 4), (61, 2)]
+        for a in MINIMALITY_CASES:
+            got = loxton_decompose(a, 3)
+            assert got == torsion_reference.loxton_decompose(a, 3), a
+            best = torsion_reference.shortest_sum_length(a, 3)
+            assert got is None if best is None else len(got) == best, a
+        rng = random.Random(61)
+        for _ in range(150):
+            m = rng.choice((10, 14, 60))
+            a = CycNum.zero
+            for _ in range(rng.randint(1, 3)):
+                a = a + rng.choice((1, -1, 2)) * z(m, rng.randrange(m))
+            # four roots at M = 60 re-sum ~10^4 false matches in F_61
+            d_max = rng.randint(1, 3 if m == 60 else 4)
+            assert loxton_decompose(a, d_max) == torsion_reference.loxton_decompose(a, d_max), (
+                a, d_max)
+        assert rejected > 1000
 
 
 class TestCyclotomicPolynomials:
@@ -345,7 +382,7 @@ class TestCyclotomicPolynomials:
         # up to that length; the reference is the power walk through Phi_n
         for n in (1, 2, 5, 8, 12, 15, 16, 28, 59, 105):
             ctx = _cyclotomy(n)
-            walk = ctx.torsion_vectors()
+            walk = torsion_reference.torsion_vectors(n)
             step = len(walk) // n
             for e in range(3 * n):
                 acc = [0] * max(e + 1, ctx.phi)

@@ -36,7 +36,7 @@ GOLDEN_HI = Fraction("1.61803398874989484820458683437")
 def test_root_of_unity_house_is_one():
     hr = house(z(7, 3))
     assert hr.lower <= 1 <= hr.upper
-    assert hr.width <= Fraction(1, 2**64)
+    assert hr.upper - hr.lower <= Fraction(1, 2**64)
 
 
 def test_rational_house_exact():
@@ -49,14 +49,14 @@ def test_golden_ratio_anchor():
     # rigorous enclosure must intersect it and be at least 1e-10 tight.
     hr = house(CycNum.from_rational(1) + z(5), 128)
     assert hr.lower <= GOLDEN_HI and GOLDEN_LO <= hr.upper
-    assert hr.width <= Fraction(1, 10**10)
+    assert hr.upper - hr.lower <= Fraction(1, 10**10)
 
 
 def test_requested_accuracy_met():
     a = z(7) + z(5) * 3 - 1
     for bits in (16, 64, 128):
         hr = house(a, bits)
-        assert hr.width <= Fraction(1, 2**bits)
+        assert hr.upper - hr.lower <= Fraction(1, 2**bits)
 
 
 def test_precision_cap_raises(monkeypatch):
@@ -387,7 +387,8 @@ def test_screened_rungs_equal_the_unscreened_loop(kernel_calls):
         for a in _sweep_elements(rng, n):
             elements.append(a)
             kernel_calls.clear()
-            assert house(a, 64).width <= Fraction(1, 2**64)
+            hr = house(a, 64)
+            assert hr.upper - hr.lower <= Fraction(1, 2**64)
             near = house(a, 256)
             gap = Fraction(1, 2**240)
             assert compare_house(a, near.upper + gap) is True

@@ -257,7 +257,7 @@ class TestMobius:
 
     def test_identity(self):
         h = ratfunc_new(P(0, 1, 0, 2), P(3, 1))
-        assert mobius_conjugate(h, Mobius.identity()) == h
+        assert mobius_conjugate(h, Mobius(1, 0, 0, 1)) == h
 
     def test_round_trip(self, rng):
         for _ in range(8):

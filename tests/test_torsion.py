@@ -1,17 +1,19 @@
-"""The root-of-unity test and the torsion-vector list against dense tables.
+"""The root-of-unity test and the shortest root-of-unity sum against dense tables.
 
 ``is_root_of_unity`` (and through it ``as_positive_rational_times_rou``)
 maps an element into F_p, reads the one candidate exponent off its image
-and checks zeta_M^k = a exactly; ``_Cyclotomy.torsion_vectors`` walks the
-powers of zeta_n.  ``torsion_reference`` keeps the earlier dense table
-over all of mu_M at n, built from ``fraction_reference``'s rows, and its
-linear scan; both must give the same answers on roots of unity, their
-rational multiples and sums that are not roots of unity.  Conductors:
-odd and 0 mod 4, squarefree and not, with Phi_n coefficients of +-1
-only and larger ones (1155), a seeded sample up to 400 and the large
-ones the house and cli workloads meet.  The last tests bound the time
-and memory of the test at large squarefree conductors, where a dense
-table per conductor would hold 2n vectors of phi(n) ints.
+and checks zeta_M^k = a exactly; ``loxton_decompose`` matches sums of
+F_p images and checks each match exactly.  ``torsion_reference`` keeps
+the earlier dense table over all of mu_M at n, built from
+``fraction_reference``'s rows, its linear scan and its meet-in-the-middle
+search keyed by coordinate tuples; both must give the same answers on
+roots of unity, their rational multiples, sums that are not roots of
+unity and short sums of roots.  Conductors: odd and 0 mod 4, squarefree
+and not, with Phi_n coefficients of +-1 only and larger ones (1155), a
+seeded sample up to 400 and the large ones the house and cli workloads
+meet.  The last tests bound the time and memory of the torsion test and
+of the sum search at large squarefree conductors, where a dense table
+per conductor would hold 2n vectors of phi(n) ints.
 """
 
 import json
@@ -20,14 +22,15 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from cyclohouse import CycNum, RootOfUnity, is_root_of_unity
-from cyclohouse.cyclotomic import _cyclotomy, euler_phi, factorize
+from cyclohouse import CycNum, RootOfUnity, is_root_of_unity, loxton_decompose
+from cyclohouse.cyclotomic import canonical_conductor, euler_phi, factorize, torsion_order
 from cyclohouse.special import as_positive_rational_times_rou
 
 from . import fraction_reference
@@ -103,9 +106,26 @@ def test_rational_times_root_matches_linear_scan():
                     m, k, v)
 
 
-@pytest.mark.parametrize("n", (1, 3, 4, 8, 12, 15, 16, 28, 36, 105, 225, 385, 1155, 3960))
-def test_torsion_vectors_match_dense_table(n):
-    assert _cyclotomy(n).torsion_vectors() == ref.torsion_vectors(n)
+def test_loxton_matches_dense_search():
+    # sums of one to three roots with coefficients +-1 and 2, at every
+    # conductor up to 105, sorted by conductor so that the reference
+    # builds each of its tables once
+    rng = random.Random(105)
+    conductors = sorted({canonical_conductor(m) for m in range(1, 106)})
+    cases = []
+    for _ in range(1000):
+        m = torsion_order(rng.choice(conductors))
+        a = CycNum.zero
+        for _ in range(rng.randint(1, 3)):
+            a = a + rng.choice((1, -1, 2)) * CycNum.zeta(m, rng.randrange(m))
+        cases.append((a, rng.randint(1, 4)))
+    cases.sort(key=lambda case: case[0].n)
+    found = 0
+    for a, d_max in cases:
+        got = loxton_decompose(a, d_max)
+        assert got == ref.loxton_decompose(a, d_max), (a, d_max)
+        found += got is not None
+    assert 300 < found < 900
 
 
 @pytest.mark.parametrize("n", (9, 12, 105, 225, 385, 1155, 2520, 3960))
@@ -129,6 +149,22 @@ def test_large_squarefree_conductor_holds_no_table():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak < 20 * 2**20
+
+
+def test_loxton_at_a_large_squarefree_conductor_builds_no_coordinates():
+    # the coordinate tables held 8398 tuples of 3456 ints: 1.16 s and 223 MB
+    a = 1 + CycNum.zeta(4199)
+    tracemalloc.start()
+    try:
+        start = time.process_time()
+        got = loxton_decompose(a, 2)
+        elapsed = time.process_time() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [root for _, root in got] == [RootOfUnity(1, 0), RootOfUnity(4199, 1)]
+    assert elapsed < 0.3
     assert peak < 20 * 2**20
 
 

@@ -142,7 +142,7 @@ class TestSearch:
         # x^3 + x has all-unit coefficients: S = x qualifies
         h = RatFunc.from_poly(P(0, 1, 0, 1))
         w = witness_search_deg2(h, 3)
-        assert w is not None and w.S == RatFunc.x() and w.term_count() == 2
+        assert w is not None and w.S == RatFunc.x() and len(w.terms) == 2
 
     def test_exhaustion_returns_none(self):
         assert witness_search_deg2(RatFunc.from_poly(P(0, 1, 0, 1)), 1) is None
@@ -178,7 +178,7 @@ class TestSearch:
         # house at most the number of terms
         h = RatFunc.from_poly(chebyshev(4))
         w = witness_search_deg2(h, 2)
-        d = w.term_count()
+        d = len(w.terms)
         bound_slack = Fraction(1, 2**20)
         for order in range(1, 21):
             for k in range(order):
@@ -368,7 +368,7 @@ class TestPlantedWitnesses:
         h, (a, b, c), d_max = planted
         w = witness_search_deg2(h, d_max)
         assert w is not None
-        assert witness_check(h, w) and w.term_count() <= d_max
+        assert witness_check(h, w) and len(w.terms) <= d_max
         if h.is_poly() and degree(h) >= 2:
             screen = _ModularScreen(h.num, SearchGrid())
             order = math.lcm(screen.order, a.n, b.n, c.n)
@@ -701,9 +701,10 @@ class TestCaps:
             prev = cur
 
     def test_term_lower_bound_values(self):
-        assert abs(iterate_term_lower_bound(3, 9) - 0.0506) < 1e-3
-        assert abs(iterate_term_lower_bound(5, 7) - 0.2723) < 1e-3
-        assert iterate_term_lower_bound(3, 3) < 0
+        # ceil of log_5(d^(n-2)/2016): 0.0506, 0.2723 and -4.0451
+        assert iterate_term_lower_bound(3, 9) == 1
+        assert iterate_term_lower_bound(5, 7) == 1
+        assert iterate_term_lower_bound(3, 3) == -4
 
     def test_term_lower_bound_monotone(self):
         for d in range(3, 7):

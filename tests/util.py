@@ -60,3 +60,14 @@ def cycnum_from_dict(d: dict) -> CycNum:
 def empty_profile() -> LoxtonProfile:
     """A Loxton profile whose budget allows no terms at any house."""
     return LoxtonProfile(B=Fraction(1), E=(CycNum.one,), budget=())
+
+
+def forbid_loxton_tables(monkeypatch) -> None:
+    """Make ``loxton_decompose`` fail if it builds its F_p images or a table."""
+    from cyclohouse import cyclotomic
+
+    def unreachable(*args):
+        raise AssertionError("loxton images or tables built")
+
+    for name in ("accumulate", "combinations_with_replacement"):
+        monkeypatch.setattr(cyclotomic.itertools, name, unreachable)
