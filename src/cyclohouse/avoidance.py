@@ -44,6 +44,7 @@ from .cyclotomic import (
 )
 from .errors import DomainError, ResourceLimitError
 from .ratfunc import (
+    POWER_BITS_CEILING,
     Poly,
     RatFunc,
     coefficient_conductor,
@@ -51,6 +52,7 @@ from .ratfunc import (
     distinct_pole_count,
     evaluate,
     root_vectors,
+    size_bits,
 )
 from .record import Record, fill
 
@@ -210,12 +212,15 @@ class OrbitRecord(Record):
 
 
 def _orbit_points(h: RatFunc, a: CycNum, n_steps: int) -> list[CycNum]:
-    """a, h(a), ..., h^n_steps(a), cut short before a pole."""
+    """a, h(a), ..., h^n_steps(a), cut short before a pole; ResourceLimitError
+    at the first point of more than ``POWER_BITS_CEILING`` ``size_bits``."""
     points = [a]
     for _ in range(n_steps):
         nxt = evaluate(h, points[-1])
         if nxt is None:
             break
+        if size_bits(nxt) > POWER_BITS_CEILING:
+            raise ResourceLimitError(f"orbit point {len(points)} exceeds {POWER_BITS_CEILING} bits")
         points.append(nxt)
     return points
 

@@ -14,7 +14,10 @@ kept in canonical form:
 
 so equality and hashing are plain tuple comparisons regardless of how a
 value was built.  Arithmetic runs on the integer numerators; the
-rational coordinates are derived on demand (``coords``).  Inversion
+rational coordinates are derived on demand (``coords``).  Embeddings,
+conjugates, roots of unity and the descent to a subfield, one prime at
+a time (the prime 2 of n = 2m, m odd, always drops), each scatter
+exponents into one dense row that is reduced once (``_scatter``).  Inversion
 multiplies by the other conjugates over Q(zeta_(n/p)), p the smallest
 prime of n, and recurses on the relative norm at the smaller conductor
 (``CycNum.inverse``), so it too is products and Galois conjugates only.
@@ -170,15 +173,14 @@ def torsion_order(n: int) -> int:
 class _Cyclotomy:
     """Cached per-conductor data: Phi_n and its reduction terms, rad(n)."""
 
-    __slots__ = ("n", "rad", "phi", "cyclo", "low")
+    __slots__ = ("n", "rad", "phi", "low")
 
     def __init__(self, n: int):
         self.n = n
         self.rad = math.prod(p for p, _ in factorize(n))
         self.phi = euler_phi(n)
-        self.cyclo = cyclotomic_polynomial(n)
         # Nonzero (r, c_r) of Phi_n below its leading term, for reduction.
-        self.low = tuple((r, c) for r, c in enumerate(self.cyclo[:-1]) if c)
+        self.low = tuple((r, c) for r, c in enumerate(cyclotomic_polynomial(n)[:-1]) if c)
 
     def reduce(self, acc: list[int]) -> list[int]:
         """Reduce integer exponent coefficients modulo Phi_n, in place.
@@ -207,21 +209,6 @@ class _Cyclotomy:
         del acc[phi:]
         return acc
 
-    def _int_power_vec(self, e: int) -> tuple[int, ...]:
-        """Coordinates of zeta^e, from one reduction at rad(n).
-
-        Phi_n(x) = Phi_rad(x^s) with s = n/rad(n), so zeta^(q*s + r) has
-        the coordinates of y^q at rad(n) in the slots r, r+s, r+2s, ...
-        """
-        s = self.n // self.rad
-        q, r = divmod(e % self.n, s)
-        base = _cyclotomy(self.rad)
-        acc = [0] * max(q + 1, base.phi)
-        acc[q] = 1
-        vec = [0] * self.phi
-        vec[r::s] = base.reduce(acc)
-        return tuple(vec)
-
 
 @lru_cache(maxsize=None)
 def _cyclotomy(n: int) -> _Cyclotomy:
@@ -232,27 +219,18 @@ def _cyclotomy(n: int) -> _Cyclotomy:
 # canonicalization (integer numerators; the denominator rides along)
 
 
-def _rewrite_2mod4(n: int, num: list[int]) -> tuple[int, list[int]]:
-    """Rewrite coordinates at conductor n = 2m (m odd) in terms of zeta_m."""
-    m = n // 2
-    if m == 1:
-        return 1, [num[0]]
-    half = (m + 1) // 2
-    acc = [0] * m
-    for j, c in enumerate(num):
-        if c:
-            acc[(j * half) % m] += -c if j % 2 else c
-    return m, _cyclotomy(m).reduce(acc)
-
-
-def _sigma_coords(ctx: _Cyclotomy, num, t: int) -> list[int]:
-    """Numerators of sigma_t(a) where sigma_t(zeta) = zeta^t."""
-    n = ctx.n
+def _scatter(n: int, row, step: int = 1, shift: int = 0) -> list[int]:
+    """Reduced numerators of sum_j row[j] * zeta_n^(step*j + shift): one
+    dense row of length n, filled by one strided slice when no exponent
+    reaches n (else by one pass mod n), then one reduction modulo Phi_n."""
     acc = [0] * n
-    for j, c in enumerate(num):
-        if c:
-            acc[(t * j) % n] += c
-    return ctx.reduce(acc)
+    if shift + step * (len(row) - 1) < n:
+        acc[shift : shift + step * len(row) : step] = row
+    else:
+        for j, c in enumerate(row):
+            if c:
+                acc[(step * j + shift) % n] += c
+    return _cyclotomy(n).reduce(acc)
 
 
 def _try_drop_prime(n: int, num, p: int) -> list[int] | None:
@@ -274,18 +252,12 @@ def _try_drop_prime(n: int, num, p: int) -> list[int] | None:
         if any(num[k] for k in range(len(num)) if k % p):
             return None
         return list(num[::p])
-    # p is odd here (n is never 2 mod 4), so buckets 1 and 2 exist; they
-    # are compared before the others are built.
-    ctx_m = _cyclotomy(m)
+    # bucket r holds the k = r + p*j, at inv_p * r + j (mod m); buckets 1
+    # and 2 are compared before the others are built (p = 2 compares none).
     inv_p = pow(p, -1, m)
 
     def bucket(r: int) -> list[int]:
-        acc = [0] * m
-        for k in range(r, len(num), p):
-            c = num[k]
-            if c:
-                acc[(inv_p * k) % m] += c
-        return ctx_m.reduce(acc)
+        return _scatter(m, num[r::p], 1, inv_p * r % m)
 
     first = bucket(1)
     for r in range(2, p):
@@ -295,12 +267,9 @@ def _try_drop_prime(n: int, num, p: int) -> list[int] | None:
 
 
 def _canonicalize(n: int, num: list[int]) -> tuple[int, list[int]]:
-    """Minimal conductor and its numerators (zero comes back as (1, [0]))."""
-    while True:
-        if n % 4 == 2:
-            n, num = _rewrite_2mod4(n, num)
-        if n == 1:
-            return 1, [num[0]]
+    """Minimal conductor and its numerators (zero comes back as (1, [0])),
+    never 2 mod 4: the prime 2 of n = 2m, m odd, always drops."""
+    while n != 1:
         if not any(num):
             return 1, [0]
         for p, _ in factorize(n):
@@ -311,6 +280,7 @@ def _canonicalize(n: int, num: list[int]) -> tuple[int, list[int]]:
                 break
         else:
             return n, num
+    return 1, [num[0]]
 
 
 def _lowest_terms(num, den: int) -> tuple[tuple[int, ...], int]:
@@ -385,12 +355,16 @@ class CycNum:
         n = canonical_conductor(m)
         if n == 1:  # m <= 2
             return _new(1, (-1 if m == 2 else 1,))
-        ctx = _cyclotomy(n)
-        if m == n:
-            return _new(n, ctx._int_power_vec(k))
         # m = 2n with n odd (k is odd): zeta_m^k = -zeta_n^(k*(n+1)/2)
-        vec = ctx._int_power_vec(k * ((n + 1) // 2))
-        return _new(n, tuple(-v for v in vec))
+        k, sign = (k, 1) if m == n else (k * ((n + 1) // 2), -1)
+        # Phi_n(x) = Phi_rad(x^s) with s = n/rad(n), so zeta_n^(q*s + r) has
+        # the numerators of zeta_rad^q in the slots r, r+s, r+2s, ...
+        ctx = _cyclotomy(n)
+        s = n // ctx.rad
+        q, r = divmod(k % n, s)
+        vec = [0] * ctx.phi
+        vec[r::s] = _scatter(ctx.rad, (sign,), 1, q)
+        return _new(n, tuple(vec))
 
     zero: "CycNum"
     one: "CycNum"
@@ -606,11 +580,7 @@ def _embed_list(a: CycNum, n: int) -> list[int]:
     """Numerators of a at conductor n (a.n must divide n), over a.den."""
     if a.n == n:
         return list(a.num)
-    ctx = _cyclotomy(n)
-    step = n // a.n
-    acc = [0] * n
-    acc[: step * len(a.num) : step] = a.num
-    return ctx.reduce(acc)
+    return _scatter(n, a.num, n // a.n)
 
 
 def _row_product(ctx: _Cyclotomy, a, b) -> list[int]:
@@ -770,7 +740,7 @@ def conjugate(a: CycNum, t: int) -> CycNum:
     t %= n
     if t == 1 or n == 1:
         return a
-    return _new(n, tuple(_sigma_coords(_cyclotomy(n), a.num, t)), a.den)
+    return _new(n, tuple(_scatter(n, a.num, t)), a.den)
 
 
 def is_algebraic_integer(a: CycNum) -> bool:

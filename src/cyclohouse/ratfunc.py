@@ -584,7 +584,16 @@ def compose(h1: RatFunc, h2: RatFunc) -> RatFunc:
     homogenized: sum p_i r^i s^(D - i) over sum q_j r^j s^(D - j).  When
     s is a monomial x^k, as for every Laurent h2, each product by a power
     of s is a shift.
+
+    Raises ResourceLimitError, before any product, when 2 (deg h1 deg h2
+    + 1) exceeds ``DEFAULT_ITERATE_CEILING``, the rule of ``iterate``.
     """
+    size = degree(h1) * degree(h2)
+    if 2 * (size + 1) > DEFAULT_ITERATE_CEILING:
+        raise ResourceLimitError(
+            f"compose would expand to about {size} monomials "
+            f"(ceiling {DEFAULT_ITERATE_CEILING})"
+        )
     if h1.is_constant():
         return h1
     if h2.is_constant():

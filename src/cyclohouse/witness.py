@@ -33,7 +33,7 @@ from .cyclotomic import (
     is_root_of_unity,
     residue_mod_p,
 )
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
 from .ratfunc import (
     LaurentPoly,
     Poly,
@@ -94,12 +94,23 @@ def witness_check(h: RatFunc, w: Witness) -> bool:
 # bounded witness search, deg S <= 2
 
 
+#: Most grid entries, bounded by M(M+1)/2 + 2H^2 from the caps M and H.
+GRID_ENTRY_CEILING = 20_000
+
+
 class SearchGrid(Record):
-    """Finite parameter grid for the quadratic inner-map family."""
+    """Finite parameter grid for the quadratic inner-map family; caps M
+    and H that allow more than ``GRID_ENTRY_CEILING`` entries (at most
+    M(M+1)/2 roots of unity and 2H^2 rationals) raise ResourceLimitError."""
 
     __slots__ = ("rou_order_cap", "rational_height_cap")
 
     def __init__(self, rou_order_cap: int = 12, rational_height_cap: int = 8):
+        m, h = max(rou_order_cap, 0), max(rational_height_cap, 0)
+        if m * (m + 1) // 2 + 2 * h * h > GRID_ENTRY_CEILING:
+            raise ResourceLimitError(f"a grid with caps M = {rou_order_cap} and H = "
+                                     f"{rational_height_cap} may hold more than "
+                                     f"{GRID_ENTRY_CEILING} entries")
         fill(self, rou_order_cap, rational_height_cap)
 
     def entries(self) -> tuple["_GridValue", ...]:

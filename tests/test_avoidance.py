@@ -8,6 +8,7 @@ from cyclohouse import (
     LoxtonProfile,
     Poly,
     RatFunc,
+    ResourceLimitError,
     chebyshev,
     compose,
     monic_normalize,
@@ -251,6 +252,11 @@ class TestOrbitLemma:
     def test_gap_required(self):
         with pytest.raises(DomainError):
             verify_orbit_lemma(ratfunc_new(P(0, 0, 1), P(1, 1)), z(3), 2, 1)
+
+    def test_point_past_the_power_ceiling_is_a_resource_error(self):
+        # h^k(2) has about 2^k bits: point 20 is the first past 2^20
+        with pytest.raises(ResourceLimitError, match="orbit point 20 exceeds 1048576 bits"):
+            verify_orbit_lemma(RatFunc.from_poly(P(1, 0, 1)), CycNum.from_rational(2), 40, 2)
 
 
 def _lemma_corpus():

@@ -433,6 +433,33 @@ def test_iterate_ceiling_does_not_build_d_to_the_n():
     assert "3^1000000000000" in json.loads(out)["error"]["message"]
 
 
+def test_compose_past_the_iterate_ceiling_is_refused_before_any_product():
+    start = time.process_time()
+    code, out = _run(["compose", "x^1000", "x^1000"])  # 58 s CPU and 2.3 GB before a kill
+    assert time.process_time() - start < 1
+    assert code == 3
+    assert json.loads(out)["error"]["message"] == (
+        "compose would expand to about 1000000 monomials (ceiling 1000000)"
+    )
+
+
+def test_orbit_past_the_power_ceiling_is_refused_at_the_first_large_point():
+    start = time.process_time()
+    code, out = _run(["orbit", "x^2+1", "2", "--n", "40", "--A", "2"])  # 5 s at --n 24
+    assert time.process_time() - start < 1
+    assert code == 3
+    assert json.loads(out)["error"]["message"] == "orbit point 20 exceeds 1048576 bits"
+
+
+@pytest.mark.parametrize("h, flag", [("1/(x-3)", "--gridM"), ("x^3+2*x+5", "--gridH")])
+def test_grid_past_the_entry_ceiling_is_refused_before_it_is_built(h, flag):
+    start = time.process_time()
+    code, out = _run(["witness-search", h, "--dmax", "2", flag, "100000"])
+    assert time.process_time() - start < 1
+    assert code == 3
+    assert "may hold more than 20000 entries" in json.loads(out)["error"]["message"]
+
+
 def test_power_past_the_degree_ceiling_is_refused_before_it_is_built():
     start = time.process_time()
     code, out = _run(["degree", "x^100000000"])  # a list of 10^8 coefficients

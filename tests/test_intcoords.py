@@ -1,9 +1,10 @@
 """Integer-coordinate CycNum against the Fraction-coordinate reference.
 
 Seeded random elements at conductors {1, 3, 4, 5, 8, 12, 15, 60, 420},
-given at those conductors and at 2 mod 4 ones, with denominators above
-1, zero, rationals and values hiding in a subfield.  Every result must
-equal the reference's coordinates and keep the layout's invariants.
+given at those conductors and at 2 mod 4 ones (18 and 90 with a square
+in their odd part), with denominators above 1, zero, rationals and
+values hiding in a subfield.  Every result must equal the reference's
+coordinates and keep the layout's invariants.
 """
 
 import math
@@ -17,7 +18,7 @@ from . import fraction_reference as ref
 from .util import cycnum_from_dict
 
 CONDUCTORS = (1, 3, 4, 5, 8, 12, 15, 60, 420)
-INPUT_CONDUCTORS = CONDUCTORS + (2, 6, 10, 30)
+INPUT_CONDUCTORS = CONDUCTORS + (2, 6, 10, 30, 18, 90, 210)
 
 
 def _random_coords(rng, n):

@@ -128,14 +128,20 @@ def test_loxton_matches_dense_search():
     assert 300 < found < 900
 
 
-@pytest.mark.parametrize("n", (9, 12, 105, 225, 385, 1155, 2520, 3960))
+@pytest.mark.parametrize("n", (9, 12, 105, 225, 385, 1155, 2520, 3960, 18, 210, 450, 770, 2310))
 def test_zeta_matches_reference_rows(n):
-    # a unit e keeps the conductor n, so the numerators are the row itself
-    rows = fraction_reference._cyclotomy(n)
-    for e in range(euler_phi(n), n):
+    # a unit e keeps the conductor n, so the numerators are the row itself;
+    # at n = 2m, m odd, they are the reference's rewrite of zeta_n^e into
+    # Q(zeta_m), read off the exponent vector with its one 1 at e
+    for e in range(1 if n % 4 == 2 else euler_phi(n), n):
         if math.gcd(e, n) == 1:
+            if n % 4 == 2:
+                m, coords = fraction_reference._rewrite_2mod4(n, [0] * e + [1])
+                want = m, tuple(coords)
+            else:
+                want = n, fraction_reference._cyclotomy(n).row(e)
             z = CycNum.zeta(n, e)
-            assert (z.n, z.num, z.den) == (n, rows.row(e), 1), e
+            assert (z.n, z.num, z.den) == (*want, 1), e
 
 
 def test_large_squarefree_conductor_holds_no_table():
