@@ -270,7 +270,10 @@ class OrbitLemmaReport(Record):
     """Outcome of checking both orbit-lemma bullets on one (h, a, n, A).
 
     substitute_bound documents the verified stand-in for the lemma's
-    external constant: max(house(c^-1) * max(R, house(c)*A), A).
+    external constant: max(house(c^-1) * max(R, house(c)*A), A).  A
+    house check's ``within_bound`` is True or False once its enclosure
+    lies on one side of the bound (False is also a counterexample), and
+    None while the enclosure straddles it.
     """
 
     __slots__ = ("n", "A", "truncated", "premise_house_holds", "house_bound", "house_checks",
@@ -296,7 +299,12 @@ class OrbitLemmaReport(Record):
              substitute_bound_formula)
 
     def ok(self) -> bool:
-        return not self.counterexamples
+        """No counterexample, and nothing undecided: every house check and,
+        unless the orbit was truncated, the house premise."""
+        decided = [e["within_bound"] for e in self.house_checks]
+        if not self.truncated:
+            decided.append(self.premise_house_holds)
+        return not self.counterexamples and None not in decided
 
     def to_dict(self) -> dict:
         return {
@@ -319,7 +327,9 @@ def verify_orbit_lemma(h: RatFunc, a: CycNum, n: int, A) -> OrbitLemmaReport:
 
     Each bullet is asserted only when its premise on the n-th orbit
     value holds; a violated conclusion is reported with full data (it
-    would indicate an implementation bug, not new mathematics).
+    would indicate an implementation bug, not new mathematics).  An
+    undecided house premise (None) skips the house bullet, and the
+    report's ``ok()`` is then False.
     """
     if n < 0:
         raise DomainError("n must be nonnegative")
@@ -351,14 +361,14 @@ def verify_orbit_lemma(h: RatFunc, a: CycNum, n: int, A) -> OrbitLemmaReport:
     if premise_house:
         for j in range(n):
             hr = house(points[j])
-            entry = {
+            within = True if hr.upper <= bound else False if hr.lower > bound else None
+            house_checks.append({
                 "j": j,
                 "house_upper": str(hr.upper),
                 "bound": str(bound),
-                "within_bound": bool(hr.upper <= bound),
-            }
-            house_checks.append(entry)
-            if hr.lower > bound:
+                "within_bound": within,
+            })
+            if within is False:
                 counterexamples.append(
                     {
                         "bullet": "house",

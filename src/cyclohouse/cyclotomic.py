@@ -303,22 +303,24 @@ def _from_fractions(coords) -> tuple[list[int], int]:
 # the element type
 
 
-class CycNum:
+class CycNum(Record):
     """Exact element of the cyclotomic closure of Q.
 
-    Instances are immutable, hashable and always canonical.  The public
-    constructor accepts coordinates at any conductor (including ones
-    congruent to 2 mod 4) and normalizes them.  ``num`` holds the
+    Instances are immutable records, hashable and always canonical.  The
+    public constructor accepts coordinates at any conductor (including
+    ones congruent to 2 mod 4) and normalizes them.  ``num`` holds the
     integer numerators and ``den`` the positive common denominator;
     ``coords`` gives the same values as Fractions.  ``_house``, set on
     the first ``house`` or ``compare_house`` call, keeps what the element
     has learnt of its house (``_HouseMemo``): the conjugate bounds per
     working precision, the screen that lets a higher rung evaluate only
     the conjugates that can hold the house, and the ``HouseResult`` per
-    accuracy.
+    accuracy.  Equality, hashing and pickling use ``(n, num, den)`` only,
+    so a copy starts with no memo; ``==`` also accepts an int or Fraction.
     """
 
     __slots__ = ("n", "num", "den", "_house")
+    _fields = ("n", "num", "den")
 
     def __init__(self, n: int, coords):
         if n < 1:
@@ -333,9 +335,6 @@ class CycNum:
         _set_n(self, cn)
         _set_num(self, cnum)
         _set_den(self, den)
-
-    def __setattr__(self, *_):
-        raise AttributeError("CycNum is immutable")
 
     # -- constructors ------------------------------------------------
 
@@ -390,6 +389,9 @@ class CycNum:
 
     def __hash__(self):
         return hash((self.n, self.num, self.den))
+
+    def __reduce__(self):
+        return _new, (self.n, self.num, self.den)
 
     def __bool__(self):
         # Zero is canonical only as (1, (0,), 1).
@@ -539,11 +541,7 @@ class CycNum:
         return {"conductor": self.n, "coords": [str(c) for c in self.coords]}
 
 
-# Slot setters bypass CycNum.__setattr__, which refuses every assignment.
-_set_n = CycNum.n.__set__
-_set_num = CycNum.num.__set__
-_set_den = CycNum.den.__set__
-_set_house = CycNum._house.__set__
+_set_n, _set_num, _set_den, _set_house = CycNum._setters
 
 
 def _new(n: int, num: tuple[int, ...], den: int = 1) -> CycNum:
@@ -1182,7 +1180,7 @@ class LoxtonProfile(Record):
         return best
 
 
-#: Most entries one half of the meet-in-the-middle Loxton search may hold.
+#: Most sums one half of the meet-in-the-middle Loxton search may hold or walk.
 LOXTON_HALF_TABLE_CEILING = 2_000_000
 
 
@@ -1204,7 +1202,8 @@ def loxton_decompose(a: CycNum, d_max: int) -> list[tuple[CycNum, RootOfUnity]] 
     sums are kept in the order they are built, so the first candidate
     that passes is the first left sum with the needed coordinates, and
     the answer does not depend on p.  ``LOXTON_HALF_TABLE_CEILING``
-    bounds the entries of a table, one int key each, before it is built.
+    bounds, before a search size starts, the C(M + d2 - 1, d2) sums of
+    its larger half, d2 = d - d // 2: the walk, and so also the table.
     """
     if d_max < 1:
         raise DomainError("d_max must be >= 1")
@@ -1225,9 +1224,9 @@ def loxton_decompose(a: CycNum, d_max: int) -> list[tuple[CycNum, RootOfUnity]] 
     for d in range(2, d_max + 1):
         d1 = d // 2
         d2 = d - d1
-        if math.comb(m_tor + d1 - 1, d1) > LOXTON_HALF_TABLE_CEILING:
+        if math.comb(m_tor + d2 - 1, d2) > LOXTON_HALF_TABLE_CEILING:
             raise ResourceLimitError(
-                f"loxton search table would exceed {LOXTON_HALF_TABLE_CEILING} entries"
+                f"loxton search half would exceed {LOXTON_HALF_TABLE_CEILING} sums"
             )
         if d == 2:  # built only once the smallest table fits
             p, g = _screen_field(m_tor)

@@ -46,7 +46,7 @@ def _cyc(v) -> CycNum:
     raise DomainError(f"cannot coerce {v!r} to a cyclotomic number")
 
 
-class Poly:
+class Poly(Record):
     """Dense univariate polynomial; coeffs ascending, no trailing zeros."""
 
     __slots__ = ("coeffs",)
@@ -55,10 +55,7 @@ class Poly:
         cs = [_cyc(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, *_):
-        raise AttributeError("Poly is immutable")
+        _set_coeffs(self, tuple(cs))
 
     # degree of the zero polynomial is -1 by convention
     @property
@@ -83,12 +80,6 @@ class Poly:
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
         return CycNum.zero
-
-    def __eq__(self, other):
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def __repr__(self):
         return f"Poly({[repr(c) for c in self.coeffs]})"
@@ -218,6 +209,9 @@ class Poly:
         return Poly([c])
 
 
+(_set_coeffs,) = Poly._setters
+
+
 def _powers(c: CycNum, k: int) -> list[CycNum]:
     """c^0, ..., c^k by running products; no product for c = 1."""
     if c == CycNum.one:
@@ -231,7 +225,7 @@ def _powers(c: CycNum, k: int) -> list[CycNum]:
 def _poly_of(coeffs: tuple[CycNum, ...]) -> Poly:
     """Wrap CycNum coefficients whose last one is nonzero, as they are."""
     obj = object.__new__(Poly)
-    object.__setattr__(obj, "coeffs", coeffs)
+    _set_coeffs(obj, coeffs)
     return obj
 
 
@@ -292,7 +286,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.monic()
 
 
-class LaurentPoly:
+class LaurentPoly(Record):
     """x^low * poly, with poly[0] != 0; zero is x^0 * 0.
 
     The canonical form makes equality structural, and every product,
@@ -318,8 +312,8 @@ class LaurentPoly:
         _set_laurent(obj, low, poly)
         return obj
 
-    def __setattr__(self, *_):
-        raise AttributeError("LaurentPoly is immutable")
+    def __reduce__(self):
+        return LaurentPoly._of, (self.low, self.poly)
 
     @property
     def terms(self) -> tuple[tuple[int, CycNum], ...]:
@@ -336,16 +330,6 @@ class LaurentPoly:
 
     def num_terms(self) -> int:
         return self.poly.num_terms()
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LaurentPoly)
-            and self.low == other.low
-            and self.poly == other.poly
-        )
-
-    def __hash__(self):
-        return hash((self.low, self.poly))
 
     def __repr__(self):
         return f"LaurentPoly({dict((e, repr(c)) for e, c in self.terms)})"
@@ -380,6 +364,9 @@ class LaurentPoly:
         return LaurentPoly([(1, 1), (-1, 1)])
 
 
+_set_low, _set_poly = LaurentPoly._setters
+
+
 def _set_laurent(obj: LaurentPoly, low: int, poly: Poly) -> None:
     """Store x^low * poly on obj, moving the powers of x that divide poly into low."""
     cs = poly.coeffs
@@ -388,8 +375,8 @@ def _set_laurent(obj: LaurentPoly, low: int, poly: Poly) -> None:
     elif not cs[0]:
         k = next(i for i, c in enumerate(cs) if c)
         low, poly = low + k, Poly(cs[k:])
-    object.__setattr__(obj, "low", low)
-    object.__setattr__(obj, "poly", poly)
+    _set_low(obj, low)
+    _set_poly(obj, poly)
 
 
 def _times_x_power(p: Poly, k: int) -> Poly:
@@ -405,7 +392,7 @@ def substitute_poly_laurent(p: Poly, arg: LaurentPoly) -> LaurentPoly:
     return acc
 
 
-class RatFunc:
+class RatFunc(Record):
     """Reduced quotient of polynomials with monic denominator."""
 
     __slots__ = ("num", "den")
@@ -417,9 +404,6 @@ class RatFunc:
                 num = num.divmod(g)[0]
                 den = den.divmod(g)[0]
         _set_monic(self, num, den)
-
-    def __setattr__(self, *_):
-        raise AttributeError("RatFunc is immutable")
 
     @classmethod
     def _from_coprime(cls, num: Poly, den: Poly) -> "RatFunc":
@@ -450,16 +434,6 @@ class RatFunc:
         if not self.is_constant():
             raise DomainError("not a constant")
         return self.num.constant_value()
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RatFunc)
-            and self.num == other.num
-            and self.den == other.den
-        )
-
-    def __hash__(self):
-        return hash((self.num, self.den))
 
     def __repr__(self):
         return f"RatFunc({self.num!r}, {self.den!r})"
@@ -500,6 +474,9 @@ class RatFunc:
         return RatFunc._from_coprime(self.num.pow(k), self.den.pow(k))
 
 
+_set_numerator, _set_denominator = RatFunc._setters
+
+
 def _set_monic(obj: RatFunc, num: Poly, den: Poly) -> None:
     """Store num/den on obj with den scaled to be monic (zero as 0/1)."""
     if den.is_zero():
@@ -511,8 +488,8 @@ def _set_monic(obj: RatFunc, num: Poly, den: Poly) -> None:
         den = den.scale(inv)
     if num.is_zero():
         den = Poly([1])
-    object.__setattr__(obj, "num", num)
-    object.__setattr__(obj, "den", den)
+    _set_numerator(obj, num)
+    _set_denominator(obj, den)
 
 
 def ratfunc_new(p: Poly, q: Poly) -> RatFunc:

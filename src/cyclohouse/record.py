@@ -4,11 +4,16 @@ A record is a slotted class that compares, hashes, prints and pickles
 by its fields, as a frozen dataclass does.  Importing ``dataclasses``
 loads ``inspect`` and generates code for every class, which each cold
 command-line process would pay for; a ``Record`` costs one class body.
+The values themselves (``CycNum``, ``Poly``, ``LaurentPoly``,
+``RatFunc``) are records too, so every value and every report holding
+them pickles and deep-copies, and a process pool can ship them.
 
 A record lists its fields in ``__slots__`` and assigns them in its own
 ``__init__``, through the slot setters in ``_setters`` (as module-level
 names where construction is hot) or through ``fill``, because
-``__setattr__`` refuses every assignment.
+``__setattr__`` and ``__delattr__`` refuse every change.  This module
+holds the only ``__setattr__`` of the package.  A class whose
+constructor does not take its fields in order overrides ``__reduce__``.
 """
 
 from operator import attrgetter

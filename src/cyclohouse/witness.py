@@ -708,11 +708,11 @@ def verify_specialterms(h: RatFunc, q: RatFunc, n: int) -> SpecialTermsReport:
     iterated = iterate(h, n)
     p = compose(iterated, q)
     terms = term_count(p)
+    lower_bound = iterate_term_lower_bound(d, n)
     return SpecialTermsReport(
         degree_h=d,
         iterations=n,
         composition_terms=terms,
-        lower_bound=iterate_term_lower_bound(d, n),
-        # terms >= log_5(d^(n-2)/2016), decided in integers
-        bound_holds=2016 * 5**terms >= d ** (n - 2),
+        lower_bound=lower_bound,
+        bound_holds=terms >= lower_bound,
     )

@@ -5,6 +5,7 @@ import pytest
 from cyclohouse import (
     CycNum,
     DomainError,
+    HouseResult,
     LoxtonProfile,
     Poly,
     RatFunc,
@@ -242,6 +243,41 @@ class TestOrbitLemma:
         assert rep.premise_house_holds is True
         assert rep.premise_integral_holds is True
         assert all(e["within_bound"] for e in rep.house_checks)
+        assert rep.ok()
+
+    @pytest.mark.parametrize("offset, within", [(Fraction(-1, 8), None), (Fraction(1, 8), False)])
+    def test_house_checks_say_when_the_enclosure_decides(self, monkeypatch, offset, within):
+        # x^3 at zeta_5: c = 1, so only the orbit points have irrational houses
+        from cyclohouse import avoidance
+
+        h, a = RatFunc.from_poly(P(0, 0, 0, 1)), z(5)
+        bound = verify_orbit_lemma(h, a, 4, 1).house_bound
+        real = avoidance.house
+
+        def enclosure(x, *args):
+            if x.is_rational:
+                return real(x, *args)
+            return HouseResult(bound + offset, bound + Fraction(1, 4), 64)
+
+        monkeypatch.setattr(avoidance, "house", enclosure)
+        rep = verify_orbit_lemma(h, a, 4, 1)
+        assert rep.house_bound == bound
+        assert [e["within_bound"] for e in rep.house_checks] == [within] * 4
+        assert len(rep.counterexamples) == (0 if within is None else 4)
+        assert not rep.ok()
+
+    def test_undecided_house_premise_is_not_ok(self, monkeypatch):
+        from cyclohouse import avoidance
+
+        monkeypatch.setattr(avoidance, "compare_house", lambda *_: None)
+        rep = verify_orbit_lemma(RatFunc.from_poly(P(0, 0, 0, 1)), z(5), 4, 1)
+        assert rep.premise_house_holds is None and rep.house_checks == ()
+        assert rep.premise_integral_holds is True and not rep.counterexamples
+        assert not rep.ok()
+
+    def test_truncated_orbit_is_ok(self):
+        rep = verify_orbit_lemma(ratfunc_new(P(0, 0, 0, 1), P(-1, 1)), CycNum.one, 2, 1)
+        assert rep.truncated and rep.premise_house_holds is None
         assert rep.ok()
 
     def test_corpus_no_counterexamples(self):

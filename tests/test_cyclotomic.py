@@ -282,6 +282,16 @@ class TestLoxton:
         with pytest.raises(ResourceLimitError):
             loxton_decompose(1 + z(7), 2)  # 14 roots of unity, one per entry
 
+    def test_ceiling_counts_the_larger_half(self):
+        # M = 8398: 8398 left sums, but C(8399, 2) = 35.3 million right sums,
+        # which the walk used to stream for minutes
+        start = time.process_time()
+        with pytest.raises(ResourceLimitError, match="2000000 sums"):
+            loxton_decompose(3 + z(4199), 3)
+        assert time.process_time() - start < 1.0
+        found = loxton_decompose(1 + z(4199), 3)  # answered at d = 2
+        assert [r for _, r in found] == [RootOfUnity(1, 0), RootOfUnity(4199, 1)]
+
     def test_minimality_against_exhaustive(self):
         # brute force over all sums of <= 3 roots in mu_lcm(2, n)
         for a in MINIMALITY_CASES:

@@ -1,8 +1,10 @@
 """The record classes keep the contract of the frozen dataclasses they were:
 keyword and positional construction, defaults, immutability, ==, hash,
-repr, the checks made at construction, pickling and weak references."""
+repr, the checks made at construction, pickling and weak references.
+The values CycNum, Poly, LaurentPoly and RatFunc are records as well."""
 
 import ast
+import copy
 import dataclasses
 import inspect
 import pickle
@@ -19,6 +21,7 @@ from cyclohouse import (
     DomainError,
     FZReport,
     HouseResult,
+    LaurentPoly,
     LoxtonProfile,
     MonicNormalization,
     Mobius,
@@ -33,8 +36,10 @@ from cyclohouse import (
     SpecialTermsReport,
     SpecialVerdict,
     Witness,
+    house,
 )
 from cyclohouse.avoidance import ScanHit
+from cyclohouse.record import Record
 from cyclohouse.witness import _GridValue
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -67,6 +72,16 @@ RECORDS = {
     SpecialTermsReport: (3, 3, 9, 0.25, True),
 }
 IDS = [cls.__qualname__ for cls in RECORDS]
+
+# The value types, whose constructors do not take their fields as they are
+# stored (CycNum takes coordinates, LaurentPoly terms, Poly any iterable).
+VALUES = {
+    CycNum: CycNum(12, [Fraction(1, 3), 2, 0, -5]),
+    Poly: Poly([Z3, 0, Fraction(-7, 2)]),
+    LaurentPoly: LaurentPoly([(-2, Z3), (0, 1), (3, Fraction(1, 5))]),
+    RatFunc: RatFunc(Poly([1, 0, Z3]), Poly([Fraction(2, 3), 5])),
+}
+VALUE_IDS = [cls.__qualname__ for cls in VALUES]
 
 
 def _params(cls) -> list[str]:
@@ -118,6 +133,48 @@ def test_records_of_plain_values_pickle(cls):
     assert pickle.loads(pickle.dumps(obj)) == obj
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [cls(*args) for cls, args in RECORDS.items()] + list(VALUES.values()),
+    ids=IDS + VALUE_IDS,
+)
+def test_records_and_values_pickle_and_deep_copy(obj):
+    for twin in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
+        assert type(twin) is type(obj) and twin == obj and twin is not obj
+        if not isinstance(obj, AvoidanceVerdict):  # holds a dict
+            assert hash(twin) == hash(obj)
+
+
+@pytest.mark.parametrize("cls", VALUES, ids=VALUE_IDS)
+def test_values_are_records_that_refuse_every_change(cls):
+    obj = VALUES[cls]
+    assert isinstance(obj, Record) and not hasattr(obj, "__dict__")
+    for name in obj._fields:
+        value = getattr(obj, name)
+        with pytest.raises(AttributeError):
+            setattr(obj, name, value)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+        assert getattr(obj, name) is value
+
+
+def test_values_hash_as_their_field_tuples():
+    a, p, lp, r = VALUES.values()
+    assert hash(a) == hash((a.n, a.num, a.den))
+    assert hash(p) == hash(p.coeffs)
+    assert hash(lp) == hash((lp.low, lp.poly))
+    assert hash(r) == hash((r.num, r.den))
+    assert a != p and p != r and lp != p
+
+
+def test_a_copied_cycnum_leaves_its_house_memo_behind():
+    a = CycNum.zeta(7) + 2
+    enclosure = house(a)
+    for twin in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a)):
+        assert not hasattr(twin, "_house")
+        assert house(twin) == enclosure
+
+
 def test_defaults():
     assert AvoidanceVerdict("unknown") == AvoidanceVerdict("unknown", None, None, {})
     first, second = AvoidanceVerdict("x"), AvoidanceVerdict("x")
@@ -164,6 +221,21 @@ def test_scan_result_can_be_weakly_referenced():
 def test_hot_records_have_no_instance_dict():
     for cls in (HouseResult, RootOfUnity, ScanHit):
         assert not hasattr(cls(*RECORDS[cls]), "__dict__")
+
+
+def test_only_record_py_sets_attributes_by_hand():
+    # one immutability mechanism: Record's __setattr__ and the slot setters
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            defines = isinstance(node, ast.FunctionDef) and node.name == "__setattr__"
+            calls = (
+                isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+                and isinstance(node.value, ast.Name) and node.value.id == "object"
+            )
+            if calls or (defines and path.name != "record.py"):
+                offenders.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert not offenders
 
 
 def test_no_module_under_src_imports_dataclasses():
