@@ -11,6 +11,7 @@ exception).  Errors are reported as {"error": {"type": ..., "message":
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from fractions import Fraction
@@ -61,6 +62,31 @@ def _emit(obj) -> None:
     sys.stdout.write(json.dumps(obj) + "\n")
 
 
+# Subcommand name -> (help line, arguments, handler name), in usage order.
+_COMMANDS: dict[str, tuple[str, tuple, str]] = {}
+_INT = {"type": int}
+_REQUIRED = {"required": True}
+_REQUIRED_INT = {"type": int, "required": True}
+
+
+def _command(help_line: str, *arguments):
+    """Register handler ``_cmd_<name>`` as subcommand <name>, "_" read as "-".
+
+    An argument is a name or a (name, ``add_argument`` keywords) pair.  The
+    parser looks the handler up by name when it is built, so a replaced
+    module attribute is the one that runs.
+    """
+
+    def register(handler):
+        name = handler.__name__
+        _COMMANDS[name[len("_cmd_"):].replace("_", "-")] = (help_line, arguments, name)
+        return handler
+
+    return register
+
+
+# --bits absent: house's DEFAULT_ACCURACY_BITS
+@_command("rigorous house enclosure of a scalar", "expr", ("--bits", _INT))
 def _cmd_house(args) -> int:
     from .cyclotomic import house
     from .formatting import format_value
@@ -72,6 +98,7 @@ def _cmd_house(args) -> int:
     return EXIT_OK
 
 
+@_command("algebraic integrality test", "expr")
 def _cmd_integer(args) -> int:
     from .cyclotomic import is_algebraic_integer
     from .formatting import format_value
@@ -82,6 +109,7 @@ def _cmd_integer(args) -> int:
     return EXIT_OK
 
 
+@_command("exact root-of-unity test", "expr")
 def _cmd_rootofunity(args) -> int:
     from .cyclotomic import is_root_of_unity
     from .formatting import format_value
@@ -98,6 +126,7 @@ def _cmd_rootofunity(args) -> int:
     return EXIT_OK
 
 
+@_command("membership in the bounded-house integers", "expr", ("--A", _REQUIRED))
 def _cmd_pa(args) -> int:
     from .cyclotomic import UNDECIDED, house, in_PA, is_algebraic_integer
     from .formatting import format_value
@@ -121,6 +150,7 @@ def _cmd_pa(args) -> int:
     return EXIT_UNDECIDED if verdict == UNDECIDED else EXIT_OK
 
 
+@_command("shortest root-of-unity sum", "expr", ("--dmax", _REQUIRED_INT))
 def _cmd_decompose(args) -> int:
     from .cyclotomic import loxton_decompose, torsion_order
     from .formatting import format_value
@@ -142,6 +172,7 @@ def _cmd_decompose(args) -> int:
     return EXIT_OK
 
 
+@_command("Chebyshev-model polynomial", ("d", _INT))
 def _cmd_cheb(args) -> int:
     from .formatting import format_value
     from .ratfunc import chebyshev
@@ -150,6 +181,7 @@ def _cmd_cheb(args) -> int:
     return EXIT_OK
 
 
+@_command("exact composition h(g(x))", "h", "g")
 def _cmd_compose(args) -> int:
     from .formatting import format_value
     from .parser import parse_ratfunc
@@ -161,6 +193,7 @@ def _cmd_compose(args) -> int:
     return EXIT_OK
 
 
+@_command("n-fold self-composition", "h", ("n", _INT))
 def _cmd_iterate(args) -> int:
     from .formatting import format_value
     from .parser import parse_ratfunc
@@ -171,6 +204,7 @@ def _cmd_iterate(args) -> int:
     return EXIT_OK
 
 
+@_command("degree of a rational function", "h")
 def _cmd_degree(args) -> int:
     from .parser import parse_ratfunc
     from .ratfunc import degree
@@ -179,6 +213,7 @@ def _cmd_degree(args) -> int:
     return EXIT_OK
 
 
+@_command("distinct pole count on the projective line", "h")
 def _cmd_poles(args) -> int:
     from .parser import parse_ratfunc
     from .ratfunc import distinct_pole_count
@@ -187,6 +222,7 @@ def _cmd_poles(args) -> int:
     return EXIT_OK
 
 
+@_command("conjugacy to x^d, -x^d or T_d", "h")
 def _cmd_special(args) -> int:
     from .formatting import format_value
     from .parser import parse_ratfunc
@@ -203,6 +239,7 @@ def _cmd_special(args) -> int:
     return EXIT_OK
 
 
+@_command("monic normalization (c, h~, D, R)", "h")
 def _cmd_normalize(args) -> int:
     from .avoidance import monic_normalize
     from .parser import parse_ratfunc
@@ -214,6 +251,13 @@ def _cmd_normalize(args) -> int:
     return EXIT_OK
 
 
+@_command(
+    "forward orbit with houses and hits",
+    "h",
+    "alpha",
+    ("--n", _REQUIRED_INT),
+    ("--A", _REQUIRED),
+)
 def _cmd_orbit(args) -> int:
     from .avoidance import orbit
     from .parser import parse_ratfunc, parse_scalar
@@ -225,6 +269,13 @@ def _cmd_orbit(args) -> int:
     return EXIT_OK
 
 
+@_command(
+    "roots of unity mapping into P_A",
+    "h",
+    ("--M", _REQUIRED_INT),
+    ("--A", _REQUIRED),
+    ("--csv", {"action": "store_true"}),
+)
 def _cmd_scan(args) -> int:
     from .avoidance import scan_roots_of_unity
     from .formatting import scan_to_csv
@@ -239,6 +290,9 @@ def _cmd_scan(args) -> int:
     return EXIT_OK
 
 
+@_command(
+    "verify a witness identity exactly", "h", ("--S", _REQUIRED), ("--terms", _REQUIRED)
+)
 def _cmd_witness_check(args) -> int:
     from .parser import parse_ratfunc
     from .witness import Witness, witness_check
@@ -281,6 +335,13 @@ def _json_int(obj: dict, key: str) -> int:
     return value
 
 
+@_command(
+    "bounded deg-2 witness search",
+    "h",
+    ("--dmax", _REQUIRED_INT),
+    ("--gridM", {"type": int, "default": 12}),
+    ("--gridH", {"type": int, "default": 8}),
+)
 def _cmd_witness_search(args) -> int:
     from .parser import parse_ratfunc
     from .witness import SearchGrid, witness_search_deg2
@@ -292,6 +353,9 @@ def _cmd_witness_search(args) -> int:
     return EXIT_OK
 
 
+@_command(
+    "avoidance decision cascade", "h", ("--A", _REQUIRED), ("--budget", _REQUIRED_INT)
+)
 def _cmd_verdict(args) -> int:
     from .avoidance import avoidance_verdict
     from .cyclotomic import LoxtonProfile
@@ -304,6 +368,7 @@ def _cmd_verdict(args) -> int:
     return EXIT_OK
 
 
+@_command("degree caps for an l-term composition", ("--l", _REQUIRED_INT))
 def _cmd_bounds(args) -> int:
     from .witness import fz_degree_cap
 
@@ -316,6 +381,7 @@ def _cmd_bounds(args) -> int:
     return EXIT_OK
 
 
+@_command("composition degree-cap consistency", "h", "q")
 def _cmd_fz_verify(args) -> int:
     from .parser import parse_ratfunc
     from .witness import verify_fz
@@ -325,6 +391,7 @@ def _cmd_fz_verify(args) -> int:
     return EXIT_OK
 
 
+@_command("iterated-composition term bound", "h", "q", ("--n", _REQUIRED_INT))
 def _cmd_specialterms(args) -> int:
     from .parser import parse_ratfunc
     from .witness import verify_specialterms
@@ -344,119 +411,32 @@ class _ArgumentParser(argparse.ArgumentParser):
         return super()._parse_optional(arg_string)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(names: list[str] | None = None) -> argparse.ArgumentParser:
+    """The parser with the listed subcommands, all of them by default.
+
+    A partial build names every subcommand in its usage line, as the full
+    build does, so a usage error prints the same text either way.
+    """
     top = _ArgumentParser(
         prog="cyclohouse",
         description="Exact cyclotomic arithmetic, houses, and avoidance checks",
     )
-    sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("house", help="rigorous house enclosure of a scalar")
-    p.add_argument("expr")
-    p.add_argument("--bits", type=int)  # None: house's DEFAULT_ACCURACY_BITS
-    p.set_defaults(func=_cmd_house)
-
-    p = sub.add_parser("integer", help="algebraic integrality test")
-    p.add_argument("expr")
-    p.set_defaults(func=_cmd_integer)
-
-    p = sub.add_parser("rootofunity", help="exact root-of-unity test")
-    p.add_argument("expr")
-    p.set_defaults(func=_cmd_rootofunity)
-
-    p = sub.add_parser("pa", help="membership in the bounded-house integers")
-    p.add_argument("expr")
-    p.add_argument("--A", required=True)
-    p.set_defaults(func=_cmd_pa)
-
-    p = sub.add_parser("decompose", help="shortest root-of-unity sum")
-    p.add_argument("expr")
-    p.add_argument("--dmax", type=int, required=True)
-    p.set_defaults(func=_cmd_decompose)
-
-    p = sub.add_parser("cheb", help="Chebyshev-model polynomial")
-    p.add_argument("d", type=int)
-    p.set_defaults(func=_cmd_cheb)
-
-    p = sub.add_parser("compose", help="exact composition h(g(x))")
-    p.add_argument("h")
-    p.add_argument("g")
-    p.set_defaults(func=_cmd_compose)
-
-    p = sub.add_parser("iterate", help="n-fold self-composition")
-    p.add_argument("h")
-    p.add_argument("n", type=int)
-    p.set_defaults(func=_cmd_iterate)
-
-    p = sub.add_parser("degree", help="degree of a rational function")
-    p.add_argument("h")
-    p.set_defaults(func=_cmd_degree)
-
-    p = sub.add_parser("poles", help="distinct pole count on the projective line")
-    p.add_argument("h")
-    p.set_defaults(func=_cmd_poles)
-
-    p = sub.add_parser("special", help="conjugacy to x^d, -x^d or T_d")
-    p.add_argument("h")
-    p.set_defaults(func=_cmd_special)
-
-    p = sub.add_parser("normalize", help="monic normalization (c, h~, D, R)")
-    p.add_argument("h")
-    p.set_defaults(func=_cmd_normalize)
-
-    p = sub.add_parser("orbit", help="forward orbit with houses and hits")
-    p.add_argument("h")
-    p.add_argument("alpha")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--A", required=True)
-    p.set_defaults(func=_cmd_orbit)
-
-    p = sub.add_parser("scan", help="roots of unity mapping into P_A")
-    p.add_argument("h")
-    p.add_argument("--M", type=int, required=True)
-    p.add_argument("--A", required=True)
-    p.add_argument("--csv", action="store_true")
-    p.set_defaults(func=_cmd_scan)
-
-    p = sub.add_parser("witness-check", help="verify a witness identity exactly")
-    p.add_argument("h")
-    p.add_argument("--S", required=True)
-    p.add_argument("--terms", required=True)
-    p.set_defaults(func=_cmd_witness_check)
-
-    p = sub.add_parser("witness-search", help="bounded deg-2 witness search")
-    p.add_argument("h")
-    p.add_argument("--dmax", type=int, required=True)
-    p.add_argument("--gridM", type=int, default=12)
-    p.add_argument("--gridH", type=int, default=8)
-    p.set_defaults(func=_cmd_witness_search)
-
-    p = sub.add_parser("verdict", help="avoidance decision cascade")
-    p.add_argument("h")
-    p.add_argument("--A", required=True)
-    p.add_argument("--budget", type=int, required=True)
-    p.set_defaults(func=_cmd_verdict)
-
-    p = sub.add_parser("bounds", help="degree caps for an l-term composition")
-    p.add_argument("--l", type=int, required=True)
-    p.set_defaults(func=_cmd_bounds)
-
-    p = sub.add_parser("fz-verify", help="composition degree-cap consistency")
-    p.add_argument("h")
-    p.add_argument("q")
-    p.set_defaults(func=_cmd_fz_verify)
-
-    p = sub.add_parser("specialterms", help="iterated-composition term bound")
-    p.add_argument("h")
-    p.add_argument("q")
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=_cmd_specialterms)
-
+    metavar = None if names is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = top.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if names is None else names:
+        help_line, arguments, handler = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_line)
+        for argument in arguments:
+            flag, options = (argument, {}) if isinstance(argument, str) else argument
+            p.add_argument(flag, **options)
+        p.set_defaults(func=globals()[handler])
     return top
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # a cold process builds the one subparser it runs
+    parser = _build_parser(argv[:1] if argv[:1] and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -496,5 +476,15 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INTERNAL
 
 
+def run() -> None:
+    """Entry point of ``python -m cyclohouse.cli`` and the console script."""
+    code = main()
+    # The process ends next.  Freezing moves every live object, the heap the
+    # imports made included, into the permanent generation, which the
+    # interpreter's final collections skip instead of walking it.
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

@@ -557,10 +557,12 @@ def compose(h1: RatFunc, h2: RatFunc) -> RatFunc:
     """Exact composition h1(h2(x)) in reduced form.
 
     An affine h2 = a x + b makes num and den each one Taylor shift
-    (``_affine``); the identity does no work.  Any other h2 = r/s is
-    homogenized: sum p_i r^i s^(D - i) over sum q_j r^j s^(D - j).  When
-    s is a monomial x^k, as for every Laurent h2, each product by a power
-    of s is a shift.
+    (``_affine``); the identity does no work.  A monomial h2 = c x^k
+    spreads the coefficients, p_i c^i to x^(ik) over q_j c^j to x^(jk),
+    with no product of polynomials.  Any other h2 = r/s is homogenized:
+    sum p_i r^i s^(D - i) over sum q_j r^j s^(D - j).  When s is a
+    monomial x^k, as for every Laurent h2, each product by a power of s
+    is a shift.
 
     Raises ResourceLimitError, before any product, when 2 (deg h1 deg h2
     + 1) exceeds ``DEFAULT_ITERATE_CEILING``, the rule of ``iterate``.
@@ -583,6 +585,9 @@ def compose(h1: RatFunc, h2: RatFunc) -> RatFunc:
     if s.deg == 0 and r.deg == 1:  # h2 = a x + b: one Taylor shift each
         return RatFunc._from_coprime(_affine(p, r[1], r[0]), _affine(q, r[1], r[0]))
     big_d = max(p.deg, q.deg)
+    if s.deg == 0 and r.num_terms() == 1:  # h2 = c x^k with k >= 2
+        c_pows = _powers(r.leading(), big_d)
+        return RatFunc._from_coprime(_spread(p, c_pows, r.deg), _spread(q, c_pows, r.deg))
     r_pows = [Poly([1])]
     for _ in range(big_d):
         r_pows.append(r_pows[-1] * r)
@@ -611,6 +616,15 @@ def compose(h1: RatFunc, h2: RatFunc) -> RatFunc:
     # share the value h2(w) as a root (impossible, they are coprime) or,
     # when s(w) = 0, make the top-degree term c * r(w)^D survive.
     return RatFunc._from_coprime(num, den)
+
+
+def _spread(p: Poly, c_pows: list[CycNum], k: int) -> Poly:
+    """Coefficients of p(c x^k), given c^0, ..., c^deg p."""
+    out = [CycNum.zero] * (k * p.deg + 1)
+    for i, a in enumerate(p.coeffs):
+        if a:
+            out[k * i] = a * c_pows[i]
+    return _poly_of(tuple(out))
 
 
 def iterate(h: RatFunc, n: int) -> RatFunc:

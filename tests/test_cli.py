@@ -68,6 +68,12 @@ CASES = {
 }
 
 
+def _src_env() -> dict:
+    """This environment with ./src first on PYTHONPATH, for a new process."""
+    path = [str(SRC), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+
+
 def apply_case(name, monkeypatch):
     """argv and exit code of a golden case, with its environment set."""
     argv, code, *env = CASES[name]
@@ -156,11 +162,24 @@ def test_an_expression_may_begin_with_a_minus_sign(argv):
     assert (code, out) == _run([argv[0], "--", argv[1]])
 
 
-def test_help_and_every_option_still_parse():
+def _parse(parser, argv):
+    """(exit code or None, stdout, stderr) of ``parser.parse_args(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    code = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            parser.parse_args(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_help_and_every_option_still_parse(monkeypatch):
     import argparse
 
     from cyclohouse.cli import _build_parser
 
+    monkeypatch.setenv("COLUMNS", "80")
     top = _build_parser()
     (sub,) = (a for a in top._actions if isinstance(a, argparse._SubParsersAction))
     for name, parser in sub.choices.items():
@@ -177,12 +196,57 @@ def test_help_and_every_option_still_parse():
             expected[action.dest] = value
         args = top.parse_args(argv)
         assert {key: getattr(args, key) for key in expected} == expected, argv
+        # a one-subparser build parses, helps and refuses as the full build
+        one = _build_parser([name])
+        assert one.parse_args(argv) == args, argv
+        help_text, missing, extra = (
+            [_parse(parser, probe) for parser in (one, top)]
+            for probe in ([name, "--help"], [name], argv + ["--no-such-option"])
+        )
+        assert help_text[0] == help_text[1] and help_text[0][0] == 0, name
+        assert missing[0] == missing[1] and missing[0][0] == 2, name
+        assert "the following arguments are required" in missing[0][2], name
+        assert extra[0] == extra[1] and "unrecognized arguments" in extra[0][2], name
         for flag in ("-h", "--help"):
             code, out = _run([name, flag])
             assert code == 0 and out.startswith(f"usage: cyclohouse {name} [-h]")
     for flag in ("-h", "--help"):
         code, out = _run([flag])
         assert code == 0 and out.startswith("usage: cyclohouse [-h]")
+
+
+# One case per exit code, and two usage errors: an unknown command (the
+# full parser) and a named command without its argument (one subparser).
+ENTRY_CASES = ["house", "err_domain", "err_syntax", "err_resource", "err_undecided"]
+USAGE_ERRORS = {"usage_unknown": ["no-such-command"], "usage_missing": ["house"]}
+ENTRY_POINTS = {
+    "module": ["-m", "cyclohouse.cli"],
+    "run": ["-c", "import cyclohouse.cli; cyclohouse.cli.run()"],
+}
+
+
+@pytest.mark.parametrize("case", ENTRY_CASES + list(USAGE_ERRORS))
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_entry_point_process_matches_in_process_main(entry, case, monkeypatch):
+    # the freeze before exit lives only on this path; main in-process skips it
+    monkeypatch.setenv("COLUMNS", "80")
+    if case in USAGE_ERRORS:
+        argv, expected_code = USAGE_ERRORS[case], 2
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, expected_out = _run(argv)
+        assert code == 2 and json.loads(expected_out)["error"]["type"] == "usage"
+        expected_err = err.getvalue()
+    else:
+        argv, expected_code = apply_case(case, monkeypatch)
+        expected_out, expected_err = (GOLDEN_DIR / f"{case}.out").read_text(), ""
+    proc = subprocess.run(
+        [sys.executable, *ENTRY_POINTS[entry], *argv],
+        env=_src_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        expected_code, expected_out, expected_err
+    )
 
 
 def test_precision_cap_env_variable(monkeypatch):
@@ -443,6 +507,13 @@ def test_compose_past_the_iterate_ceiling_is_refused_before_any_product():
     )
 
 
+def test_monomial_compose_spreads_the_coefficients():
+    start = time.process_time()
+    code, out = _run(["compose", "x^400", "x^400"])  # 9.7 s by dense products
+    assert time.process_time() - start < 1
+    assert (code, out) == (0, '{"ratfunc": "x^160000"}\n')
+
+
 def test_orbit_past_the_power_ceiling_is_refused_at_the_first_large_point():
     start = time.process_time()
     code, out = _run(["orbit", "x^2+1", "2", "--n", "40", "--A", "2"])  # 5 s at --n 24
@@ -527,10 +598,8 @@ def test_quadratic_rational_map_is_decided_without_a_large_gauss_sum():
 
 def _fresh_python(script: str) -> str:
     """stdout of ``python -c script`` in a new process that imports ./src."""
-    path = [str(SRC), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", script], env=_src_env(), capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout

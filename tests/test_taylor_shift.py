@@ -116,6 +116,26 @@ def test_laurent_composition_matches_reference(field, data):
     assert compose(h, inner) == ref.compose(h, inner)
 
 
+MONOMIAL_CASES = {
+    n: st.tuples(
+        _outer_maps(f),
+        st.builds(
+            lambda c, k: RatFunc.from_poly(Poly([0] * k + [c])), f.filter(bool), st.integers(2, 6)
+        ),
+    )
+    for n, f in FIELDS.items()
+}
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@given(data=st.data())
+@settings(max_examples=10)
+def test_monomial_composition_matches_reference(field, data):
+    """An inner map c x^k, k >= 2, spreads the outer coefficients."""
+    h, inner = data.draw(MONOMIAL_CASES[field])
+    assert compose(h, inner) == ref.compose(h, inner)
+
+
 @pytest.mark.parametrize("field", FIELDS)
 @given(data=st.data())
 @settings(max_examples=10)
