@@ -42,7 +42,7 @@ from .cyclotomic import (
     is_algebraic_integer,
     quotient_outside_PA,
 )
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError, printable
 from .ratfunc import (
     POWER_BITS_CEILING,
     Poly,
@@ -74,20 +74,26 @@ class MonicNormalization(Record):
         return {
             "c": format_value(self.c),
             "h_tilde": format_value(self.h_tilde),
-            "D": self.D,
-            "R": str(self.R),
+            "D": printable(self.D),
+            "R": str(printable(self.R)),
         }
 
 
 def monic_normalize(h: RatFunc) -> MonicNormalization:
-    """Monic model of h = p/q, requiring deg p > deg q + 1.
+    """Monic model of h = p/q, requiring deg p > deg q + 1: the model
+    (c, h~, D) of ``_monic_model`` and the verified escape radius."""
+    c, h_tilde, big_d = _monic_model(h)
+    return MonicNormalization(c=c, h_tilde=h_tilde, D=big_d, R=_verified_escape_radius(h_tilde))
+
+
+def _monic_model(h: RatFunc) -> tuple[CycNum, RatFunc, int]:
+    """(c, h~, D) for h = p/q with deg p > deg q + 1.
 
     Solves c^(d-e-1) = lead(p) in the closed form of
     ``special.nth_root_in_cyclotomic`` (a rational, or for an even root
-    the square root of one, times a root of unity);
-    returns the monic model, the minimal integer D making D*c^-1 times
-    {1} and every model coefficient integral, and the verified escape
-    radius.
+    the square root of one, times a root of unity); h~ is the monic
+    model and D the minimal integer making D*c^-1 times {1} and every
+    model coefficient integral.  No house is computed.
     """
     p, q = h.num, h.den
     d, e = p.deg, q.deg
@@ -108,10 +114,7 @@ def monic_normalize(h: RatFunc) -> MonicNormalization:
     qt = Poly([q[j] * c ** (e - j) for j in range(e + 1)])
     if pt.leading() != CycNum.one or qt.leading() != CycNum.one:
         raise AssertionError("normalization failed to produce monic model")
-    h_tilde = RatFunc(pt, qt)
-    big_d = _minimal_clearing_integer(c_inv, pt, qt)
-    radius = _verified_escape_radius(h_tilde)
-    return MonicNormalization(c=c, h_tilde=h_tilde, D=big_d, R=radius)
+    return c, RatFunc(pt, qt), _minimal_clearing_integer(c_inv, pt, qt)
 
 
 def _minimal_clearing_integer(c_inv: CycNum, pt: Poly, qt: Poly) -> int:
@@ -207,7 +210,7 @@ class OrbitRecord(Record):
             "hit_indices": list(self.hit_indices),
             "undecided_indices": list(self.undecided_indices),
             "truncated_at": self.truncated_at,
-            "D": self.D,
+            "D": None if self.D is None else printable(self.D),
         }
 
 
@@ -235,8 +238,7 @@ def orbit(h: RatFunc, a: CycNum, n_steps: int, A) -> OrbitRecord:
         raise DomainError("orbit length must be nonnegative")
     A = Fraction(A)
     try:
-        norm = monic_normalize(h)
-        big_d: int | None = norm.D
+        big_d: int | None = _monic_model(h)[2]
     except DomainError:
         big_d = None
     points = _orbit_points(h, a, n_steps)

@@ -1,11 +1,12 @@
 """Command-line interface: every library operation behind one executable.
 
-Every command emits a single JSON object on stdout (or CSV for tabular
-commands under --csv).  Exit codes: 0 success, 1 domain error, 2 syntax
-error, 3 resource ceiling (a number too long to print included), 4
-undecided at the precision cap, 5 internal error (an unexpected
-exception).  Errors are reported as {"error": {"type": ..., "message":
-...}} and identical invocations produce byte-identical output.
+Every handler returns its answer, a JSON object (or, for ``scan --csv``,
+CSV text), and ``main`` alone writes it to stdout.  Exit codes: 0 for an
+answer, 4 for one whose verdict is undecided, 2 for a usage error, and for
+a library error the ``exit_code`` of its class in ``errors`` (an
+unexpected exception is internal, 5).  Errors are reported as
+{"error": {"type": ..., "message": ...}} and identical invocations
+produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ from fractions import Fraction
 from .errors import (
     CyclohouseError,
     DomainError,
-    ParseError,
-    ResourceLimitError,
     UndecidedError,
     int_digit_limit,
     printable,
@@ -31,9 +30,7 @@ from .errors import (
 # modules its subcommand uses.
 
 EXIT_OK = 0
-EXIT_DOMAIN = 1
 EXIT_SYNTAX = 2
-EXIT_RESOURCE = 3
 EXIT_UNDECIDED = 4
 EXIT_INTERNAL = 5
 
@@ -56,10 +53,6 @@ def _real(text: str) -> Fraction:
     if limit and max(abs(value.numerator), value.denominator) >= 10**limit:
         raise DomainError(f"real parameter {text!r} has more than {limit} digits")
     return value
-
-
-def _emit(obj) -> None:
-    sys.stdout.write(json.dumps(obj) + "\n")
 
 
 # Subcommand name -> (help line, arguments, handler name), in usage order.
@@ -87,48 +80,43 @@ def _command(help_line: str, *arguments):
 
 # --bits absent: house's DEFAULT_ACCURACY_BITS
 @_command("rigorous house enclosure of a scalar", "expr", ("--bits", _INT))
-def _cmd_house(args) -> int:
+def _cmd_house(args) -> dict:
     from .cyclotomic import house
     from .formatting import format_value
     from .parser import parse_scalar
 
     a = parse_scalar(args.expr)
     hr = house(a) if args.bits is None else house(a, args.bits)
-    _emit({"house": hr.to_dict(), "value": format_value(a)})
-    return EXIT_OK
+    return {"house": hr.to_dict(), "value": format_value(a)}
 
 
 @_command("algebraic integrality test", "expr")
-def _cmd_integer(args) -> int:
+def _cmd_integer(args) -> dict:
     from .cyclotomic import is_algebraic_integer
     from .formatting import format_value
     from .parser import parse_scalar
 
     a = parse_scalar(args.expr)
-    _emit({"integral": is_algebraic_integer(a), "value": format_value(a)})
-    return EXIT_OK
+    return {"integral": is_algebraic_integer(a), "value": format_value(a)}
 
 
 @_command("exact root-of-unity test", "expr")
-def _cmd_rootofunity(args) -> int:
+def _cmd_rootofunity(args) -> dict:
     from .cyclotomic import is_root_of_unity
     from .formatting import format_value
     from .parser import parse_scalar
 
     a = parse_scalar(args.expr)
     rou = is_root_of_unity(a)
-    _emit(
-        {
-            "root_of_unity": rou.to_dict() if rou is not None else None,
-            "value": format_value(a),
-        }
-    )
-    return EXIT_OK
+    return {
+        "root_of_unity": rou.to_dict() if rou is not None else None,
+        "value": format_value(a),
+    }
 
 
 @_command("membership in the bounded-house integers", "expr", ("--A", _REQUIRED))
-def _cmd_pa(args) -> int:
-    from .cyclotomic import UNDECIDED, house, in_PA, is_algebraic_integer
+def _cmd_pa(args) -> dict:
+    from .cyclotomic import house, in_PA, is_algebraic_integer
     from .formatting import format_value
     from .parser import parse_scalar
 
@@ -146,84 +134,75 @@ def _cmd_pa(args) -> int:
             out["house"] = house(a).to_dict()
         except UndecidedError:
             out["house"] = None
-    _emit(out)
-    return EXIT_UNDECIDED if verdict == UNDECIDED else EXIT_OK
+    return out
 
 
 @_command("shortest root-of-unity sum", "expr", ("--dmax", _REQUIRED_INT))
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args) -> dict:
     from .cyclotomic import loxton_decompose, torsion_order
     from .formatting import format_value
     from .parser import parse_scalar
 
     a = parse_scalar(args.expr)
     result = loxton_decompose(a, args.dmax)
-    _emit(
-        {
-            "decomposition": (
-                [{"e": format_value(e), "root": r.to_dict()} for e, r in result]
-                if result is not None
-                else None
-            ),
-            "length": len(result) if result is not None else None,
-            "search_conductor": torsion_order(a.n),
-        }
-    )
-    return EXIT_OK
+    return {
+        "decomposition": (
+            [{"e": format_value(e), "root": r.to_dict()} for e, r in result]
+            if result is not None
+            else None
+        ),
+        "length": len(result) if result is not None else None,
+        "search_conductor": torsion_order(a.n),
+    }
 
 
 @_command("Chebyshev-model polynomial", ("d", _INT))
-def _cmd_cheb(args) -> int:
+def _cmd_cheb(args) -> dict:
     from .formatting import format_value
     from .ratfunc import chebyshev
 
-    _emit({"poly": format_value(chebyshev(args.d))})
-    return EXIT_OK
+    return {"poly": format_value(chebyshev(args.d))}
 
 
 @_command("exact composition h(g(x))", "h", "g")
-def _cmd_compose(args) -> int:
+def _cmd_compose(args) -> dict:
     from .formatting import format_value
     from .parser import parse_ratfunc
     from .ratfunc import compose
 
     h1 = parse_ratfunc(args.h)
     h2 = parse_ratfunc(args.g)
-    _emit({"ratfunc": format_value(compose(h1, h2))})
-    return EXIT_OK
+    return {"ratfunc": format_value(compose(h1, h2))}
 
 
 @_command("n-fold self-composition", "h", ("n", _INT))
-def _cmd_iterate(args) -> int:
+def _cmd_iterate(args) -> dict:
     from .formatting import format_value
     from .parser import parse_ratfunc
     from .ratfunc import iterate
 
     h = parse_ratfunc(args.h)
-    _emit({"ratfunc": format_value(iterate(h, args.n))})
-    return EXIT_OK
+    return {"ratfunc": format_value(iterate(h, args.n))}
 
 
 @_command("degree of a rational function", "h")
-def _cmd_degree(args) -> int:
+def _cmd_degree(args) -> dict:
     from .parser import parse_ratfunc
     from .ratfunc import degree
 
-    _emit({"degree": degree(parse_ratfunc(args.h))})
-    return EXIT_OK
+    return {"degree": degree(parse_ratfunc(args.h))}
 
 
 @_command("distinct pole count on the projective line", "h")
-def _cmd_poles(args) -> int:
+def _cmd_poles(args) -> dict:
     from .parser import parse_ratfunc
     from .ratfunc import distinct_pole_count
 
-    _emit({"distinct_pole_count": distinct_pole_count(parse_ratfunc(args.h))})
-    return EXIT_OK
+    return {"distinct_pole_count": distinct_pole_count(parse_ratfunc(args.h))}
 
 
 @_command("conjugacy to x^d, -x^d or T_d", "h")
-def _cmd_special(args) -> int:
+def _cmd_special(args) -> dict:
     from .formatting import format_value
     from .parser import parse_ratfunc
     from .special import is_special
@@ -235,20 +214,18 @@ def _cmd_special(args) -> int:
             "mobius": format_value(verdict.certificate.mobius.as_ratfunc()),
             "model": verdict.certificate.model_name(),
         }
-    _emit({"status": verdict.status, "certificate": cert})
-    return EXIT_OK
+    return {"status": verdict.status, "certificate": cert}
 
 
 @_command("monic normalization (c, h~, D, R)", "h")
-def _cmd_normalize(args) -> int:
+def _cmd_normalize(args) -> dict:
     from .avoidance import monic_normalize
     from .parser import parse_ratfunc
 
     norm = monic_normalize(parse_ratfunc(args.h))
     out = norm.to_dict()
     out["escape_radius_verified"] = str(norm.R)
-    _emit(out)
-    return EXIT_OK
+    return out
 
 
 @_command(
@@ -258,15 +235,13 @@ def _cmd_normalize(args) -> int:
     ("--n", _REQUIRED_INT),
     ("--A", _REQUIRED),
 )
-def _cmd_orbit(args) -> int:
+def _cmd_orbit(args) -> dict:
     from .avoidance import orbit
     from .parser import parse_ratfunc, parse_scalar
 
     h = parse_ratfunc(args.h)
     alpha = parse_scalar(args.alpha)
-    record = orbit(h, alpha, args.n, _real(args.A))
-    _emit(record.to_dict())
-    return EXIT_OK
+    return orbit(h, alpha, args.n, _real(args.A)).to_dict()
 
 
 @_command(
@@ -276,32 +251,27 @@ def _cmd_orbit(args) -> int:
     ("--A", _REQUIRED),
     ("--csv", {"action": "store_true"}),
 )
-def _cmd_scan(args) -> int:
+def _cmd_scan(args) -> dict | str:
     from .avoidance import scan_roots_of_unity
     from .formatting import scan_to_csv
     from .parser import parse_ratfunc
 
     h = parse_ratfunc(args.h)
     result = scan_roots_of_unity(h, args.M, _real(args.A))
-    if args.csv:
-        sys.stdout.write(scan_to_csv(result))
-    else:
-        _emit(result.to_dict())
-    return EXIT_OK
+    return scan_to_csv(result) if args.csv else result.to_dict()
 
 
 @_command(
     "verify a witness identity exactly", "h", ("--S", _REQUIRED), ("--terms", _REQUIRED)
 )
-def _cmd_witness_check(args) -> int:
+def _cmd_witness_check(args) -> dict:
     from .parser import parse_ratfunc
     from .witness import Witness, witness_check
 
     h = parse_ratfunc(args.h)
     s_map = parse_ratfunc(args.S)
     w = Witness(tuple(_witness_terms(args.terms)), s_map)
-    _emit({"valid": witness_check(h, w), "witness": w.to_dict()})
-    return EXIT_OK
+    return {"valid": witness_check(h, w), "witness": w.to_dict()}
 
 
 def _witness_terms(text: str) -> list:
@@ -342,34 +312,31 @@ def _json_int(obj: dict, key: str) -> int:
     ("--gridM", {"type": int, "default": 12}),
     ("--gridH", {"type": int, "default": 8}),
 )
-def _cmd_witness_search(args) -> int:
+def _cmd_witness_search(args) -> dict:
     from .parser import parse_ratfunc
     from .witness import SearchGrid, witness_search_deg2
 
     h = parse_ratfunc(args.h)
     grid = SearchGrid(rou_order_cap=args.gridM, rational_height_cap=args.gridH)
     w = witness_search_deg2(h, args.dmax, grid)
-    _emit({"witness": w.to_dict() if w is not None else None})
-    return EXIT_OK
+    return {"witness": w.to_dict() if w is not None else None}
 
 
 @_command(
     "avoidance decision cascade", "h", ("--A", _REQUIRED), ("--budget", _REQUIRED_INT)
 )
-def _cmd_verdict(args) -> int:
+def _cmd_verdict(args) -> dict:
     from .avoidance import avoidance_verdict
     from .cyclotomic import LoxtonProfile
     from .parser import parse_ratfunc
 
     h = parse_ratfunc(args.h)
     profile = LoxtonProfile.default(args.budget)
-    verdict = avoidance_verdict(h, _real(args.A), profile)
-    _emit(verdict.to_dict())
-    return EXIT_OK
+    return avoidance_verdict(h, _real(args.A), profile).to_dict()
 
 
 @_command("degree caps for an l-term composition", ("--l", _REQUIRED_INT))
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args) -> dict:
     from .witness import fz_degree_cap
 
     limit = int_digit_limit()
@@ -377,28 +344,23 @@ def _cmd_bounds(args) -> int:
         # 2016 * 5^l has more than 0.69 * l digits: refused before it is built
         raise too_long_to_print(limit)
     rational, laurent = map(printable, fz_degree_cap(args.l))
-    _emit({"l": args.l, "rational_cap": rational, "laurent_poly_cap": laurent})
-    return EXIT_OK
+    return {"l": args.l, "rational_cap": rational, "laurent_poly_cap": laurent}
 
 
 @_command("composition degree-cap consistency", "h", "q")
-def _cmd_fz_verify(args) -> int:
+def _cmd_fz_verify(args) -> dict:
     from .parser import parse_ratfunc
     from .witness import verify_fz
 
-    report = verify_fz(parse_ratfunc(args.h), parse_ratfunc(args.q))
-    _emit(report.to_dict())
-    return EXIT_OK
+    return verify_fz(parse_ratfunc(args.h), parse_ratfunc(args.q)).to_dict()
 
 
 @_command("iterated-composition term bound", "h", "q", ("--n", _REQUIRED_INT))
-def _cmd_specialterms(args) -> int:
+def _cmd_specialterms(args) -> dict:
     from .parser import parse_ratfunc
     from .witness import verify_specialterms
 
-    report = verify_specialterms(parse_ratfunc(args.h), parse_ratfunc(args.q), args.n)
-    _emit(report.to_dict())
-    return EXIT_OK
+    return verify_specialterms(parse_ratfunc(args.h), parse_ratfunc(args.q), args.n).to_dict()
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -440,40 +402,25 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        # argparse printed usage on stderr; keep stdout valid JSON
+        # argparse printed help or usage on stderr; keep stdout valid JSON
         if exc.code in (0, None):
             return EXIT_OK
-        _emit({"error": {"type": "usage", "message": "invalid command line"}})
+        answer = {"error": {"type": "usage", "message": "invalid command line"}}
+        sys.stdout.write(json.dumps(answer) + "\n")
         return EXIT_SYNTAX
     try:
-        return args.func(args)
-    except ParseError as exc:
-        _emit(
-            {
-                "error": {
-                    "type": "syntax",
-                    "message": str(exc),
-                    "position": exc.position,
-                    "expected": list(exc.expected),
-                }
-            }
-        )
-        return EXIT_SYNTAX
-    except ResourceLimitError as exc:
-        _emit({"error": {"type": "resource", "message": str(exc)}})
-        return EXIT_RESOURCE
-    except UndecidedError as exc:
-        _emit({"error": {"type": "undecided", "message": str(exc)}})
-        return EXIT_UNDECIDED
-    except DomainError as exc:
-        _emit({"error": {"type": "domain", "message": str(exc)}})
-        return EXIT_DOMAIN
+        answer = args.func(args)
+        # cyclotomic.UNDECIDED, spelled out: a cold import of cli loads no cyclotomic
+        undecided = args.command == "pa" and answer["verdict"] == "undecided"
+        code = EXIT_UNDECIDED if undecided else EXIT_OK
+        text = answer if isinstance(answer, str) else json.dumps(answer) + "\n"
     except CyclohouseError as exc:
-        _emit({"error": {"type": "internal", "message": str(exc)}})
-        return EXIT_DOMAIN
+        text, code = json.dumps({"error": exc.to_dict()}) + "\n", exc.exit_code
     except Exception as exc:  # last resort: a JSON error, never a traceback
-        _emit({"error": {"type": "internal", "message": f"{type(exc).__name__}: {exc}"}})
-        return EXIT_INTERNAL
+        error = {"type": "internal", "message": f"{type(exc).__name__}: {exc}"}
+        text, code = json.dumps({"error": error}) + "\n", EXIT_INTERNAL
+    sys.stdout.write(text)
+    return code
 
 
 def run() -> None:

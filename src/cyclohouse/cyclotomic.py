@@ -210,8 +210,15 @@ class _Cyclotomy:
         return acc
 
 
+#: The largest conductor of any field an element lives in: a bound on
+#: work, checked before n is factorized or a row of length n is made.
+CONDUCTOR_CEILING = 1 << 20
+
+
 @lru_cache(maxsize=None)
 def _cyclotomy(n: int) -> _Cyclotomy:
+    if n > CONDUCTOR_CEILING:
+        raise ResourceLimitError(f"conductor {n} is above {CONDUCTOR_CEILING}")
     return _Cyclotomy(n)
 
 
@@ -223,6 +230,7 @@ def _scatter(n: int, row, step: int = 1, shift: int = 0) -> list[int]:
     """Reduced numerators of sum_j row[j] * zeta_n^(step*j + shift): one
     dense row of length n, filled by one strided slice when no exponent
     reaches n (else by one pass mod n), then one reduction modulo Phi_n."""
+    ctx = _cyclotomy(n)
     acc = [0] * n
     if shift + step * (len(row) - 1) < n:
         acc[shift : shift + step * len(row) : step] = row
@@ -230,7 +238,7 @@ def _scatter(n: int, row, step: int = 1, shift: int = 0) -> list[int]:
         for j, c in enumerate(row):
             if c:
                 acc[(step * j + shift) % n] += c
-    return _cyclotomy(n).reduce(acc)
+    return ctx.reduce(acc)
 
 
 def _try_drop_prime(n: int, num, p: int) -> list[int] | None:
@@ -325,11 +333,10 @@ class CycNum(Record):
     def __init__(self, n: int, coords):
         if n < 1:
             raise DomainError("conductor must be positive")
+        phi = _cyclotomy(n).phi
         num, den = _from_fractions(coords)
-        if len(num) != euler_phi(n):
-            raise DomainError(
-                f"expected {euler_phi(n)} coordinates at conductor {n}, got {len(num)}"
-            )
+        if len(num) != phi:
+            raise DomainError(f"expected {phi} coordinates at conductor {n}, got {len(num)}")
         cn, cnum = _canonicalize(n, num)
         cnum, den = _lowest_terms(cnum, den)
         _set_n(self, cn)
@@ -623,10 +630,11 @@ def vector_value(vec: tuple[list[tuple[int, int]], int, int]) -> CycNum:
     """The element of an exponent vector (pairs, D, N): its dense row of
     length N, reduced once modulo Phi_N."""
     pairs, den, n = vec
+    ctx = _cyclotomy(n)
     acc = [0] * n
     for e, w in pairs:
         acc[e] = w
-    return _make(n, _cyclotomy(n).reduce(acc), den)
+    return _make(n, ctx.reduce(acc), den)
 
 
 # ---------------------------------------------------------------------------

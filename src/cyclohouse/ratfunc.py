@@ -686,10 +686,11 @@ def to_laurent(h: RatFunc) -> LaurentPoly | None:
 def chebyshev(d: int) -> Poly:
     """Monic degree-d polynomial with T_d(t + 1/t) = t^d + t^-d.
 
-    Built on integers by the recurrence T_0 = 2, T_1 = x,
-    T_{k+1} = x*T_k - T_{k-1}, which proves the identity by induction
-    on k: T_0 and T_1 satisfy it, and
-    (t + 1/t)(t^k + t^-k) - (t^(k-1) + t^(1-k)) = t^(k+1) + t^-(k+1).
+    T_d is the Dickson polynomial D_d(x, 1), whose coefficient of
+    x^(d-2j) is (-1)^j d/(d-j) C(d-j, j) (Lidl, Mullen and Turnwald,
+    "Dickson Polynomials", 1993).  It is built on integers in one pass
+    over j, each C(d-j, j) from the previous one by the factor
+    (d-2j+2)(d-2j+1) / (j (d-j+1)).
 
     The absolute values of the coefficients sum to the Lucas number
     L_d > phi^d - 1 > 2^(9 (d // 13)) - 1 (as phi^13 > 2^9), so the
@@ -702,10 +703,14 @@ def chebyshev(d: int) -> Poly:
     limit = int_digit_limit()
     if limit and 9 * (d // 13) > -(-10 * limit // 3) + (d + 1).bit_length():
         raise too_long_to_print(limit)
-    prev, cur = [2], [0, 1]
-    for _ in range(d - 1):
-        prev, cur = cur, [a - b for a, b in zip([0, *cur], prev + [0, 0])]
-    return Poly(cur)
+    coeffs = [0] * (d + 1)
+    binom = 1  # C(d - j, j)
+    for j in range(d // 2 + 1):
+        if j:
+            binom = binom * (d - 2 * j + 2) * (d - 2 * j + 1) // (j * (d - j + 1))
+        c = d * binom // (d - j)
+        coeffs[d - 2 * j] = -c if j % 2 else c
+    return Poly(coeffs)
 
 
 class Mobius(Record):

@@ -4,6 +4,7 @@ A CASES entry is (argv, exit code) or (argv, exit code, environment);
 ``apply_case`` sets the environment with monkeypatch.
 """
 
+import ast
 import io
 import json
 import contextlib
@@ -16,6 +17,13 @@ from pathlib import Path
 import pytest
 
 from cyclohouse.cli import main
+from cyclohouse.errors import (
+    CyclohouseError,
+    DomainError,
+    ParseError,
+    ResourceLimitError,
+    UndecidedError,
+)
 
 from .util import forbid_loxton_tables
 
@@ -340,6 +348,69 @@ def test_unexpected_exception_is_internal_error(monkeypatch):
     assert "simulated failure" in doc["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "error, kind, code",
+    [
+        (DomainError("outside"), "domain", 1),
+        (ParseError("bad token", 3, ("x", "(")), "syntax", 2),
+        (ResourceLimitError("too big"), "resource", 3),
+        (UndecidedError("too close"), "undecided", 4),
+        (CyclohouseError("unclassified"), "internal", 5),
+    ],
+    ids=lambda v: v if isinstance(v, str) else None,
+)
+def test_each_error_class_carries_its_type_and_exit_code(monkeypatch, error, kind, code):
+    import cyclohouse.cli as cli_mod
+
+    def fail(args):
+        raise error
+
+    monkeypatch.setattr(cli_mod, "_cmd_degree", fail)
+    assert _run(["degree", "x^2"]) == (code, json.dumps({"error": error.to_dict()}) + "\n")
+    expected = {"type": kind, "message": str(error)}
+    if kind == "syntax":
+        expected.update(position=3, expected=["x", "("])
+    assert error.to_dict() == expected
+
+
+def test_an_answer_that_cannot_be_serialized_is_one_json_line(monkeypatch):
+    import cyclohouse.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "_cmd_degree", lambda args: {"value": 10**5000})
+    code, out = _run(["degree", "x^2"])
+    assert code == 5
+    assert json.loads(out)["error"]["type"] == "internal"
+
+
+def test_a_handler_exit_is_not_a_usage_error(monkeypatch):
+    import cyclohouse.cli as cli_mod
+
+    def leave(args):
+        raise SystemExit(7)
+
+    monkeypatch.setattr(cli_mod, "_cmd_degree", leave)
+    with pytest.raises(SystemExit):
+        _run(["degree", "x^2"])
+
+
+def test_only_main_writes_stdout():
+    # every handler returns its answer; main writes it and picks the exit code
+    offenders = []
+    tree = ast.parse((SRC / "cyclohouse" / "cli.py").read_text())
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef) or func.name == "main":
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.Call):
+                callee = ast.unparse(node.func)
+                if callee in ("_emit", "print", "sys.stdout.write"):
+                    offenders.append(f"{func.name}:{node.lineno} calls {callee}")
+            returned = getattr(node, "value", None) if isinstance(node, ast.Return) else None
+            if isinstance(returned, ast.Name) and returned.id.startswith("EXIT_"):
+                offenders.append(f"{func.name}:{node.lineno} returns {returned.id}")
+    assert not offenders
+
+
 WITNESS_CHECK = ["witness-check", "x^2 - 2", "--S", "x + x^-1", "--terms"]
 
 
@@ -489,6 +560,24 @@ def test_cheb_below_the_print_limit_still_answers():
     assert json.loads(out)["poly"].startswith("x^2000 - 2000*x^1998 + 1997000*x^1996 - ")
 
 
+def test_cheb_just_below_the_refusal_is_built_from_the_closed_form():
+    from cyclohouse.ratfunc import chebyshev
+
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit != 4300:
+        pytest.skip("the degree is sized for the default 4300-digit limit")
+    chebyshev.cache_clear()
+    start = time.process_time()
+    code, out = _run(["cheb", "20734"])  # 45 s by the three-term recurrence
+    assert time.process_time() - start < 5
+    chebyshev.cache_clear()
+    # built, then refused by the printer: its coefficients pass 4300 digits
+    assert code == 3
+    assert json.loads(out)["error"]["message"] == (
+        "a number of more than 4300 digits cannot be printed"
+    )
+
+
 def test_iterate_ceiling_does_not_build_d_to_the_n():
     start = time.process_time()
     code, out = _run(["iterate", "x^3", "1000000000000"])
@@ -520,6 +609,51 @@ def test_orbit_past_the_power_ceiling_is_refused_at_the_first_large_point():
     assert time.process_time() - start < 1
     assert code == 3
     assert json.loads(out)["error"]["message"] == "orbit point 20 exceeds 1048576 bits"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["house", "z1000000000000"],  # MemoryError, exit 5
+        ["rootofunity", "z99999999999999999999"],  # past 20 s factorizing
+        ["integer", "z9999999999999999999999999"],  # past 20 s
+        ["house", "z999999999999999999999999999999"],  # past 20 s
+        ["integer", "z2000003"],  # answered in 1.5 s
+        ["integer", "z10000019"],  # answered in 8.5 s and 1.3 GB
+        ["house", "z1021 * z1031"],  # a product at conductor 1021 * 1031
+    ],
+)
+def test_conductor_past_the_ceiling_exits_3_at_once(argv):
+    start = time.process_time()
+    code, out = _run(argv)
+    assert time.process_time() - start < 1
+    assert code == 3
+    assert json.loads(out)["error"]["message"].endswith("is above 1048576")
+
+
+def test_orbit_needs_no_escape_radius():
+    # the house of 10^2000 * z7 needs more than the precision cap; orbit
+    # prints D, not the escape radius R, so it never asks for that house
+    start = time.process_time()
+    code, out = _run(["orbit", "x^3 + 10^2000*z7", "1", "--n", "0", "--A", "2"])
+    assert time.process_time() - start < 1
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["points"], doc["D"], doc["hit_indices"]) == (["1"], 1, [0])
+    # normalize prints R, so it still cannot answer
+    code, out = _run(["normalize", "x^3 + 10^2000*z7"])
+    assert code == 4
+    assert json.loads(out)["error"]["type"] == "undecided"
+
+
+def test_orbit_scale_past_the_print_limit_exits_3():
+    start = time.process_time()
+    # D = 2^20000 has 6021 digits
+    code, out = _run(["orbit", "x^3 + x/2^20000", "1", "--n", "0", "--A", "2"])
+    assert time.process_time() - start < 1
+    assert code == 3
+    assert out.count("\n") == 1
+    assert json.loads(out)["error"]["type"] == "resource"
 
 
 @pytest.mark.parametrize("h, flag", [("1/(x-3)", "--gridM"), ("x^3+2*x+5", "--gridH")])

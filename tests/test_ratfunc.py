@@ -222,8 +222,8 @@ class TestChebyshev:
         return acc
 
     def test_defining_identity_by_integer_horner(self):
-        # chebyshev proves the identity by its recurrence and checks nothing
-        # at run time; this is the check
+        # chebyshev builds T_d from the Dickson closed form and checks
+        # nothing at run time; this is the check of the identity
         for d in [*range(1, 301), 2000]:
             assert self._at_t_plus_inverse_t(d) == [1] + [0] * (2 * d - 1) + [1], d
 

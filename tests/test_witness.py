@@ -269,6 +269,9 @@ def test_chebyshev_is_built_on_integers():
     t120 = chebyshev(120)
     assert time.process_time() - start < 0.05
     assert t120 == _chebyshev_ints(120)
+    # the closed form agrees with the recurrence
+    for d in range(1, 401):
+        assert chebyshev(d) == _chebyshev_ints(d), d
 
 
 class TestScreenField:
