@@ -17,7 +17,9 @@ value was built.  Arithmetic runs on the integer numerators; the
 rational coordinates are derived on demand (``coords``).  Embeddings,
 conjugates, roots of unity and the descent to a subfield, one prime at
 a time (the prime 2 of n = 2m, m odd, always drops), each scatter
-exponents into one dense row that is reduced once (``_scatter``).  Inversion
+exponents into one dense row that is reduced once (``_scatter``); a
+prime that does not drop is rejected first by F_p images of the rows
+the descent would scatter (``_try_drop_prime``).  Inversion
 multiplies by the other conjugates over Q(zeta_(n/p)), p the smallest
 prime of n, and recurses on the relative norm at the smaller conductor
 (``CycNum.inverse``), so it too is products and Galois conjugates only.
@@ -51,6 +53,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 from fractions import Fraction
 from functools import lru_cache
@@ -171,9 +174,10 @@ def torsion_order(n: int) -> int:
 
 
 class _Cyclotomy:
-    """Cached per-conductor data: Phi_n and its reduction terms, rad(n)."""
+    """Cached per-conductor data: Phi_n and its reduction terms, rad(n),
+    and, once a subfield test asks for it, the image field (``field``)."""
 
-    __slots__ = ("n", "rad", "phi", "low")
+    __slots__ = ("n", "rad", "phi", "low", "_field")
 
     def __init__(self, n: int):
         self.n = n
@@ -181,6 +185,19 @@ class _Cyclotomy:
         self.phi = euler_phi(n)
         # Nonzero (r, c_r) of Phi_n below its leading term, for reduction.
         self.low = tuple((r, c) for r, c in enumerate(cyclotomic_polynomial(n)[:-1]) if c)
+        self._field = None
+
+    def field(self) -> tuple[int, int, list[int]]:
+        """(q, g, [g^j mod q for j < phi]): q = 1 (mod n) prime and g of
+        exact order n mod q (``_screen_field``), so zeta_n -> g is a ring
+        map into F_q.  Built on first use."""
+        if self._field is None:
+            q, g = _screen_field(self.n)
+            pows = [1] * self.phi
+            for j in range(1, self.phi):
+                pows[j] = pows[j - 1] * g % q
+            self._field = (q, g, pows)
+        return self._field
 
     def reduce(self, acc: list[int]) -> list[int]:
         """Reduce integer exponent coefficients modulo Phi_n, in place.
@@ -252,17 +269,35 @@ def _try_drop_prime(n: int, num, p: int) -> list[int] | None:
     factorization zeta_n^k = P^(k mod p) * M^(k mod m) (P of order p,
     M of order m) groups the coordinates into w_0, ..., w_{p-1} in
     Q(zeta_m); since 1 + P + ... + P^(p-1) = 0, membership means
-    w_1 = ... = w_{p-1} and the value is then w_0 - w_1.
+    w_1 = ... = w_{p-1} and the value is then w_0 - w_1.  At m = 1 that
+    reads: the element is rational exactly when num[1:] is zero.
+
+    Before any w_r is built, each is mapped into F_q by zeta_m -> g
+    (``_Cyclotomy.field``): w_r goes to g^(r/p) sum_j num[r + p*j] g^j,
+    and an image that differs from w_1's proves w_r != w_1.  Only when
+    every image agrees are the w_r reduced and compared exactly.
     """
     m = n // p
     if m % p == 0:
         # zeta_n^(i + p*j) = zeta_n^i * zeta_m^j with j < phi(m): delta rows
-        if any(num[k] for k in range(len(num)) if k % p):
-            return None
+        for r in range(1, p):
+            if any(num[r::p]):
+                return None
         return list(num[::p])
-    # bucket r holds the k = r + p*j, at inv_p * r + j (mod m); buckets 1
-    # and 2 are compared before the others are built (p = 2 compares none).
+    if m == 1:
+        return None if any(num[1:]) else [num[0]]
+    # bucket r holds the k = r + p*j, at inv_p * r + j (mod m); p = 2
+    # compares none.
     inv_p = pow(p, -1, m)
+    if p > 2:
+        q, g, pows = _cyclotomy(m).field()
+        step = pow(g, inv_p, q)  # w_r's image carries g^(r/p) = step^r
+        target = step * sum(map(operator.mul, num[1::p], pows)) % q
+        unit = step
+        for r in range(2, p):
+            unit = unit * step % q
+            if unit * sum(map(operator.mul, num[r::p], pows)) % q != target:
+                return None
 
     def bucket(r: int) -> list[int]:
         return _scatter(m, num[r::p], 1, inv_p * r % m)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cyclotomic import CycNum
-from .errors import DomainError, printable
+from .errors import DomainError, int_digit_limit, printable
 from .ratfunc import LaurentPoly, Poly, RatFunc
 
 
@@ -103,15 +103,34 @@ def format_ratfunc(h: RatFunc) -> str:
     return f"({num_str})/{den_str}"
 
 
+def _refuse_unprintable(coeffs) -> None:
+    """Raise ``printable``'s error, before any text is made, when a term of
+    one of the coefficients cannot print.  Below 2^(3 * limit) < 10^limit
+    the largest magnitude passes a coefficient without the exact test."""
+    limit = int_digit_limit()
+    if not limit:
+        return
+    bits = 3 * limit
+    for c in coeffs:
+        if max(c.den, max(c.num), -min(c.num)).bit_length() > bits:
+            for x in c.num:
+                if x:
+                    printable(Fraction(abs(x), c.den))
+
+
 def format_value(v) -> str:
+    """Canonical text of v; a polynomial or rational function that cannot
+    print is refused before any of its coefficients is converted."""
+    if isinstance(v, LaurentPoly):
+        v = v.to_ratfunc()
     if isinstance(v, CycNum):
         return format_cycnum(v)
     if isinstance(v, RatFunc):
+        _refuse_unprintable(v.num.coeffs + v.den.coeffs)
         return format_ratfunc(v)
     if isinstance(v, Poly):
+        _refuse_unprintable(v.coeffs)
         return format_poly(v)
-    if isinstance(v, LaurentPoly):
-        return format_ratfunc(v.to_ratfunc())
     if isinstance(v, (int, Fraction)):
         return _format_rational(Fraction(v))
     raise DomainError(f"cannot format {type(v).__name__}")

@@ -8,9 +8,13 @@ denominator of h1 o h2 share no common root, hence no gcd computation
 is needed and the degree law deg(h1 o h2) = deg h1 * deg h2 is exact by
 construction.  Composition with an affine inner map a x + b is one
 Taylor shift by b of the numerator and of the denominator, over integer
-rows, scaled by the powers of a (``_affine``); it forms no power and no
-``Poly`` product.  A Laurent polynomial is x^low times a ``Poly`` and
-shares its arithmetic: a Laurent product is a ``Poly`` product.
+rows (``_shift``), scaled by the powers of a (``_affine``); it forms no
+power and no ``Poly`` product.  A polynomial keeps its last few Taylor
+shifts, so the callers that ask one polynomial for p(x + v) again
+(special-map detection, its certificate check, the witness candidates
+and their verification) share one shift per point v.  A Laurent
+polynomial is x^low times a ``Poly`` and shares its arithmetic: a
+Laurent product is a ``Poly`` product.
 """
 
 from __future__ import annotations
@@ -31,6 +35,8 @@ DEFAULT_ITERATE_CEILING = 1_000_000
 EXPANSION_BITS_CEILING = 1 << 32
 #: Ceiling for a parsed constant power c^k, in bits: |k| |c|, with |c| = ``size_bits(c)``.
 POWER_BITS_CEILING = 1 << 20
+#: Most Taylor shifts a polynomial keeps, one per point; the oldest goes first.
+SHIFTS_KEPT = 4
 
 
 def size_bits(c: CycNum) -> int:
@@ -47,9 +53,15 @@ def _cyc(v) -> CycNum:
 
 
 class Poly(Record):
-    """Dense univariate polynomial; coeffs ascending, no trailing zeros."""
+    """Dense univariate polynomial; coeffs ascending, no trailing zeros.
 
-    __slots__ = ("coeffs",)
+    ``_shifts``, set on the first ``taylor_shift``, keeps p(x + v) for
+    at most ``SHIFTS_KEPT`` points v.  Equality, hashing, the repr and
+    pickling use ``coeffs`` only, so a copy starts with no shifts.
+    """
+
+    __slots__ = ("coeffs", "_shifts")
+    _fields = ("coeffs",)
 
     def __init__(self, coeffs=()):
         cs = [_cyc(c) for c in coeffs]
@@ -194,8 +206,22 @@ class Poly(Record):
         return result
 
     def taylor_shift(self, v) -> "Poly":
-        """Coefficients of p(x + v), over integer rows (``_affine``)."""
-        return _affine(self, CycNum.one, _cyc(v))
+        """Coefficients of p(x + v), over integer rows (``_shift``), built
+        once per point v while p keeps it (``SHIFTS_KEPT``)."""
+        v = _cyc(v)
+        if not v or len(self.coeffs) < 2:
+            return self
+        kept = getattr(self, "_shifts", None)
+        if kept is None:
+            kept = {}
+            _set_shifts(self, kept)
+        out = kept.get(v)
+        if out is None:
+            out = _shift(self, v)
+            if len(kept) >= SHIFTS_KEPT:
+                kept.pop(next(iter(kept), None), None)
+            kept[v] = out
+        return out
 
     def num_terms(self) -> int:
         return sum(1 for c in self.coeffs if c)
@@ -209,7 +235,7 @@ class Poly(Record):
         return Poly([c])
 
 
-(_set_coeffs,) = Poly._setters
+_set_coeffs, _set_shifts = Poly._setters
 
 
 def _powers(c: CycNum, k: int) -> list[CycNum]:
@@ -230,50 +256,51 @@ def _poly_of(coeffs: tuple[CycNum, ...]) -> Poly:
 
 
 def _affine(p: Poly, a: CycNum, b: CycNum) -> Poly:
-    """Coefficients of p(a x + b): one Taylor shift over integer rows.
+    """Coefficients of p(a x + b): the kept shift p(x + b), its
+    coefficient k times a^k."""
+    shifted = p.taylor_shift(b)
+    if a == CycNum.one or len(shifted.coeffs) < 2:
+        return shifted
+    return _poly_of(tuple(c * w if c else c for c, w in zip(shifted.coeffs, _powers(a, p.deg))))
 
-    The coefficients, a and b = B/db sit at one conductor c over one
-    common denominator den.  Coefficient i times db^(m - i), m = deg p,
-    is shifted by B in integers (von zur Gathen and Gerhard, ISSAC 1997):
+
+def _shift(p: Poly, b: CycNum) -> Poly:
+    """Coefficients of p(x + b), b != 0 and deg p >= 1: one Taylor shift
+    over integer rows.
+
+    The coefficients and b = B/db sit at one conductor c over one common
+    denominator den.  Coefficient i times db^(m - i), m = deg p, is
+    shifted by B in integers (von zur Gathen and Gerhard, ISSAC 1997):
     coordinate by coordinate when B is an integer, else by steps that
-    are row products modulo Phi_c.  Output k is then row k times
-    (db a)^k over den * db^m, canonicalized once.
+    are row products modulo Phi_c.  Output k is then row k times db^k
+    over den * db^m, canonicalized once.
     """
     cs = p.coeffs
     m = len(cs) - 1
-    if m < 1 or (not b and a == CycNum.one):
-        return p
-    c = math.lcm(a.n, b.n, *(x.n for x in cs))
+    c = math.lcm(b.n, *(x.n for x in cs))
     den, db = math.lcm(*(x.den for x in cs)), b.den
-    ctx = _cyclotomy(c)
     rows = [
         [y * (den // x.den) * db ** (m - i) for y in _embed_list(x, c)]
         for i, x in enumerate(cs)
     ]
-    if b.n == 1 and b:  # an integer B shifts each coordinate on its own
+    if b.n == 1:  # an integer B shifts each coordinate on its own
         cols, bb = [list(col) for col in zip(*rows)], b.num[0]
         for col in cols:
             for i in range(m):
                 for j in range(m - 1, i - 1, -1):
                     col[j] += bb * col[j + 1]
         rows = list(zip(*cols))
-    elif b:
-        bb = _embed_list(b, c)
+    else:
+        ctx, bb = _cyclotomy(c), _embed_list(b, c)
         for i in range(m):
             for j in range(m - 1, i - 1, -1):
                 step = _row_product(ctx, rows[j + 1], bb)
                 rows[j] = [y + z for y, z in zip(rows[j], step)]
-    ua = _embed_list(a, c) if a.n > 1 else None
-    t = db if ua else db * a.num[0]
     s, d, out = 1, den * db**m, []
-    for k, row in enumerate(rows):
-        if ua and k:
-            w = ua if k == 1 else _row_product(ctx, w, ua)
-            row = _row_product(ctx, row, w)
+    for row in rows:
         out.append(_make(c, [y * s for y in row], d))
-        s *= t
-        d *= a.den
-    return Poly(out)
+        s *= db
+    return _poly_of(tuple(out))
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:

@@ -259,11 +259,21 @@ def _special_polynomial(p: Poly) -> SpecialVerdict:
     middles_vanish = all(not q[k] for k in range(1, d)) and q[0] == v
     powers = ((1, MODEL_POWER), (-1, MODEL_NEG_POWER)) if middles_vanish else ()
     for sign, kind in powers + ((1, MODEL_CHEBYSHEV),):
-        roots, decisive = nth_roots_in_cyclotomic(a_d_inv * sign, d - 1)
+        u0, decisive = nth_root_in_cyclotomic(a_d_inv * sign, d - 1)
         if not decisive:
             unknown = True
+        if u0 is None:
+            continue
         model = _model_poly(kind, d)
-        for u in roots:
+        # a test that fails for every u != 0 rejects the model before any
+        # root is built: q_0 - v = 0 * u, or q_k u^(k-1) = model_k with
+        # exactly one of q_k and model_k zero
+        if (not model[0] and q[0] != v) or any(
+            bool(q[k]) != bool(model[k]) for k in range(1, d + 1)
+        ):
+            continue
+        for j in range(d - 1):  # the roots of nth_roots_in_cyclotomic, one at a time
+            u = u0 * CycNum.zeta(d - 1, j)
             # (q(u x) - v)/u coefficientwise, its constant compared times u
             if q[0] - v == model[0] * u and all(
                 q[k] * u ** (k - 1) == model[k] for k in range(1, d + 1)

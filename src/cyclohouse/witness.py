@@ -65,7 +65,7 @@ class Witness(Record):
         if S.is_constant():
             raise DomainError("witness inner map must be nonconstant")
         fill(self, terms, S)
-        if witness_laurent(self).is_constant():
+        if all(n == 0 for n, _ in _collapsed_terms(self)):
             raise DomainError("witness sum must be nonconstant in x")
 
     def to_dict(self) -> dict:
@@ -85,9 +85,26 @@ def witness_laurent(w: Witness) -> LaurentPoly:
     return LaurentPoly([(n, beta.to_cycnum() * e) for beta, e, n in w.terms])
 
 
+def _collapsed_terms(w: Witness) -> tuple[tuple[int, CycNum], ...]:
+    """The nonzero (exponent, coefficient) pairs of the collapsed sum,
+    ascending; sparse, so an exponent of any size allocates nothing in
+    proportion to it."""
+    acc: dict[int, CycNum] = {}
+    for beta, e, n in w.terms:
+        acc[n] = acc.get(n, CycNum.zero) + beta.to_cycnum() * e
+    return tuple(sorted((n, c) for n, c in acc.items() if c))
+
+
 def witness_check(h: RatFunc, w: Witness) -> bool:
-    """Exact identity test compose(h, S) == collapsed witness sum."""
-    return compose(h, w.S) == witness_laurent(w).to_ratfunc()
+    """Exact identity test compose(h, S) == collapsed witness sum.
+
+    The composition, whose size ``compose`` bounds, is read as a Laurent
+    polynomial and compared term by term with ``_collapsed_terms``: a
+    composition whose denominator is not a monomial is no Laurent
+    polynomial and fails.
+    """
+    lp = to_laurent(compose(h, w.S))
+    return lp is not None and lp.terms == _collapsed_terms(w)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +373,6 @@ def _grid_search_polynomial(
     c_orders = tuple(sorted({values[i].value.n for i in c_pos}))
     powers = {i: screen.powers(images[i]) for i in c_pos}
     root_bs = b_survivors(1)
-    shifts: dict[CycNum, tuple[CycNum, ...]] = {}
     for ia in a_pos:
         a_gv, ap = values[ia], powers[ia]
         bs = root_bs if a_gv.is_root() else b_survivors(ap[d - 1])
@@ -386,7 +402,7 @@ def _grid_search_polynomial(
                 ap, screen.taylor(x), cp, b_order, d_max
             ):
                 continue
-            lp = _quadratic_laurent(poly, a, b, c, shifts)
+            lp = _quadratic_laurent(poly, a, b, c)
             inner = LaurentPoly([(1, a), (0, b), (-1, c)])
             w = _witness_from_laurent(h, inner.to_ratfunc(), lp, d_max)
             if w is not None:
@@ -427,19 +443,15 @@ def _pair_ring(
     return frozenset(ring)
 
 
-def _quadratic_laurent(
-    poly: Poly, a: CycNum, b: CycNum, c: CycNum, shifts: dict[CycNum, tuple[CycNum, ...]]
-) -> LaurentPoly:
+def _quadratic_laurent(poly: Poly, a: CycNum, b: CycNum, c: CycNum) -> LaurentPoly:
     """poly(a x + b + c/x) from the Taylor coefficients p_k(b) of poly at b.
 
     The x^m coefficient is the sum over k = m (mod 2) of p_k(b)
     C(k, (k+m)/2) a^((k+m)/2) c^((k-m)/2), which is a^m S_m for m >= 0
     and c^(-m) S_(-m) for m < 0, with S_r = sum over j of
-    C(r + 2j, j) (a c)^j p_(r+2j)(b).  ``shifts`` keeps the p_k(b) per b.
+    C(r + 2j, j) (a c)^j p_(r+2j)(b).  The p_k(b) are poly's kept shift.
     """
-    t = shifts.get(b)
-    if t is None:
-        t = shifts[b] = poly.taylor_shift(b).coeffs
+    t = poly.taylor_shift(b).coeffs
     d = len(t) - 1
     w = _powers(a * c, d // 2)
     sums = []

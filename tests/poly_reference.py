@@ -4,7 +4,7 @@
 product a canonicalized CycNum, and ``compose`` the homogenized
 composition sum_i p_i r^i s^(D - i) over sum_j q_j r^j s^(D - j) built
 from powers of r and s, for every inner map r/s.  Neither shares code
-with ``cyclohouse.ratfunc``'s integer-row shift (``_affine``) but
+with ``cyclohouse.ratfunc``'s integer-row shift (``_shift``) but
 CycNum and Poly's constructor and products, so the tests compare them.
 """
 

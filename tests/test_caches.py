@@ -19,7 +19,8 @@ UNBOUNDED = {
     "shared by every reduction at n",
     "cyclotomic._cyclotomy": "Phi_n and its nonzero terms per conductor, read by every "
     "product and reduction",
-    "cyclotomic._screen_field": "two integers per witness-grid field",
+    "cyclotomic._screen_field": "two integers per witness-grid field, torsion conductor and "
+    "subfield that a prime-drop test maps into",
     "ratfunc.chebyshev": "T_d per degree, below the print-limit refusal",
 }
 

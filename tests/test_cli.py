@@ -561,6 +561,7 @@ def test_cheb_below_the_print_limit_still_answers():
 
 
 def test_cheb_just_below_the_refusal_is_built_from_the_closed_form():
+    from cyclohouse.formatting import format_value
     from cyclohouse.ratfunc import chebyshev
 
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -570,12 +571,48 @@ def test_cheb_just_below_the_refusal_is_built_from_the_closed_form():
     start = time.process_time()
     code, out = _run(["cheb", "20734"])  # 45 s by the three-term recurrence
     assert time.process_time() - start < 5
-    chebyshev.cache_clear()
     # built, then refused by the printer: its coefficients pass 4300 digits
     assert code == 3
     assert json.loads(out)["error"]["message"] == (
         "a number of more than 4300 digits cannot be printed"
     )
+    # the printer checks every coefficient's size before it converts any
+    # (1.09 s when it converted them one at a time up to the first too long)
+    t_d = chebyshev(20734)
+    start = time.process_time()
+    with pytest.raises(ResourceLimitError, match="more than 4300 digits"):
+        format_value(t_d)
+    assert time.process_time() - start < 0.5
+    chebyshev.cache_clear()
+
+
+@pytest.mark.parametrize("n", [10**8, 10**9, 10**10, -(10**10)])
+def test_witness_check_with_a_large_exponent_ends_in_json(n):
+    # 2.1 s and 1.5 GB at 10^8, killed at 7.6 GB at 10^9, MemoryError (exit 5)
+    # at 10^10: the witness sum was made dense from its lowest exponent up
+    terms = '[{"beta":{"order":1,"exp":0},"e":"1","n":%d}]' % n
+    start = time.process_time()
+    code, out = _run(["witness-check", "x^2", "--S", "x", "--terms", terms])
+    assert time.process_time() - start < 1
+    assert code in (0, 3)
+    assert json.loads(out)["valid"] is False
+
+
+def test_witness_check_compares_term_by_term():
+    terms = '[{"beta":{"order":1,"exp":0},"e":"1","n":2},{"beta":{"order":1,"exp":0},"n":-2}]'
+    assert json.loads(_run(WITNESS_CHECK + [terms])[1])["valid"] is True
+    # x + 1/x is not a witness for h = x: the sum sits at other exponents
+    code, out = _run(["witness-check", "x", "--S", "x + x^-1", "--terms", terms])
+    assert (code, json.loads(out)["valid"]) == (0, False)
+
+
+def test_special_of_a_sparse_power_builds_no_root():
+    # each model fails a test that does not depend on the root u, so none of
+    # the 3999 roots is built (9.6 s cold when all of them were)
+    start = time.process_time()
+    code, out = _run(["special", "x^4000 + 3"])
+    assert time.process_time() - start < 1
+    assert (code, json.loads(out)) == (0, {"status": "not_special", "certificate": None})
 
 
 def test_iterate_ceiling_does_not_build_d_to_the_n():

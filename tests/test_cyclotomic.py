@@ -21,8 +21,12 @@ from cyclohouse import (
     is_root_of_unity,
     loxton_decompose,
 )
+from cyclohouse import cyclotomic
 from cyclohouse.cyclotomic import (
+    _canonicalize,
     _cyclotomy,
+    _scatter,
+    _try_drop_prime,
     _units_half,
     conjugate,
     euler_phi,
@@ -30,7 +34,7 @@ from cyclohouse.cyclotomic import (
     residue_mod_p,
 )
 
-from . import torsion_reference
+from . import canonical_reference, torsion_reference
 from .conftest import _random_cycnum_in, random_cycnum
 from .util import cycnum_from_dict, empty_profile, forbid_loxton_tables
 
@@ -476,6 +480,68 @@ class TestCanonicalForm:
         rng = _r.Random(seed)
         a = random_cycnum(rng)
         assert cycnum_from_dict(a.to_dict()) == a
+
+
+def _screen_rows(rng, n):
+    """Rows at conductor n: two random dense rows, a sparse one, and for each
+    divisor d an element of Q(zeta_d), alone and plus one from another divisor,
+    scattered in."""
+    phi = euler_phi(n)
+    rows = [[rng.randint(-9, 9) for _ in range(phi)] for _ in range(2)]
+    sparse = [0] * phi
+    for _ in range(2):
+        sparse[rng.randrange(phi)] += rng.choice((1, -1, 2))
+    rows.append(sparse)
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    for d in divisors:
+        row = _scatter(n, [rng.randint(-5, 5) for _ in range(euler_phi(d))], n // d)
+        other = rng.choice(divisors)
+        extra = _scatter(n, [rng.randint(-3, 3) for _ in range(euler_phi(other))], n // other)
+        rows += [row, [a + b for a, b in zip(row, extra)]]
+    return rows
+
+
+class TestPrimeDropScreen:
+    """``_try_drop_prime`` rejects a prime by F_p images before the exact
+    buckets; the canonical forms are those of the bucket-only reference."""
+
+    def test_canonical_forms_equal_the_bucket_reference(self):
+        rng = random.Random(7)
+        cases = dropped = 0
+        for n in [*range(1, 201), 420, 840, 2520, 3960]:
+            for row in _screen_rows(rng, n) + _screen_rows(rng, n):
+                got = _canonicalize(n, list(row))
+                assert got == canonical_reference.canonicalize(n, list(row)), (n, row)
+                cases += 1
+                dropped += got[0] != n
+        assert cases > 6000 and 4000 < dropped < cases
+
+    def test_agreeing_images_leave_the_decision_to_the_buckets(self, monkeypatch):
+        # zeta_21 + zeta_21^2 lies in no subfield; with every image forced to
+        # 0 the screen rejects nothing, and the exact buckets must keep 3 and 7
+        num = list(_scatter(21, [0, 1, 1]))
+        scattered = []
+        scatter = cyclotomic._scatter
+
+        def counted(*args):
+            scattered.append(args[0])
+            return scatter(*args)
+
+        monkeypatch.setattr(cyclotomic, "_scatter", counted)
+        assert _try_drop_prime(21, num, 3) is None and _try_drop_prime(21, num, 7) is None
+        assert scattered == []  # the true images differ: no bucket is built
+        monkeypatch.setattr(cyclotomic._Cyclotomy, "field", lambda self: (1, 0, [0] * self.phi))
+        assert _try_drop_prime(21, num, 3) is None and _try_drop_prime(21, num, 7) is None
+        assert set(scattered) == {7, 3}
+        assert _canonicalize(21, num) == (21, num)
+        assert CycNum(21, num) == z(21) + z(21, 2)
+
+    def test_the_field_is_kept_on_the_conductor_context(self):
+        q, g, pows = _cyclotomy(60).field()
+        assert _cyclotomy(60).field()[2] is pows and len(pows) == euler_phi(60)
+        assert (q - 1) % 60 == 0 and pow(g, 60, q) == 1
+        assert all(pow(g, 60 // p, q) != 1 for p, _ in factorize(60))
+        assert pows == [pow(g, j, q) for j in range(euler_phi(60))]
 
 
 @st.composite

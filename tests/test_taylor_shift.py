@@ -1,5 +1,7 @@
 """Taylor shifts and affine compositions against the CycNum-loop reference."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -178,3 +180,55 @@ def test_affine_composition_is_one_taylor_shift(monkeypatch):
     assert p.taylor_shift(z) == expected[2]
     assert counts["make"] <= p.deg + 1
     assert counts["canonical"] <= p.deg + 1
+
+
+def test_kept_shifts_leave_equality_hash_repr_and_pickle_alone():
+    z = CycNum.zeta(5)
+    p = Poly([z, Fraction(1, 3), 2, z**2])
+    bare = Poly(p.coeffs)
+    shifted = [p.taylor_shift(v) for v in (1, z, Fraction(-1, 2))]
+    assert [p.taylor_shift(v) for v in (1, z, Fraction(-1, 2))] == shifted
+    assert all(a is b for a, b in zip(shifted, [p.taylor_shift(v) for v in (1, z, Fraction(-1, 2))]))
+    assert len(p._shifts) == 3 and not hasattr(bare, "_shifts")
+    assert p == bare and hash(p) == hash(bare) and repr(p) == repr(bare)
+    assert pickle.dumps(p) == pickle.dumps(bare)
+    for twin in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+        assert type(twin) is Poly and twin == p and hash(twin) == hash(p)
+        assert not hasattr(twin, "_shifts")
+        assert twin.taylor_shift(z) == shifted[1]
+
+
+def test_a_polynomial_keeps_at_most_the_bound_of_shifts():
+    p = Poly([3, Fraction(1, 2), -1, 1])
+    for v in range(1, 1001):
+        got = p.taylor_shift(v)
+        assert len(p._shifts) <= ratfunc.SHIFTS_KEPT
+        if v % 97 == 0:
+            assert got == ref.taylor_shift(p, v)
+    kept = [CycNum.from_rational(v) for v in range(1001 - ratfunc.SHIFTS_KEPT, 1001)]
+    assert list(p._shifts) == kept  # the newest points, the oldest dropped first
+    assert p.taylor_shift(0) is p and Poly([7]).taylor_shift(5) == Poly([7])
+
+
+def test_one_avoidance_query_shifts_the_numerator_once_per_point(monkeypatch):
+    # h = ((x - 1)/2)^5 + 1 is x^5 + 1 at S = 2x + 1: special-map detection,
+    # the depressed candidate x + 1, the grid expansion at b = 1 and the
+    # witness check all ask h.num for h(x + 1); it is built once per query
+    from cyclohouse import LoxtonProfile, avoidance_verdict, parse_ratfunc
+
+    calls = []
+    shift = ratfunc._shift
+
+    def counted(p, b):
+        calls.append((p, b))
+        return shift(p, b)
+
+    monkeypatch.setattr(ratfunc, "_shift", counted)
+    for _ in range(2):
+        calls.clear()
+        h = parse_ratfunc("((x - 1)/2)^5 + 1")
+        verdict = avoidance_verdict(h, 1, LoxtonProfile.default(3))
+        assert verdict.kind == "witness_found"
+        assert verdict.witness.S == RatFunc.from_poly(Poly([1, 2]))
+        on_h = [b for p, b in calls if p is h.num]
+        assert on_h == [CycNum.one]
