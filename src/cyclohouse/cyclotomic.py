@@ -32,11 +32,15 @@ climb one precision ladder (``_rungs``) of integer bounds on the largest
 squared conjugate modulus.  An element keeps those bounds per working
 precision, its ``HouseResult`` per accuracy, and a screen from its first
 rung, so that any other rung evaluates only the conjugates that can hold
-the house (``_max_square_bounds``); the boundary house(a) = A is decided
-exactly, from a * conj(a) = A^2.  One kernel (``_square_bounds``) gives
-every such bound: the root table packs the four interval endpoints of
-each root into one integer (``intervals.root_table``), so a conjugate
-costs one big-integer multiply-add per nonzero coordinate.  The same
+the house (``_max_square_bounds``).  When that first loop is large, the
+screen is read off the element's Zumbroich form (``_zumbroich_terms``;
+Bosma 1990), which writes a sum of a few roots of unity with a few
+terms, and only its survivors are evaluated in the power basis.  The
+boundary house(a) = A is decided exactly, from a * conj(a) = A^2.
+One kernel (``_square_bounds``) gives every such bound: the root table
+packs the four interval endpoints of each root into one integer
+(``intervals.root_table``), so a conjugate costs one big-integer
+multiply-add per nonzero coordinate.  The same
 kernel, run at 64 bits on the sparse, unreduced exponent vectors of a
 numerator and a denominator, proves a quotient outside P_A without its
 exact value (``quotient_outside_PA``): a conjugate above A, at the first
@@ -175,9 +179,10 @@ def torsion_order(n: int) -> int:
 
 class _Cyclotomy:
     """Cached per-conductor data: Phi_n and its reduction terms, rad(n),
-    and, once a subfield test asks for it, the image field (``field``)."""
+    and, once asked for, the image field (``field``) and the CRT rows of
+    the Zumbroich basis (``zumbroich``)."""
 
-    __slots__ = ("n", "rad", "phi", "low", "_field")
+    __slots__ = ("n", "rad", "phi", "low", "_field", "_zumbroich")
 
     def __init__(self, n: int):
         self.n = n
@@ -186,6 +191,7 @@ class _Cyclotomy:
         # Nonzero (r, c_r) of Phi_n below its leading term, for reduction.
         self.low = tuple((r, c) for r, c in enumerate(cyclotomic_polynomial(n)[:-1]) if c)
         self._field = None
+        self._zumbroich = None
 
     def field(self) -> tuple[int, int, list[int]]:
         """(q, g, [g^j mod q for j < phi]): q = 1 (mod n) prime and g of
@@ -198,6 +204,34 @@ class _Cyclotomy:
                 pows[j] = pows[j - 1] * g % q
             self._field = (q, g, pows)
         return self._field
+
+    def zumbroich(self) -> tuple[tuple[int, tuple], ...]:
+        """(q, rows) per prime power q = p^v || n, for the Zumbroich basis
+        (Bosma 1990): rows[e mod q] is None when the q-part of zeta_n^e is
+        a basis root, else the shifts d with zeta_n^e = -sum zeta_n^(e + d).
+        Built on first use.
+
+        With m = n/q, zeta_n^e is the product over q of zeta_q^f,
+        zeta_q = zeta_n^m and f = e m^-1 mod q.  Write f = a + b q/p,
+        a < q/p: the basis keeps b != 0 at an odd p and b = 0 at p = 2.
+        Otherwise zeta_q^a = -sum_(b=1..p-1) zeta_q^(a + b q/p), the shifts
+        m b q/p, or zeta_q^(a + q/2) = -zeta_q^a, the shift n/2; neither
+        moves the part of any other prime.
+        """
+        if self._zumbroich is None:
+            n, parts = self.n, []
+            for p, v in factorize(n):
+                q = p**v
+                m, step = n // q, q // p
+                inv = pow(m, -1, q)
+                shifts = (n // 2,) if p == 2 else tuple(m * step * b for b in range(1, p))
+                rows = tuple(
+                    None if (r * inv % q // step == 0) == (p == 2) else shifts
+                    for r in range(q)
+                )
+                parts.append((q, rows))
+            self._zumbroich = tuple(parts)
+        return self._zumbroich
 
     def reduce(self, acc: list[int]) -> list[int]:
         """Reduce integer exponent coefficients modulo Phi_n, in place.
@@ -897,6 +931,58 @@ def _square_bounds(n: int, prec: int, nz, units):
         yield lo, hi
 
 
+def _zumbroich_terms(n: int, nz) -> list[tuple[int, int]]:
+    """The (exponent mod n, weight) pairs of sum_j w zeta_n^j, (j, w) in nz,
+    in the Zumbroich basis (``_Cyclotomy.zumbroich``): the same element
+    over the same denominator, often with far fewer terms when it is a
+    sum of a few roots of unity.  One prime power at a time, each term
+    whose part there is not a basis root is rewritten."""
+    terms = dict(nz)
+    for q, rows in _cyclotomy(n).zumbroich():
+        out: dict[int, int] = {}
+        for e, w in terms.items():
+            shifts = rows[e % q]
+            if shifts is None:
+                out[e] = out.get(e, 0) + w
+            elif w:
+                for d in shifts:
+                    k = (e + d) % n
+                    out[k] = out.get(k, 0) - w
+        terms = out
+    return [(e, w) for e, w in terms.items() if w]
+
+
+def _screen(n: int, prec: int, nz, units) -> tuple[int, int, tuple]:
+    """(max lo, max hi, screen) over units in one pass over the kernel's
+    bounds; the screen (prec, survivors, thr) keeps the t with
+    hi_t >= max lo and the largest hi_t of the others (None if none)."""
+    best_lo = best_hi = thr = -1
+    kept = []
+    for t, (lo, hi) in zip(units, _square_bounds(n, prec, nz, units)):
+        if lo > best_lo:
+            best_lo = lo
+        if hi > best_hi:
+            best_hi = hi
+        if hi >= best_lo:
+            kept.append((t, hi))
+        elif hi > thr:
+            thr = hi
+    survivors = []
+    for t, hi in kept:
+        if hi >= best_lo:
+            survivors.append(t)
+        elif hi > thr:
+            thr = hi
+    return best_lo, best_hi, (prec, tuple(survivors), thr if thr >= 0 else None)
+
+
+#: The first rung takes its screen from the Zumbroich form when its full
+#: loop would make at least this many multiply-adds (units x terms) and
+#: that form has more than one term and at most half as many; a smaller
+#: loop costs little, and the conversion would not pay for itself.
+_ZUMBROICH_MIN_WORK = 1024
+
+
 def _screened_bounds(n: int, nz, screen, prec: int) -> tuple[int, int] | None:
     """(max lo, max hi) over the survivors of a screen, at working
     precision prec, or None when a screened-out conjugate might reach
@@ -927,13 +1013,17 @@ def _max_square_bounds(a: CycNum, prec: int) -> tuple[int, int]:
     """Integer bounds on max_t |sigma_t(a)|^2 at scale (2^prec * a.den)^2.
 
     Computed once per element and working precision and kept on the
-    element (``_HouseMemo``).  The first rung computed evaluates every
-    unit t <= n/2 and records a screen: the survivors t with
-    hi_t >= best_lo and thr, the largest hi_t of the others.  Any other
-    rung, above or below it, evaluates the survivors only, unless
-    ``_screened_bounds`` cannot rule the others out; then it evaluates
-    every t.  Either way the bounds
-    are those of the full loop.
+    element (``_HouseMemo``).  The first rung computed records a screen
+    (``_screen``) over every unit t <= n/2.  When that loop is large and
+    the Zumbroich form of a is short, the screen is read off the
+    Zumbroich terms, and the rung evaluates only its survivors in the
+    power basis; otherwise, and whenever ``_screened_bounds`` cannot rule
+    the others out, the rung evaluates every t in the power basis, and a
+    first rung keeps that loop's screen.  Any other rung, above or below
+    it, evaluates the survivors only, with the same fallback.  A screen's
+    thr bounds the exact |sigma_t(a)|^2 of the screened-out t from above,
+    in whichever basis it was computed, so the bounds are always those of
+    the full power-basis loop.
     """
     memo = _house_memo(a)
     hit = memo.squares.get(prec)
@@ -941,24 +1031,24 @@ def _max_square_bounds(a: CycNum, prec: int) -> tuple[int, int]:
         return hit
     n = a.n
     nz = [(j, w) for j, w in enumerate(a.num) if w]
-    screen = memo.screen
+    first = memo.screen is None
     bounds = None
-    if screen is not None:
-        bounds = _screened_bounds(n, nz, screen, prec)
-    if bounds is None:
+    if first:
         units = _units_half(n)
-        los, his = zip(*_square_bounds(n, prec, nz, units))
-        best_lo = max(los)
-        bounds = (best_lo, max(his))
-        if screen is None:
-            survivors = []
-            thr = None
-            for t, hi in zip(units, his):
-                if hi >= best_lo:
-                    survivors.append(t)
-                elif thr is None or hi > thr:
-                    thr = hi
-            memo.screen = (prec, tuple(survivors), thr)
+        if len(units) * len(nz) >= _ZUMBROICH_MIN_WORK:
+            terms = _zumbroich_terms(n, nz)
+            # one term, w zeta_n^e: every conjugate has the same modulus and
+            # survives, so the screen would only add a pass
+            if 1 < len(terms) and 2 * len(terms) <= len(nz):
+                screen = _screen(n, prec, terms, units)[2]
+                bounds = _screened_bounds(n, nz, screen, prec)
+    else:
+        bounds = _screened_bounds(n, nz, memo.screen, prec)
+    if bounds is None:
+        best_lo, best_hi, screen = _screen(n, prec, nz, _units_half(n))
+        bounds = (best_lo, best_hi)
+    if first:
+        memo.screen = screen
     memo.squares[prec] = bounds
     return bounds
 

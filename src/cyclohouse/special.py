@@ -213,17 +213,6 @@ def nth_root_in_cyclotomic(w: CycNum, r: int) -> tuple[CycNum | None, bool]:
     return base * CycNum.zeta(rou.order * r, rou.exponent), True
 
 
-def nth_roots_in_cyclotomic(w: CycNum, r: int) -> tuple[list[CycNum], bool]:
-    """All r-th roots of w inside the cyclotomic closure, plus decisiveness
-    as in ``nth_root_in_cyclotomic``."""
-    u0, decisive = nth_root_in_cyclotomic(w, r)
-    if u0 is None:
-        return [], decisive
-    if not u0:
-        return [u0], True
-    return [u0 * CycNum.zeta(r, j) for j in range(r)], True
-
-
 # ---------------------------------------------------------------------------
 # the decision procedure
 
@@ -272,7 +261,7 @@ def _special_polynomial(p: Poly) -> SpecialVerdict:
             bool(q[k]) != bool(model[k]) for k in range(1, d + 1)
         ):
             continue
-        for j in range(d - 1):  # the roots of nth_roots_in_cyclotomic, one at a time
+        for j in range(d - 1):  # the (d-1)-th roots u0 zeta_(d-1)^j, one at a time
             u = u0 * CycNum.zeta(d - 1, j)
             # (q(u x) - v)/u coefficientwise, its constant compared times u
             if q[0] - v == model[0] * u and all(

@@ -5,8 +5,7 @@ screened ladder.
 im_lo, im_hi) boxes, one interval sum per endpoint with a sign branch
 per term; ``square_bounds_per_unit`` runs it on every unit t <= n/2 over
 the library's root table read back as boxes, with no memo on the
-element, and ``max_square_bounds`` and ``screen`` read the rung bounds
-and the screen off it.
+element, and ``max_square_bounds`` reads the rung bounds off it.
 ``quotient_outside_PA`` is the scan's screen as a full loop: every
 conjugate of the numerator and the denominator is bounded, from the
 same boxes, before any of them is read.
@@ -127,16 +126,6 @@ def max_square_bounds(a: CycNum, prec: int) -> tuple[int, int]:
     """(max lo, max hi) over ``square_bounds_per_unit``."""
     pairs = square_bounds_per_unit(a, prec).values()
     return max(lo for lo, _ in pairs), max(hi for _, hi in pairs)
-
-
-def screen(a: CycNum, prec: int) -> tuple[int, tuple[int, ...], int | None]:
-    """(prec, survivors, thr): the units t whose hi reaches the best lo, and
-    the largest hi of the others (None if there are none)."""
-    pairs = square_bounds_per_unit(a, prec)
-    best_lo = max(lo for lo, _ in pairs.values())
-    survivors = tuple(t for t, (_, hi) in pairs.items() if hi >= best_lo)
-    others = [hi for _, hi in pairs.values() if hi < best_lo]
-    return prec, survivors, max(others) if others else None
 
 
 def quotient_outside_PA(num, den, A) -> bool:

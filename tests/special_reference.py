@@ -5,7 +5,9 @@ scaling u is tested by forming the conjugate m^-1 (h (m(x))) with two
 general compositions, and a non-polynomial map is carried to the
 polynomial layer by composing with gamma + 1/x.  The package now reads
 each conjugate off one Taylor shift; this is kept to compare against.
-It shares the root extraction with the package.  Its rational
+It shares the root extraction (``nth_root_in_cyclotomic``) with the
+package and lists all r-th roots (``nth_roots_in_cyclotomic``), which
+only the tests use.  Its rational
 candidates are the roots of multiplicity d - 1 of the Wronskian
 num'*den - num*den', found by a chain of derivative gcds and a
 squarefree part; the package reads them off one gcd of the shape
@@ -27,8 +29,19 @@ from cyclohouse.special import (
     SpecialCertificate,
     SpecialVerdict,
     _roots_of_low_degree,
-    nth_roots_in_cyclotomic,
+    nth_root_in_cyclotomic,
 )
+
+
+def nth_roots_in_cyclotomic(w: CycNum, r: int) -> tuple[list[CycNum], bool]:
+    """All r-th roots of w inside the cyclotomic closure, plus decisiveness
+    as in ``nth_root_in_cyclotomic``."""
+    u0, decisive = nth_root_in_cyclotomic(w, r)
+    if u0 is None:
+        return [], decisive
+    if not u0:
+        return [u0], True
+    return [u0 * CycNum.zeta(r, j) for j in range(r)], True
 
 
 def reference_is_special(h: RatFunc) -> SpecialVerdict:

@@ -376,7 +376,14 @@ def _assert_rungs_match_the_reference(a):
     memo = a._house
     for prec, bounds in memo.squares.items():
         assert bounds == house_reference.max_square_bounds(_fresh(a), prec), (a, prec)
-    assert memo.screen == house_reference.screen(_fresh(a), memo.screen[0])
+    # the screen may come from the Zumbroich form, so its thr need not be the
+    # power-basis loop's; what the screened rungs rely on is that thr bounds
+    # every screened-out conjugate, whose reference lo is below its exact value
+    prec0, survivors, thr = memo.screen
+    pairs = house_reference.square_bounds_per_unit(_fresh(a), prec0)
+    others = [lo for t, (lo, _) in pairs.items() if t not in survivors]
+    assert (thr is None) == (not others), (a, memo.screen)
+    assert all(lo <= thr for lo in others), (a, memo.screen)
 
 
 def test_screened_rungs_equal_the_unscreened_loop(kernel_calls):
@@ -424,6 +431,35 @@ def test_near_tie_takes_the_full_loop(kernel_calls):
     assert kernel_calls == [(3, 3), (1, 3), (3, 3)]
     for prec, bounds in a._house.squares.items():
         assert bounds == house_reference.max_square_bounds(_fresh(a), prec)
+
+
+def test_large_conductor_screen_comes_from_the_zumbroich_form(kernel_calls, monkeypatch):
+    # the house pool's shape at 2520: three primitive roots, the first past
+    # phi so that its power-basis form is dense; each root is at most 2
+    # Zumbroich terms, the screen is read off them and the power basis is
+    # evaluated on the survivors alone
+    n, phi = 2520, cyc.euler_phi(2520)
+    rng = random.Random(2520)
+    units = [e for e in range(n) if math.gcd(e, n) == 1]
+    sizes = []
+    recording = cyc._square_bounds
+
+    def sized(n, prec, nz, units):
+        sizes.append(len(nz))
+        return recording(n, prec, nz, units)
+
+    monkeypatch.setattr(cyc, "_square_bounds", sized)
+    for first in [e for e in units if phi <= e < phi + 64]:
+        a = z(n, first) + z(n, rng.choice(units)) + z(n, rng.choice(units))
+        sizes.clear()
+        kernel_calls.clear()
+        house(a, 64)
+        nnz = len(a.num) - a.num.count(0)
+        survivors = a._house.screen[1]
+        assert sizes == [sizes[0], nnz] and sizes[0] <= 6, (a, sizes)
+        assert kernel_calls == [(288, 288), (len(survivors), 288)], (a, kernel_calls)
+        assert len(survivors) < 288
+        _assert_rungs_match_the_reference(a)
 
 
 def test_house_result_kept_on_the_element():

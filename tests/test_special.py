@@ -25,14 +25,10 @@ from cyclohouse import (
     ratfunc_new,
 )
 from cyclohouse.cyclotomic import euler_phi
-from cyclohouse.special import (
-    exact_nth_root_fraction,
-    nth_roots_in_cyclotomic,
-    sqrt_rational_cyc,
-)
+from cyclohouse.special import exact_nth_root_fraction, sqrt_rational_cyc
 
 from .conftest import random_cycnum, random_poly, random_ratfunc
-from .special_reference import reference_is_special
+from .special_reference import nth_roots_in_cyclotomic, reference_is_special
 
 
 def z(n, k=1):
